@@ -379,7 +379,7 @@ class EquivariantCochainComplex:
     def _check_invariants(self):
         p = self.p
         for l in range(self.top_degree - 1):
-            assert (self.coboundary[l + 1] @ self.coboundary[l]).is_zero()
+            assert (self.coboundary[l + 1] @ self.coboundary[l]).is_zero(), "d o d != 0"
         for l in range(self.top_degree):
             delta = self.coboundary[l].a
             pre1, sign1 = self.act_pre[l + 1], self.act_sign[l + 1]
@@ -419,10 +419,7 @@ class EquivariantCochainComplex:
                 else:
                     image = self.delta(l - 1).image_basis().a
                 sub = Subquotient(kernel, image, self.p)
-                act = np.zeros((sub.dim, sub.dim), dtype=np.int64)
-                moved = self.apply_action(l, sub.reps)
-                for j in range(sub.dim):
-                    act[:, j] = sub.coordinates(moved[:, j])
+                act = sub.coordinates_many(self.apply_action(l, sub.reps))
                 out.append(
                     DegreeCohomology(l, sub, GModule(self.field, PrimeFieldMatrix(self.field, act)))
                 )
@@ -465,13 +462,11 @@ class EquivariantCochainComplex:
         coh = self.cohomology()
         target = coh[l + lp]
         da, db = coh[l].dim, coh[lp].dim
-        mat = np.zeros((da, db), dtype=np.int64)
-        for i in range(da):
-            a = coh[l].subquotient.reps[:, i]
-            for j in range(db):
-                b = coh[lp].subquotient.reps[:, j]
-                coords = target.subquotient.coordinates(self.cup(l, a, lp, b))
-                mat[i, j] = coords[0] if coords.size else 0
+        front, back = self._cup_tables(l, lp)
+        # every product rep_i u rep'_j as one column, i major
+        cups = coh[l].subquotient.reps[front][:, :, None] * coh[lp].subquotient.reps[back][:, None, :]
+        coords = target.subquotient.coordinates_many(np.mod(cups.reshape(len(front), da * db), self.p))
+        mat = coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
         return PrimeFieldMatrix(self.field, mat)
 
 

@@ -1,10 +1,18 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries kept as canonical
-representatives in [0, p).  Products are accumulated in int64 and reduced
-once afterwards; with p <= 251 and desk-scale dimensions this never
-overflows.  Row reduction touches only rows with a nonzero entry in the
-pivot column, which keeps the very sparse coboundary matrices cheap.
+representatives in [0, p).  Every product goes through `matmul_mod`: one
+float64 BLAS product reduced mod p, exact because with p <= 251 every
+partial sum is an integer far below 2^53 (the word-size approach of
+Dumas, Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 2008).
+
+There is one elimination, `_eliminate`: panels of columns reduced pivot by
+pivot, each followed by one block Gauss-Jordan step, a single `matmul_mod`
+update of the rows and columns it changes.  `rref_mod`, `kernel_mod`,
+`column_echelon_mod` and `FactoredSolve` are built on it; the reduced row
+echelon form is unique, so their results are canonical.  `FactoredSolve`
+keeps the float64 transform of the reduction and solves any number of
+right-hand sides with one product.
 
 A small sparse elimination (`sparse_rank`) is provided for the few places
 where dense storage would be wasteful (total-complex ranks, Betti numbers
@@ -14,10 +22,15 @@ of large quotient complexes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 MAX_PRIME = 251
+# Column panel of the blocked elimination.
+PANEL = 64
+# float64 represents every integer below this exactly.
+_EXACT_LIMIT = 2**53
 
 
 def is_prime(p: int) -> bool:
@@ -58,31 +71,102 @@ def _as_array(entries, p: int) -> np.ndarray:
     return np.mod(a, p)
 
 
-def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of `a` over F_p; returns (R, pivot columns)."""
-    r = np.mod(np.asarray(a, dtype=np.int64), p).copy()
-    m, n = r.shape
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """(a @ b) mod p as one float64 BLAS product.
+
+    Entries of `a` and `b` must be integers of absolute value below p.
+    Every partial sum is then an integer of size at most
+    inner * (p - 1)^2, which float64 holds exactly while that stays below
+    2^53; past it the product is refused.  Returns float64 entries in
+    [0, p).
+    """
+    inner = np.shape(a)[-1]
+    if inner * (p - 1) ** 2 >= _EXACT_LIMIT:
+        raise ValueError(
+            f"inner dimension {inner} is too large for an exact float64 product mod {p}"
+        )
+    return np.mod(np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64), p)
+
+
+def _eliminate(r: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
+    """Reduce `r` in place to reduced row echelon form over F_p.
+
+    Pivots are searched in columns < ncols only; later columns are carried
+    along.  Columns are taken in panels of PANEL.  In a panel the per-pivot
+    Gauss-Jordan step runs on the rows without a pivot yet and on the panel
+    columns alone, and records the multiples of the panel's pivot rows
+    that every such row received; on the pivot rows those multiples are
+    the inverse of the pivot block B.  One block step then brings the whole
+    matrix along: the pivot rows become B^-1 times themselves and every
+    other row loses its pivot-column entries times them, as a single
+    matmul_mod update of the rows that change.  When no row lies above
+    the panel and no column lies past it, the panel step alone is the
+    whole reduction and works on `r` directly.
+    """
+    m, width = r.shape
     pivots = []
     row = 0
-    for col in range(n):
+    for c0 in range(0, ncols, PANEL):
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+        c1 = min(c0 + PANEL, ncols)
+        w = c1 - c0
+        top = row
+        block = top > 0 or c1 < width
+        # panel of the rows without a pivot, then the multipliers of its pivot rows
+        if block:
+            work = np.zeros((m - top, 2 * w), dtype=r.dtype)
+            work[:, :w] = r[top:, c0:c1]
+        else:
+            work = r[:, c0:c1]
+        for j in range(w):
+            at = row - top
+            if at == len(work):
+                break
+            nz = work[at:, j].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = at + int(nz[0])
+            if i != at:
+                work[[at, i]] = work[[i, at]]
+                if block:
+                    r[[row, top + i]] = r[[top + i, row]]
+            if block:
+                work[at, w + at] = 1
+            inv = pow(int(work[at, j]), p - 2, p)
+            if inv != 1:
+                work[at] = (work[at] * inv) % p
+            others = work[:, j].nonzero()[0]
+            others = others[others != at]
+            if others.size:
+                work[others] = (work[others] - np.outer(work[others, j], work[at])) % p
+            pivots.append(c0 + j)
+            row += 1
+        k = row - top
+        if not block or k == 0:
             continue
-        i = row + int(nz[0])
-        if i != row:
-            r[[row, i]] = r[[i, row]]
-        inv = pow(int(r[row, col]), p - 2, p)
-        if inv != 1:
-            r[row] = (r[row] * inv) % p
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
-        pivots.append(col)
-        row += 1
-    return r, tuple(pivots)
+        # every row gains multiples[i] @ (the panel's pivot rows as they
+        # were); the pivot rows are rebuilt from zero as B^-1 times them
+        multiples = work[:, w : w + k]
+        if top:
+            above = matmul_mod(r[:top, pivots[-k:]], multiples[:k], p)
+            multiples = np.concatenate([-above.astype(r.dtype), multiples])
+        pivot_rows = r[top:row, c0:].copy()
+        r[top:row, c0:] = 0
+        changed = multiples.any(axis=1).nonzero()[0]
+        cols = c0 + pivot_rows.any(axis=0).nonzero()[0]
+        update = matmul_mod(multiples[changed], pivot_rows[:, cols - c0], p)
+        at = np.ix_(changed, cols)
+        r[at] = np.mod(r[at] + update, p)
+    return tuple(pivots)
+
+
+def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of `a` over F_p; returns (R, pivot columns)."""
+    r = np.mod(np.asarray(a, dtype=np.int64), p)
+    if r.size == 0:
+        return r, ()
+    return r, _eliminate(r, p, r.shape[1])
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -92,15 +176,14 @@ def rank_mod(a: np.ndarray, p: int) -> int:
 def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the right kernel of `a`, as columns."""
     r, pivots = rref_mod(a, p)
-    m, n = r.shape
-    free = [c for c in range(n) if c not in set(pivots)]
-    k = np.zeros((n, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        k[f, j] = 1
-        for i, c in enumerate(pivots):
-            k[c, j] = (-r[i, f]) % p
-    # rank-nullity, asserted after every reduction
-    assert len(pivots) + k.shape[1] == n
+    n = r.shape[1]
+    if not pivots:
+        return np.eye(n, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    free[list(pivots)] = False
+    k = np.zeros((n, n - len(pivots)), dtype=np.int64)
+    k[free] = np.eye(n - len(pivots), dtype=np.int64)
+    k[~free] = np.mod(-r[: len(pivots), free], p)
     return column_echelon_mod(k, p)
 
 
@@ -117,71 +200,44 @@ def column_echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
 class FactoredSolve:
     """Cached row reduction of `a` for solving a·x = b repeatedly.
 
-    Stores E with E·a = R in rref; each solve is a single mat-vec plus a
-    consistency check, so repeated solves against coboundary matrices are
-    cheap.
+    Stores E with E·a = R in rref, as float64, found by one elimination of
+    [a | I] with the pivot search limited to the a block.  A solve is one
+    matmul_mod with E plus a consistency check on the rows of E past the
+    rank, for any number of right-hand sides at once.
     """
 
     def __init__(self, a: np.ndarray, p: int):
-        a = np.mod(np.asarray(a, dtype=np.int64), p)
+        a = np.asarray(a)
         m, n = a.shape
-        aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
-        r = aug.copy()
-        pivots = []
-        row = 0
-        for col in range(n):  # pivot search limited to the a-block
-            if row == m:
-                break
-            nz = np.nonzero(r[row:, col])[0]
-            if nz.size == 0:
-                continue
-            i = row + int(nz[0])
-            if i != row:
-                r[[row, i]] = r[[i, row]]
-            inv = pow(int(r[row, col]), p - 2, p)
-            if inv != 1:
-                r[row] = (r[row] * inv) % p
-            others = np.nonzero(r[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
-            pivots.append(col)
-            row += 1
+        buf = np.zeros((m, n + m))
+        buf[:, :n] = np.mod(a, p)
+        buf[:, n:] = np.eye(m)
         self.p = p
         self.shape = (m, n)
-        self.pivots = tuple(pivots)
-        self.rref = r[:, :n]
-        self.transform = r[:, n:]
+        self.pivots = _eliminate(buf, p, n)
+        self._pivot_rows = np.array(self.pivots, dtype=np.intp)
+        self.transform = buf[:, n:].copy()
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve(self, b: np.ndarray) -> np.ndarray | None:
-        """One solution of a·x = b with free variables 0, or None."""
-        p = self.p
-        m, n = self.shape
-        b = np.mod(np.asarray(b, dtype=np.int64).reshape(m), p)
-        y = np.mod(self.transform @ b, p)
-        if np.any(y[self.rank:]):
+    def _solve(self, b: np.ndarray) -> np.ndarray | None:
+        y = matmul_mod(self.transform, np.mod(b.astype(np.float64), self.p), self.p)
+        if y[self.rank :].any():
             return None
-        x = np.zeros(n, dtype=np.int64)
-        for i, c in enumerate(self.pivots):
-            x[c] = y[i]
+        x = np.zeros((self.shape[1],) + y.shape[1:], dtype=np.int64)
+        x[self._pivot_rows] = y[: self.rank]
         return x
 
+    def solve(self, b: np.ndarray) -> np.ndarray | None:
+        """One solution of a·x = b with free variables 0, or None."""
+        return self._solve(np.asarray(b).reshape(self.shape[0]))
+
     def solve_many(self, b: np.ndarray) -> np.ndarray | None:
-        """Solve a·X = b columnwise; None if any column is inconsistent."""
-        p = self.p
-        m, n = self.shape
-        b = np.mod(np.asarray(b, dtype=np.int64).reshape(m, -1), p)
-        y = np.mod(self.transform @ b, p)
-        if np.any(y[self.rank:, :]):
-            return None
-        x = np.zeros((n, b.shape[1]), dtype=np.int64)
-        for i, c in enumerate(self.pivots):
-            x[c] = y[i]
-        return x
+        """Solve a·X = b for the m×k matrix b; None if any column is inconsistent."""
+        b = np.asarray(b)
+        return self._solve(b if b.ndim == 2 else b.reshape(self.shape[0], -1))
 
 
 class PrimeFieldMatrix:
@@ -267,17 +323,17 @@ class PrimeFieldMatrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return self._wrap(self.a @ other.a)
+        return self._wrap(matmul_mod(self.a, other.a, self.p))
 
     def __pow__(self, e: int):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        out = np.eye(self.rows, dtype=np.int64)
+        out = np.eye(self.rows)
         base = self.a
         while e:
             if e & 1:
-                out = np.mod(out @ base, self.p)
-            base = np.mod(base @ base, self.p)
+                out = matmul_mod(out, base, self.p)
+            base = matmul_mod(base, base, self.p)
             e >>= 1
         return self._wrap(out)
 
@@ -351,9 +407,11 @@ class Subquotient:
         self.reps = self.z[:, rep_cols].copy()
         self.dim = len(rep_cols)
         assert self.dim == self.z.shape[1] - bdim
-        self._solver = FactoredSolve(
-            np.concatenate([self.b, self.reps], axis=1), p
-        )
+
+    @cached_property
+    def _solver(self) -> FactoredSolve:
+        # factored on first use: most page subquotients are never solved against
+        return FactoredSolve(np.concatenate([self.b, self.reps], axis=1), self.p)
 
     def decompose(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write v = B·xi_b + reps·xi_r; raises if v is outside span(Z)."""
@@ -367,14 +425,19 @@ class Subquotient:
         """Coordinates of [v] in the canonical representative basis."""
         return self.decompose(v)[1]
 
+    def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
+        """Coordinates of the classes of the columns of `vs`, as columns."""
+        sol = self._solver.solve_many(vs)
+        if sol is None:
+            raise ValueError("vector is not in the span of Z")
+        return sol[self.b.shape[1] :]
+
     def contains(self, v: np.ndarray) -> bool:
         return self._solver.solve(v) is not None
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64).reshape(self.dim)
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=np.int64)
-        return np.mod(self.reps @ coords, self.p)
+        coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)
+        return matmul_mod(self.reps, coords, self.p).astype(np.int64)
 
 
 def sparse_rank(columns, p: int) -> int:

@@ -123,11 +123,7 @@ class PageTower:
         for l in range(self.n + 1):
             sub = self.H[l].subquotient
             for parity in (0, 1):
-                mat = np.zeros((sub.dim, sub.dim), dtype=np.int64)
-                if sub.dim:
-                    moved = dc.apply_h(parity, l, sub.reps)
-                    for j in range(sub.dim):
-                        mat[:, j] = sub.coordinates(moved[:, j])
+                mat = sub.coordinates_many(dc.apply_h(parity, l, sub.reps))
                 d1[(parity, l)] = PrimeFieldMatrix(dc.field, mat)
         for k in range(page.k_edge + 1):
             for l in range(self.n + 1):
@@ -195,13 +191,10 @@ class PageTower:
             tgt = nxt.cell(k + r + 1, row)
             tgt_dim = tgt.dim if tgt else 0
             mat = np.zeros((tgt_dim, new_cell.dim), dtype=np.int64)
-            if tgt_dim and row >= 0:
-                for j, lift in enumerate(new_cell.lifts):
-                    top = lift.get(k + r)
-                    if top is None:
-                        continue
-                    vec = self.dc.apply_h(k + r, row, top)
-                    mat[:, j] = self.project(r + 1, k + r + 1, row, vec)
+            tops = [(j, lift[k + r]) for j, lift in enumerate(new_cell.lifts) if k + r in lift]
+            if tgt_dim and row >= 0 and tops:
+                vecs = self.dc.apply_h(k + r, row, np.stack([v for _, v in tops], axis=1))
+                mat[:, [j for j, _ in tops]] = self.project_many(r + 1, k + r + 1, row, vecs)
             new_cell.d_matrix = PrimeFieldMatrix(self.dc.field, mat)
 
     def _combine_lifts(self, cell: PageCell, coords: np.ndarray) -> dict[int, np.ndarray]:
@@ -234,7 +227,7 @@ class PageTower:
         if gens:
             gen_vecs = [g[0] for g in gens]
             sub = self.H[row].subquotient
-            gmat = np.array([sub.coordinates(v) for v in gen_vecs], dtype=np.int64).T
+            gmat = sub.coordinates_many(np.stack(gen_vecs, axis=1))
             beta = FactoredSolve(gmat, self.p).solve(sub.coordinates(z))
             assert beta is not None, "page class failed to die against recorded boundaries"
             for m, b in enumerate(beta):
@@ -261,12 +254,16 @@ class PageTower:
         """Coordinates on page r of the class of a cocycle at (k, l)."""
         if l < 0 or l > self.n:
             return np.zeros(0, dtype=np.int64)
-        coords = self.H[l].subquotient.coordinates(cochain)
+        return self.project_many(r, k, l, np.reshape(cochain, (-1, 1)))[:, 0]
+
+    def project_many(self, r: int, k: int, l: int, cochains: np.ndarray) -> np.ndarray:
+        """Page-r coordinates of the classes of the cocycle columns at (k, l)."""
+        coords = self.H[l].subquotient.coordinates_many(cochains)
         for q in range(2, r + 1):
             cell = self.pages[q].cell(k, l)
             if cell is None:
                 raise WindowError(f"cell ({k},{l}) outside the computed window")
-            coords = cell.sub.coordinates(coords)
+            coords = cell.sub.coordinates_many(coords)
         return coords
 
     def leading_vector(self, cls: PageClass) -> np.ndarray:
@@ -307,13 +304,14 @@ class PageTower:
         if self.pages[r].dim(k + k2, l + l2) != 1:
             return None
         da, db = self.pages[r].dim(k, l), self.pages[r].dim(k2, l2)
-        mat = np.zeros((da, db), dtype=np.int64)
-        for i in range(da):
-            ca = self.basis_class(r, k, l, i)
-            for j in range(db):
-                cb = self.basis_class(r, k2, l2, j)
-                mat[i, j] = self.product(r, ca, cb).coords[0]
-        return mat
+        if da and db and k + k2 > self.k_max:
+            raise WindowError(f"product column {k + k2} exceeds window {self.k_max}")
+        va = [self.leading_vector(self.basis_class(r, k, l, i)) for i in range(da)]
+        vb = [self.leading_vector(self.basis_class(r, k2, l2, j)) for j in range(db)]
+        # every product cochain a_i . b_j as one column, i major, then one projection
+        cups = [self.dc.product(k, l, a, k2, l2, b) for a in va for b in vb]
+        cochains = np.stack(cups, axis=1) if cups else np.zeros((self.dc.base.dim(l + l2), 0), dtype=np.int64)
+        return self.project_many(r, k + k2, l + l2, cochains)[0].reshape(da, db)
 
     # -- invariants -------------------------------------------------------------
     def _consistency_checks(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import EquivariantCochainComplex
-from .linalg import PrimeFieldMatrix, sparse_rank
+from .linalg import PrimeFieldMatrix, matmul_mod, sparse_rank
 
 
 class WindowError(ValueError):
@@ -254,7 +254,7 @@ def tot_differential(dc: SwanDoubleComplex, element: dict) -> dict:
     for (k, l), vec in element.items():
         add((k + 1, l), dc.apply_h(k, l, vec))
         if l + 1 <= dc.n:
-            dv = np.mod(dc.base.delta(l).a @ np.asarray(vec, dtype=np.int64), dc.p)
+            dv = matmul_mod(dc.base.delta(l).a, np.mod(vec, dc.p), dc.p).astype(np.int64)
             add((k, l + 1), ((-1) ** k % dc.p) * dv % dc.p)
     return {pos: vec for pos, vec in out.items() if np.any(vec)}
 
