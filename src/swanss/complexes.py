@@ -568,11 +568,29 @@ class ComplexFileError(ValueError):
         super().__init__(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_complex_json(text: str) -> SimplicialGComplex:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ComplexFileError("expected a JSON object")
     for field_name in ("p", "vertices", "generator", "simplices"):
         if field_name not in data:
             raise ComplexFileError(f"missing field {field_name!r}")
+    for field_name in ("p", "vertices"):
+        if not _is_int(data[field_name]):
+            raise ComplexFileError(f"{field_name!r} must be an integer, not {data[field_name]!r}")
+    generator, simplices = data["generator"], data["simplices"]
+    if not isinstance(generator, list) or not all(_is_int(v) for v in generator):
+        raise ComplexFileError("'generator' must be a list of integers")
+    if not isinstance(simplices, list) or not all(
+        isinstance(s, list) and all(_is_int(v) for v in s) for s in simplices
+    ):
+        raise ComplexFileError("'simplices' must be a list of lists of integers")
+    if not simplices:
+        raise ComplexFileError("the complex has no simplices")
     try:
         return SimplicialGComplex(
             data["p"], data["vertices"], data["generator"], data["simplices"]

@@ -86,6 +86,7 @@ class PairingViolation:
 
 
 _NO_DATA = "no product data"
+_NO_MIXED = "no mixed-parity pair in window"
 
 
 def _pairing_status(term, k: int, l: int, k2: int, l2: int) -> str | None:
@@ -147,6 +148,11 @@ def _column_pairs(variant: str, N: int, w: int):
             yield k, k2
 
 
+def _has_mixed_pair(N: int, w: int) -> bool:
+    """Whether strong duality at threshold N examines a mixed-parity pair."""
+    return any((k + k2) % 2 for k, k2 in _column_pairs("sspd", N, w))
+
+
 def _check_variant(term, n: int, N: int, variant: str) -> tuple[list[PairingViolation], int]:
     """Violations plus the number of pairings actually examined."""
     w = term.trusted_k
@@ -188,6 +194,8 @@ def _check_duality(term, n: int, variant: str, N: int | None = None) -> DualityF
         data_gap = any(v.reason == _NO_DATA for v in violations)
         if checked == 0:
             return DualityFlag(variant, None, N, (N, w), note="no qualifying pairs in window")
+        if variant == "sspd" and not _has_mixed_pair(N, w):
+            return DualityFlag(variant, None, N, (N, w), violations, note=_NO_MIXED)
         holds = None if data_gap else not violations
         return DualityFlag(variant, holds, N, (N, w), violations,
                            note="product data unavailable" if data_gap else "")
@@ -199,6 +207,10 @@ def _check_duality(term, n: int, variant: str, N: int | None = None) -> DualityF
             break  # larger thresholds only shrink the (now empty) check set
         any_checked = True
         if not violations:
+            # (even, even) pairs alone say nothing of the mixed-parity half
+            # that strong duality shares with weak duality
+            if variant == "sspd" and not _has_mixed_pair(cand, w):
+                return DualityFlag(variant, None, None, (cand, w), note=_NO_MIXED)
             return DualityFlag(variant, True, cand, (cand, w))
         if any(v.reason == _NO_DATA for v in violations):
             return DualityFlag(variant, None, None, (cand, w), violations,

@@ -96,13 +96,8 @@ def analyze_complex(
     """Full pipeline: regularize, profiles, Swan complex, pages, verdicts."""
     digest_source = input_bytes if input_bytes is not None else K.to_json()
     R = validate_and_regularize(K)
-    subdivisions = 0
-    probe = K
-    while probe.size() != R.size() and subdivisions < 3:
-        from .complexes import barycentric_subdivision
-
-        probe = barycentric_subdivision(probe)
-        subdivisions += 1
+    # a subdivision has one vertex per simplex of the complex it subdivides
+    subdivisions = 0 if R is K else 1 if R.vertex_count == K.size() else 2
 
     C = cochain_complex(R)
     n = C.top_degree if C.top_degree >= 0 else 0

@@ -16,7 +16,19 @@ from swanss.complexes import (
     quotient_complex,
     validate_and_regularize,
 )
-from swanss.corpus import build_circle, build_sphere_join, build_suspension_sphere
+from swanss.corpus import (
+    build_circle,
+    build_sphere_join,
+    build_suspension_sphere,
+    build_trivial_circle,
+)
+from swanss.report import analyze_complex
+
+
+def test_report_counts_subdivisions():
+    tri = SimplicialGComplex.from_maximal(3, 3, [1, 2, 0], [(0, 1), (1, 2), (0, 2)])
+    assert analyze_complex(tri)["complex"]["subdivisions"] == 1
+    assert analyze_complex(build_trivial_circle(3))["complex"]["subdivisions"] == 0
 
 
 def test_triangle_circle_needs_subdivision():

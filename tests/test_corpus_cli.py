@@ -84,6 +84,22 @@ def test_cli_decompose_malformed(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"p": 3.5, "vertices": 1, "generator": [0], "simplices": [[0]]},
+        {"p": 3, "vertices": 1, "generator": [0], "simplices": 5},
+        {"p": 3, "vertices": 0, "generator": [], "simplices": []},
+    ],
+    ids=["float-p", "simplices-not-a-list", "no-vertices"],
+)
+def test_cli_analyze_malformed_complex(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_analyze_deterministic(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(build_circle(3).to_json()))

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
+
+from swanss.cli import main
 
 from swanss.duality import (
     check_betti_chi_mod4,
@@ -17,7 +22,12 @@ from swanss.duality import (
     verify_torus_congruence,
 )
 from swanss.corpus import build_bredon_betti, build_mp_profile, build_seifert_betti
-from swanss.complexes import cochain_complex, cohomology_gmodules, fixed_subcomplex
+from swanss.complexes import (
+    SimplicialGComplex,
+    cochain_complex,
+    cohomology_gmodules,
+    fixed_subcomplex,
+)
 from swanss.gmodule import CohomologyProfile
 from swanss.pages import check_zero_row
 from swanss.synthetic import load_synthetic_page
@@ -293,6 +303,28 @@ def test_sspd_implies_wpd_assertion(pipelines):
     for flags in report.values():
         if flags["sspd"].holds:
             assert flags["wpd"].holds
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_sspd_undecided_without_mixed_parity_pairs(tmp_path, p):
+    # the 2-skeleton of the (p-1)-simplex, Z/p rotating its vertices: E_2
+    # passes strong duality only at a threshold where the one pair of
+    # columns left in the window is (even, even), and weak duality has no
+    # pair there at all
+    K = SimplicialGComplex.from_maximal(
+        p, p, [(v + 1) % p for v in range(p)], list(itertools.combinations(range(p), 3))
+    )
+    path = tmp_path / f"skeleton-{p}-2.json"
+    path.write_text(json.dumps(K.to_json()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path)]) == 0
+    report = json.loads(out.getvalue())
+    sspd = report["duality"]["2"]["sspd"]
+    assert sspd["holds"] is None and sspd["note"] == "no mixed-parity pair in window"
+    for flags in report["duality"].values():
+        if flags["sspd"]["holds"]:
+            assert flags["wpd"]["holds"]
 
 
 def test_verdict_json_shape():
