@@ -379,7 +379,7 @@ class EquivariantCochainComplex:
     def _check_invariants(self):
         p = self.p
         for l in range(self.top_degree - 1):
-            assert (self.coboundary[l + 1] @ self.coboundary[l]).is_zero(), "d o d != 0"
+            assert (self.coboundary[l + 1] @ self.coboundary[l]).is_zero()
         for l in range(self.top_degree):
             delta = self.coboundary[l].a
             pre1, sign1 = self.act_pre[l + 1], self.act_sign[l + 1]
