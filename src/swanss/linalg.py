@@ -427,6 +427,8 @@ class Subquotient:
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the columns of `vs`, as columns."""
+        if vs.shape[1] == 0:
+            return np.zeros((self.dim, 0), dtype=np.int64)
         sol = self._solver.solve_many(vs)
         if sol is None:
             raise ValueError("vector is not in the span of Z")

@@ -110,6 +110,7 @@ class PageTower:
         self.H = base.cohomology()
         self._delta_solvers = [FactoredSolve(base.delta(l).a, self.p) for l in range(self.n + 1)]
         self.pages: dict[int, Page] = {}
+        self._pairings: dict[tuple[int, int, int, int], dict[int, np.ndarray]] = {}
         self._build_page_one()
         for r in range(1, r_max):
             self._turn_page(r)
@@ -304,14 +305,35 @@ class PageTower:
         if self.pages[r].dim(k + k2, l + l2) != 1:
             return None
         da, db = self.pages[r].dim(k, l), self.pages[r].dim(k2, l2)
-        if da and db and k + k2 > self.k_max:
+        if not (da and db):
+            return np.zeros((da, db), dtype=np.int64)
+        if k + k2 > self.k_max:
             raise WindowError(f"product column {k + k2} exceeds window {self.k_max}")
-        va = [self.leading_vector(self.basis_class(r, k, l, i)) for i in range(da)]
-        vb = [self.leading_vector(self.basis_class(r, k2, l2, j)) for j in range(db)]
-        # every product cochain a_i . b_j as one column, i major, then one projection
-        cups = [self.dc.product(k, l, a, k2, l2, b) for a in va for b in vb]
-        cochains = np.stack(cups, axis=1) if cups else np.zeros((self.dc.base.dim(l + l2), 0), dtype=np.int64)
-        return self.project_many(r, k + k2, l + l2, cochains)[0].reshape(da, db)
+        key = (r, k, k2, l + l2)
+        if key not in self._pairings:
+            self._pairings[key] = self._pairings_into(r, k, k2, l + l2)
+        return self._pairings[key][l]
+
+    def _pairings_into(self, r: int, k: int, k2: int, row: int) -> dict[int, np.ndarray]:
+        """The pairings of columns k and k2 into (k+k2, row), for every split
+        of the row, from one projection of all their product cochains."""
+        page = self.pages[r]
+        splits = [
+            (l, page.dim(k, l), page.dim(k2, row - l))
+            for l in range(max(0, row - self.n), min(row, self.n) + 1)
+        ]
+        # the leading staircase components of the basis classes, multiplied
+        cups = [
+            self.dc.product(k, l, page.cell(k, l).lifts[i][k],
+                            k2, row - l, page.cell(k2, row - l).lifts[j][k2])
+            for l, da, db in splits for i in range(da) for j in range(db)
+        ]
+        coords = self.project_many(r, k + k2, row, np.stack(cups, axis=1))[0]
+        out, start = {}, 0
+        for l, da, db in splits:
+            out[l] = coords[start : start + da * db].reshape(da, db)
+            start += da * db
+        return out
 
     # -- invariants -------------------------------------------------------------
     def _consistency_checks(self):
