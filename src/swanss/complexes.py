@@ -417,7 +417,7 @@ class EquivariantCochainComplex:
                 if l == 0:
                     image = np.zeros((self.dims[0], 0), dtype=np.int64)
                 else:
-                    image = self.delta(l - 1).image_basis().a
+                    image = self.delta(l - 1).a
                 sub = Subquotient(kernel, image, self.p)
                 act = sub.coordinates_many(self.apply_action(l, sub.reps))
                 out.append(

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gmodule import group_cohomology
-from .linalg import FactoredSolve, PrimeFieldMatrix, Subquotient, column_echelon_mod, kernel_mod
+from .linalg import FactoredSolve, PrimeFieldMatrix, Subquotient, kernel_mod
 from .swan import SwanDoubleComplex, WindowError
 
 
@@ -150,9 +150,9 @@ class PageTower:
             if k > nxt.k_edge:
                 continue
             out = cell.d_matrix.a
+            # Subquotient brings both spans to their canonical bases
             kernel = kernel_mod(out, self.p)
-            image = column_echelon_mod(self._incoming_matrix(page, k, l, cell.dim), self.p)
-            sub = Subquotient(kernel, image, self.p)
+            sub = Subquotient(kernel, self._incoming_matrix(page, k, l, cell.dim), self.p)
             new_cell = PageCell(k, l, r + 1, sub.dim, sub, [], k <= nxt.trusted_k)
             nxt.cells[(k, l)] = new_cell
 
