@@ -27,8 +27,10 @@ from functools import cached_property
 import numpy as np
 
 MAX_PRIME = 251
-# Column panel of the blocked elimination.
-PANEL = 64
+# Columns per panel of the blocked elimination.  A pivot costs rows x
+# PANEL inside its panel, and wider panels make fewer, larger block steps;
+# 32 measured fastest on the sparse coboundary matrices swanss reduces.
+PANEL = 32
 # float64 represents every integer below this exactly.
 _EXACT_LIMIT = 2**53
 
@@ -133,13 +135,14 @@ def _eliminate(r: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
                     r[[row, top + i]] = r[[top + i, row]]
             if block:
                 work[at, w + at] = 1
+            # the pivot row is zero left of column j
             inv = pow(int(work[at, j]), p - 2, p)
             if inv != 1:
-                work[at] = (work[at] * inv) % p
+                work[at, j:] = (work[at, j:] * inv) % p
             others = work[:, j].nonzero()[0]
             others = others[others != at]
             if others.size:
-                work[others] = (work[others] - np.outer(work[others, j], work[at])) % p
+                work[others, j:] = (work[others, j:] - np.outer(work[others, j], work[at, j:])) % p
             pivots.append(c0 + j)
             row += 1
         k = row - top
