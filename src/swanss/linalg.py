@@ -159,8 +159,8 @@ def _eliminate(r: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
         changed = multiples.any(axis=1).nonzero()[0]
         cols = c0 + pivot_rows.any(axis=0).nonzero()[0]
         update = matmul_mod(multiples[changed], pivot_rows[:, cols - c0], p)
-        at = np.ix_(changed, cols)
-        r[at] = np.mod(r[at] + update, p)
+        cells = np.ix_(changed, cols)
+        r[cells] = np.mod(r[cells] + update, p)
     return tuple(pivots)
 
 
