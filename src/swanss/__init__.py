@@ -5,6 +5,7 @@ congruence validators."""
 
 __version__ = "0.1.0"
 
+from .errors import InvariantError
 from .linalg import FieldP, PrimeFieldMatrix, Subquotient, subquotient_dim
 from .gmodule import (
     CohomologyProfile,

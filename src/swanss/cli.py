@@ -2,7 +2,9 @@
 
 Exit codes: 0 when everything passes or is gated not-applicable, 1 when
 any verdict fails or an expected corpus value mismatches, 2 on input
-errors (malformed JSON is reported with line and column).
+errors (malformed JSON is reported with line and column), 3 when an
+internal invariant breaks (`InvariantError`: a fault of the program, not
+of its input).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .duality import (
     verify_torus_congruence,
     verify_chi_t,
 )
+from .errors import InvariantError
 from .gmodule import GModule, decompose
 from .pages import check_odd_page_vanishing, compute_pages
 from .report import analyze_complex, canonical_json, fixed_circle_count
@@ -330,6 +333,9 @@ def main(argv=None) -> int:
     except (InputError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

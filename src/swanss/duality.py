@@ -49,10 +49,8 @@ class ComputedTerm:
         return self.tower.pages[self.r].d_rank(k, l)
 
     def d_is_zero(self, k: int, l: int) -> bool:
-        cell = self.tower.pages[self.r].cell(k, l)
-        if cell is None or cell.d_matrix is None:
-            return True
-        return cell.d_matrix.is_zero()
+        cell = self.tower.pages[self.r].source(k, l)
+        return cell is None or cell.d_matrix.is_zero()
 
     def pairing_matrix(self, k, l, k2, l2):
         key = (k, l, k2, l2)

@@ -6,9 +6,14 @@ N = 1 + t + ... + t^(p-1) for k odd (the dual of the standard 2-periodic
 free resolution of the trivial module).  The total differential is
 d = d_h + (-1)^k d_v.
 
-Column data is independent of k apart from parity, so the finite window
-[0, K_max] is bookkeeping: every matrix exists for any column.  Total
-cohomology is trusted for s <= K_max - 2.
+Every matrix depends on its column only through the column's parity, so
+the complex repeats with period 2 away from column 0.  For s >= n every
+block of d: Tot^s -> Tot^(s+1) lies in a column >= 0, and d at s + 2 is
+the same matrix as d at s.  `total_cohomology_dims` ranks d only for
+s = 0..n+3, checks that degrees n, n+1 give the ranks of n+2, n+3, and
+takes every later rank from the degree of the same parity.  K_max only
+bounds what is reported: H^s for s <= K_max - 2, and products into
+columns <= K_max.
 
 The product takes a pair at columns (k, k') to
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import EquivariantCochainComplex
+from .errors import InvariantError
 from .linalg import PrimeFieldMatrix, matmul_mod, sparse_rank
 
 
@@ -45,7 +51,7 @@ class SwanDoubleComplex:
             )
         self.k_max = k_max
         self._h_matrices: dict[tuple[int, int], PrimeFieldMatrix] = {}
-        self._column_cols: list[list[dict[int, int]]] | None = None
+        self._sparse: dict[tuple[str, int, int], list[dict[int, int]]] = {}
         self._tot_dims_cache: list[int] | None = None
         self._check_invariants()
 
@@ -56,9 +62,7 @@ class SwanDoubleComplex:
         return self.base.dim(l)
 
     def tot_dim(self, s: int) -> int:
-        return sum(
-            self.cell_dim(k, s - k) for k in range(max(0, s - self.n), min(s, self.k_max) + 1)
-        )
+        return sum(self.cell_dim(k, l) for k, l in self._tot_blocks(s))
 
     @property
     def trusted_total_limit(self) -> int:
@@ -83,15 +87,15 @@ class SwanDoubleComplex:
         base = self.base
         p = self.p
         for l in range(self.n + 1):
-            eye = np.eye(base.dim(l), dtype=np.int64)
-            shifted = self.apply_h(0, l, eye)
-            norm = self.apply_h(1, l, eye)
-            # d_h o d_h = 0 in both column parities
-            assert not np.any(self.apply_h(1, l, shifted) % p)
-            assert not np.any(self.apply_h(0, l, norm) % p)
-            # columns are 2-periodic: parity determines the matrix
-            assert self.h_matrix(0, l) == self.h_matrix(2, l)
-            assert self.h_matrix(1, l) == self.h_matrix(3, l)
+            # d_h o d_h is (t - 1)N = N(t - 1) = t^p - 1 in both column
+            # parities, so it vanishes iff t^p = 1 on the signed permutation
+            ident = np.arange(base.dim(l))
+            perm, sign = ident, np.ones(base.dim(l), dtype=np.int64)
+            for _ in range(p):
+                sign = np.mod(sign * base.act_sign[l][perm], p)
+                perm = base.act_pre[l][perm]
+            if not (np.array_equal(perm, ident) and np.all(sign == 1 % p)):
+                raise InvariantError("swan.build", f"d_h o d_h != 0 in row {l}: t^p != 1")
         for l in range(self.n):
             delta = base.delta(l).a
 
@@ -111,82 +115,55 @@ class SwanDoubleComplex:
                         cur = right_action(cur)
                         acc = acc + cur
                     delta_after_h = np.mod(acc, p)
-                assert np.array_equal(h_after_delta, delta_after_h), (
-                    "horizontal and vertical differentials do not commute"
-                )
+                if not np.array_equal(h_after_delta, delta_after_h):
+                    raise InvariantError("swan.build", f"d_h d_v != d_v d_h out of row {l}")
 
     # -- total complex -----------------------------------------------------
     def _tot_blocks(self, s: int) -> list[tuple[int, int]]:
-        return [
-            (k, s - k)
-            for k in range(max(0, s - self.n), min(s, self.k_max) + 1)
-        ]
+        return [(k, s - k) for k in range(max(0, s - self.n), s + 1)]
 
-    def _delta_columns(self, l: int) -> list[dict[int, int]]:
-        if self._column_cols is None:
-            self._column_cols = [None] * (self.n + 1)
-        if self._column_cols[l] is None:
-            delta = self.base.delta(l).a
-            cols = []
-            for j in range(delta.shape[1]):
-                rows = np.nonzero(delta[:, j])[0]
-                cols.append({int(r): int(delta[r, j]) for r in rows})
-            self._column_cols[l] = cols
-        return self._column_cols[l]
-
-    def _h_columns(self, parity: int, l: int) -> list[dict[int, int]]:
-        h = self.h_matrix(parity, l).a
-        cols = []
-        for j in range(h.shape[1]):
-            rows = np.nonzero(h[:, j])[0]
-            cols.append({int(r): int(h[r, j]) for r in rows})
-        return cols
+    def _sparse_columns(self, kind: str, k: int, l: int) -> list[dict[int, int]]:
+        """Columns of d_h out of column k (kind "h") or of d_v (kind "v") in row l."""
+        key = (kind, k % 2 if kind == "h" else 0, l)
+        if key not in self._sparse:
+            a = (self.h_matrix(k, l) if kind == "h" else self.base.delta(l)).a
+            self._sparse[key] = [
+                {int(r): int(a[r, j]) for r in np.nonzero(a[:, j])[0]} for j in range(a.shape[1])
+            ]
+        return self._sparse[key]
 
     def total_differential_columns(self, s: int) -> list[dict[int, int]]:
-        """Sparse columns of d: Tot^s -> Tot^(s+1) within the window."""
-        src_blocks = self._tot_blocks(s)
-        tgt_blocks = self._tot_blocks(s + 1)
-        tgt_offset = {}
-        at = 0
-        for (k, l) in tgt_blocks:
-            tgt_offset[(k, l)] = at
+        """Sparse columns of d: Tot^s -> Tot^(s+1)."""
+        offset, at = {}, 0
+        for k, l in self._tot_blocks(s + 1):
+            offset[(k, l)] = at
             at += self.cell_dim(k, l)
         columns = []
-        h_cols_cache: dict[tuple[int, int], list] = {}
-        d_cols_cache: dict[int, list] = {}
-        for (k, l) in src_blocks:
-            par = k % 2
-            if (par, l) not in h_cols_cache:
-                h_cols_cache[(par, l)] = self._h_columns(par, l)
-            if l not in d_cols_cache:
-                d_cols_cache[l] = self._delta_columns(l)
-            hcols = h_cols_cache[(par, l)]
-            dcols = d_cols_cache[l]
+        for k, l in self._tot_blocks(s):
+            # d_h lands in block (k + 1, l) and d_v in (k, l + 1), which exists for l < n
+            h_off, hcols = offset[(k + 1, l)], self._sparse_columns("h", k, l)
+            v_off, vcols = offset.get((k, l + 1)), self._sparse_columns("v", k, l)
             sgn = (-1) ** k % self.p
             for j in range(self.cell_dim(k, l)):
-                col: dict[int, int] = {}
-                if (k + 1, l) in tgt_offset:
-                    off = tgt_offset[(k + 1, l)]
-                    for r, v in hcols[j].items():
-                        col[off + r] = v
-                if (k, l + 1) in tgt_offset and l + 1 <= self.n:
-                    off = tgt_offset[(k, l + 1)]
-                    for r, v in dcols[j].items():
-                        col[off + r] = (sgn * v) % self.p
+                col = {h_off + r: v for r, v in hcols[j].items()}
+                if v_off is not None:
+                    col.update({v_off + r: sgn * v % self.p for r, v in vcols[j].items()})
                 columns.append(col)
         return columns
 
     def total_cohomology_dims(self) -> list[int]:
         """dim H^s of the total complex for 0 <= s <= K_max - 2."""
         if self._tot_dims_cache is None:
+            n = self.n
+            ranks = [sparse_rank(self.total_differential_columns(s), self.p) for s in range(n + 4)]
+            if ranks[n : n + 2] != ranks[n + 2 :]:
+                raise InvariantError("swan.tot_dims", f"ranks {ranks} of d: no period 2 from {n}")
+
+            def rank(s: int) -> int:
+                return 0 if s < 0 else ranks[n + (s - n) % 2] if s >= n else ranks[s]
+
             limit = self.trusted_total_limit
-            ranks = [0] * (limit + 2)
-            for s in range(limit + 1):
-                ranks[s] = sparse_rank(self.total_differential_columns(s), self.p)
-            dims = []
-            for s in range(limit + 1):
-                prev = ranks[s - 1] if s > 0 else 0
-                dims.append(self.tot_dim(s) - prev - ranks[s])
+            dims = [self.tot_dim(s) - rank(s - 1) - rank(s) for s in range(limit + 1)]
             self._tot_dims_cache = dims
         return self._tot_dims_cache
 

@@ -119,6 +119,29 @@ def test_cli_analyze_exit_code_on_window_error(tmp_path, capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("rmax", ["1", "0", "-1"])
+def test_cli_analyze_rejects_rmax_below_two(tmp_path, capsys, rmax):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(build_circle(3).to_json()))
+    assert main(["analyze", str(path), "--rmax", rmax]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "below 2" in err
+
+
+def test_cli_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    import itertools
+
+    from swanss import swan
+
+    # total-complex ranks that never repeat break the period check
+    calls = itertools.count()
+    monkeypatch.setattr(swan, "sparse_rank", lambda columns, p: next(calls))
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(build_circle(3).to_json()))
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: swan.tot_dims: ")
+
+
 def test_cli_verify_torus():
     code, out = _run_cli([
         "verify", "--theorem", "torus",

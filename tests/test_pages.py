@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from swanss import pages
 from swanss.complexes import SimplicialGComplex, cochain_complex
+from swanss.errors import InvariantError
 from swanss.gmodule import group_cohomology
 from swanss.pages import check_odd_page_vanishing, check_zero_row, compute_pages
 from swanss.swan import SwanDoubleComplex, WindowError
@@ -168,7 +170,8 @@ def test_product_graded_commutative_and_derivation(pipelines):
 def test_project_outside_window_raises(pipelines):
     tower = pipelines("circle-3").tower
     with pytest.raises(WindowError):
-        tower.project(2, tower.k_internal + 5, 0, np.zeros(tower.dc.base.dims[0], dtype=np.int64))
+        tower.project(2, tower.pages[1].k_reported + 5, 0,
+                      np.zeros(tower.dc.base.dims[0], dtype=np.int64))
 
 
 def test_r_max_bound():
@@ -176,6 +179,42 @@ def test_r_max_bound():
     dc = SwanDoubleComplex(cochain_complex(pt))
     with pytest.raises(ValueError):
         compute_pages(dc, 5)  # n + 2 = 2 for a point
+    for r_max in (1, 0, -1):
+        with pytest.raises(ValueError, match="below 2"):
+            compute_pages(dc, r_max)
+
+
+@pytest.mark.parametrize("name", ["circle-3", "join-3-1-0", "suspension-5"])
+def test_served_columns_equal_computed_ones(pipelines, monkeypatch, name):
+    # computing eight more columns of every page directly changes nothing
+    tower = pipelines(name).tower
+    start = pages.stable_start
+    monkeypatch.setattr(pages, "stable_start", lambda r: start(r) + 8)
+    wide = compute_pages(tower.dc)
+    for r in range(1, tower.r_max + 1):
+        page, direct = tower.pages[r], wide.pages[r]
+        assert len(direct.cells) == len(page.cells) + 8 * (tower.n + 1)
+        assert page.dims_json() == direct.dims_json()
+        for k in range(page.trusted_k + 1):
+            for l in range(tower.n + 1):
+                assert page.source(k, l).d_matrix == direct.source(k, l).d_matrix, (r, k, l)
+                for i in range(page.dim(k, l)):
+                    cls = tower.basis_class(r, k, l, i)
+                    assert np.array_equal(tower.leading_vector(cls), wide.leading_vector(cls))
+                if (k, l) not in direct.cells:
+                    continue
+                served, computed = page.cell(k, l), direct.cells[(k, l)]
+                assert len(served.lifts) == len(computed.lifts)
+                for a, b in zip(served.lifts, computed.lifts):
+                    assert a.keys() == b.keys()
+                    assert all(np.array_equal(a[c], b[c]) for c in a)
+
+
+def test_period_checked_from_too_early_a_column_raises(pipelines, monkeypatch):
+    # on the free circle, E_3 is nonzero in columns 0 and 1 only
+    monkeypatch.setattr(pages, "stable_start", lambda r: 0)
+    with pytest.raises(InvariantError, match="not 2-periodic"):
+        compute_pages(pipelines("circle-3").D)
 
 
 def test_synthetic_page_loading():
@@ -198,3 +237,25 @@ def test_synthetic_page_loading():
 def test_synthetic_rejects_bad_field():
     with pytest.raises(ValueError):
         load_synthetic_page(json.dumps({"field_char": 6, "n": 1, "window": 4}))
+
+
+@pytest.mark.parametrize("name", ["join-3-1-0", "suspension-3"])
+def test_pairing_matrices_equal_products_of_basis_classes(pipelines, name):
+    # pairings are cached by the columns that serve them; every entry must
+    # still be the product of the two basis classes at the asked columns
+    tower = pipelines(name).tower
+    n = tower.n
+    for r in (2, 3):
+        for k in range(9):
+            for k2 in range(9):
+                for l in range(n + 1):
+                    mat = tower.pairing_matrix(r, k, l, k2, n - l)
+                    if mat is None:
+                        continue
+                    direct = [
+                        [int(tower.product(r, tower.basis_class(r, k, l, i),
+                                           tower.basis_class(r, k2, n - l, j)).coords[0])
+                         for j in range(mat.shape[1])]
+                        for i in range(mat.shape[0])
+                    ]
+                    assert mat.tolist() == direct, (r, k, l, k2)

@@ -1,13 +1,22 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from swanss import swan
 from swanss.complexes import (
     SimplicialGComplex,
     betti_numbers,
     cochain_complex,
     fixed_subcomplex,
     quotient_complex,
+    validate_and_regularize,
 )
+from swanss.errors import InvariantError
+from swanss.linalg import sparse_rank
 from swanss.swan import SwanDoubleComplex, WindowError, tot_differential, tot_product
 
 
@@ -141,3 +150,67 @@ def test_trusted_limit():
     dc = SwanDoubleComplex(cochain_complex(pt), 20)
     assert dc.trusted_total_limit == 18
     assert len(dc.total_cohomology_dims()) == 19
+
+
+def _direct_total_dims(dc):
+    """dim H^s from a sparse rank of d at every degree of the reported window."""
+    limit = dc.trusted_total_limit
+    ranks = [sparse_rank(dc.total_differential_columns(s), dc.p) for s in range(limit + 1)]
+    return [dc.tot_dim(s) - (ranks[s - 1] if s else 0) - ranks[s] for s in range(limit + 1)]
+
+
+@pytest.mark.parametrize(
+    "name", ["circle-3", "circle-2", "circle-trivial-3", "join-3-1-0", "join-3-1-1", "suspension-3"]
+)
+def test_total_dims_equal_a_rank_at_every_degree(pipelines, name):
+    dc = pipelines(name).D
+    assert dc.total_cohomology_dims() == _direct_total_dims(dc)
+
+
+def test_total_dims_of_an_odd_window():
+    pt = SimplicialGComplex(5, 1, [0], [(0,)])
+    dc = SwanDoubleComplex(cochain_complex(pt), 21)
+    assert dc.total_cohomology_dims() == _direct_total_dims(dc)
+
+
+@pytest.mark.parametrize("p, top", [(3, 0), (5, 0), (5, 1)])
+def test_total_dims_when_ranks_alternate(p, top):
+    # on a free orbit of points, and on the 1-skeleton of the 4-simplex
+    # rotated by Z/5, the rank of d differs between even and odd degrees
+    rotate = [(v + 1) % p for v in range(p)]
+    simplices = [s for size in range(1, top + 2) for s in itertools.combinations(range(p), size)]
+    K = validate_and_regularize(SimplicialGComplex(p, p, rotate, simplices))
+    dc = SwanDoubleComplex(cochain_complex(K))
+    ranks = [sparse_rank(dc.total_differential_columns(s), p) for s in (dc.n, dc.n + 1)]
+    assert ranks[0] != ranks[1]
+    assert dc.total_cohomology_dims() == _direct_total_dims(dc)
+
+
+def test_disagreeing_periods_raise(monkeypatch):
+    # a rank that changes with every call cannot repeat with period 2
+    calls = itertools.count()
+    monkeypatch.setattr(swan, "sparse_rank", lambda columns, p: next(calls))
+    pt = SimplicialGComplex(3, 1, [0], [(0,)])
+    with pytest.raises(InvariantError) as info:
+        SwanDoubleComplex(cochain_complex(pt)).total_cohomology_dims()
+    assert info.value.stage == "swan.tot_dims"
+
+
+def test_disagreeing_periods_raise_under_optimization():
+    script = (
+        "import itertools\n"
+        "from swanss import swan\n"
+        "from swanss.complexes import SimplicialGComplex, cochain_complex\n"
+        "from swanss.errors import InvariantError\n"
+        "calls = itertools.count()\n"
+        "swan.sparse_rank = lambda columns, p: next(calls)\n"
+        "dc = swan.SwanDoubleComplex(cochain_complex(SimplicialGComplex(3, 1, [0], [(0,)])))\n"
+        "try:\n"
+        "    dc.total_cohomology_dims()\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "raised\n", proc.stderr
