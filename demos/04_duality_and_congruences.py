@@ -39,14 +39,16 @@ tower = compute_pages(SwanDoubleComplex(C))
 terms = tower_terms(tower)
 
 print("duality flags per page (semifree 3-sphere, p = 5):")
-for r, flags in duality_report(terms, 3).items():
+duality = duality_report(terms, 3)
+for r, flags in duality.items():
     print(f"  page {r}:",
           " ".join(f"{v}={f.holds} (N={f.threshold})" for v, f in flags.items()))
 
-audit = pd_propagation_audit(terms, 3, check_zero_row(tower))
+# the audits take the flags just computed
+audit = pd_propagation_audit(terms, 3, check_zero_row(tower), duality)
 print("propagation + rank-symmetry audit:", audit["status"],
       f"({audit['checked']} checks, {len(audit['violations'])} violations)")
-print("column sums mod 4 across pages:", mod4_audit(terms, 3).verdict)
+print("column sums mod 4 across pages:", mod4_audit(terms, 3, duality).verdict)
 
 profile = cohomology_gmodules(C)
 f_profile = cohomology_gmodules(cochain_complex(fixed_subcomplex(R)))

@@ -132,6 +132,8 @@ def cmd_analyze(args) -> int:
 def cmd_check_pd(args) -> int:
     # with an explicit --variant the exit code is authoritative; the
     # default all-variant mode is informational (exit 0)
+    if args.n is not None and args.n < 0:
+        raise InputError(f"--n must not be negative, not {args.n}")
     text = _read_json_text(args.input)
     data = _parse_json(text, args.input)
     strict = args.variant is not None
@@ -139,7 +141,7 @@ def cmd_check_pd(args) -> int:
     checkers = {"pd": check_pd, "wpd": check_wpd, "sspd": check_sspd}
     out = {}
     failed = False
-    if "simplices" in data:
+    if isinstance(data, dict) and "simplices" in data:
         from .complexes import cochain_complex, validate_and_regularize
 
         K, _ = _load_complex(args.input)

@@ -21,6 +21,7 @@ import json
 
 import numpy as np
 
+from .errors import InvariantError
 from .linalg import FieldP, PrimeFieldMatrix, Subquotient, sparse_rank
 from .gmodule import CohomologyProfile, GModule
 
@@ -379,7 +380,8 @@ class EquivariantCochainComplex:
     def _check_invariants(self):
         p = self.p
         for l in range(self.top_degree - 1):
-            assert (self.coboundary[l + 1] @ self.coboundary[l]).is_zero()
+            if not (self.coboundary[l + 1] @ self.coboundary[l]).is_zero():
+                raise InvariantError("complexes.cochain", f"delta o delta != 0 out of degree {l}")
         for l in range(self.top_degree):
             delta = self.coboundary[l].a
             pre1, sign1 = self.act_pre[l + 1], self.act_sign[l + 1]
@@ -387,7 +389,9 @@ class EquivariantCochainComplex:
             pre0, sign0 = self.act_pre[l], self.act_sign[l]
             delta_t = np.zeros_like(delta)
             delta_t[:, pre0] = np.mod(delta * sign0[None, :], p)
-            assert np.array_equal(t_delta, delta_t), "action does not commute with delta"
+            if not np.array_equal(t_delta, delta_t):
+                raise InvariantError("complexes.cochain",
+                                     f"the action does not commute with delta out of degree {l}")
         for l in range(self.top_degree + 1):
             ident = np.arange(self.dims[l], dtype=np.intp)
             perm = ident
@@ -395,7 +399,8 @@ class EquivariantCochainComplex:
             for _ in range(p):
                 sign = np.mod(sign * self.act_sign[l][perm], p)
                 perm = self.act_pre[l][perm]
-            assert np.array_equal(perm, ident) and np.all(sign == 1 % p)
+            if not (np.array_equal(perm, ident) and np.all(sign == 1 % p)):
+                raise InvariantError("complexes.cochain", f"t^p != 1 on {l}-cochains")
 
     def delta(self, l: int) -> PrimeFieldMatrix:
         """Coboundary out of degree l (zero map above the top degree)."""
@@ -423,9 +428,10 @@ class EquivariantCochainComplex:
                 out.append(
                     DegreeCohomology(l, sub, GModule(self.field, PrimeFieldMatrix(self.field, act)))
                 )
-            assert sum((-1) ** l * d for l, d in enumerate(self.dims)) == sum(
+            if sum((-1) ** l * d for l, d in enumerate(self.dims)) != sum(
                 (-1) ** h.degree * h.dim for h in out
-            ), "Euler-Poincare mismatch"
+            ):
+                raise InvariantError("complexes.cohomology", "Euler-Poincare mismatch")
             self._cohomology = out
         return self._cohomology
 

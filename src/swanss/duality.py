@@ -8,9 +8,12 @@ threshold N beyond which the product pairings
 
 are perfect for prescribed column parities: both even (full duality,
 which also demands odd columns vanish), different parity (weak), or at
-least one even (strong).  The checkers scan the trusted window for the
-minimal workable N and report every degenerate pairing with its
-coordinates.
+least one even (strong).  The checkers find the least workable N in the
+trusted window and report every degenerate pairing with its coordinates.
+Raising N only drops cells and pairs from the check, in the same order,
+so one scan at N = 0 decides every candidate: the violations at N are
+those at 0 that `_kept` still lets through.  `duality_report` runs the
+three searches once per page, and the audits read its flags.
 
 All theorem validators are hypothesis-gated: a failed hypothesis yields
 "not-applicable", never "fail".
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantError
 from .gmodule import CohomologyProfile, chi_t, group_cohomology, t_sum, t_tail_sum
 from .pages import PageTower
 from .synthetic import matrix_rank_over
@@ -128,31 +132,29 @@ class DualityFlag:
         }
 
 
+# how many of a qualifying pair's two columns may be odd
+_ODD_COLUMNS = {"pd": (0,), "wpd": (1,), "sspd": (0, 1)}
+
+
 def _column_pairs(variant: str, N: int, w: int):
-    """Qualifying (k, k') pairs with the pairing target inside the window."""
-    for k in range(w + 1):
-        for k2 in range(w + 1):
-            if k + k2 > w:
-                continue
-            if variant == "pd":
-                if k % 2 or k2 % 2 or k < N or k2 < N:
-                    continue
-            elif variant == "wpd":
-                if k <= N or k2 <= N or (k % 2) == (k2 % 2):
-                    continue
-            else:  # sspd
-                if k <= N or k2 <= N or (k % 2 and k2 % 2):
-                    continue
-            yield k, k2
+    """Qualifying (k, k') pairs with the pairing target inside the window:
+    both columns >= N for pd, > N otherwise, in lexicographic order."""
+    low = max(N + (variant != "pd"), 0)
+    for k in range(low, w + 1):
+        for k2 in range(low, w + 1 - k):
+            if k % 2 + k2 % 2 in _ODD_COLUMNS[variant]:
+                yield k, k2
 
 
-def _has_mixed_pair(N: int, w: int) -> bool:
-    """Whether strong duality at threshold N examines a mixed-parity pair."""
-    return any((k + k2) % 2 for k, k2 in _column_pairs("sspd", N, w))
+def _kept(v: PairingViolation, N: int, variant: str) -> bool:
+    """Whether a violation found at threshold 0 is still checked at N >= 0."""
+    if v.k2 < 0:
+        return v.k > N
+    return min(v.k, v.k2) >= N + (variant != "pd")
 
 
-def _check_variant(term, n: int, N: int, variant: str) -> tuple[list[PairingViolation], int]:
-    """Violations plus the number of pairings actually examined."""
+def _check_variant(term, n: int, N: int, variant: str) -> list[PairingViolation]:
+    """Violations at threshold N: single cells by column, then pairs."""
     w = term.trusted_k
     out: list[PairingViolation] = []
     for k in range(N + 1, w + 1):
@@ -173,14 +175,12 @@ def _check_variant(term, n: int, N: int, variant: str) -> tuple[list[PairingViol
         else:
             if term.dim(k, n) != 1:
                 out.append(PairingViolation(k, n, -1, -1, f"dim {term.dim(k, n)} != 1"))
-    checked = 0
     for k, k2 in _column_pairs(variant, N, w):
         for l in range(n + 1):
-            checked += 1
             reason = _pairing_status(term, k, l, k2, n - l)
             if reason is not None:
                 out.append(PairingViolation(k, l, k2, n - l, reason))
-    return out, checked
+    return out
 
 
 def _check_duality(term, n: int, variant: str, N: int | None = None) -> DualityFlag:
@@ -188,36 +188,32 @@ def _check_duality(term, n: int, variant: str, N: int | None = None) -> DualityF
     if w < 3:
         return DualityFlag(variant, None, None, (0, w), note="trusted window too small")
     if N is not None:
-        violations, checked = _check_variant(term, n, N, variant)
+        violations = _check_variant(term, n, N, variant)
         data_gap = any(v.reason == _NO_DATA for v in violations)
-        if checked == 0:
+        if next(_column_pairs(variant, N, w), None) is None:
             return DualityFlag(variant, None, N, (N, w), note="no qualifying pairs in window")
-        if variant == "sspd" and not _has_mixed_pair(N, w):
+        # a mixed-parity pair of columns > N fits in the window iff N+1, N+2 does
+        if variant == "sspd" and 2 * N + 3 > w:
             return DualityFlag(variant, None, N, (N, w), violations, note=_NO_MIXED)
         holds = None if data_gap else not violations
         return DualityFlag(variant, holds, N, (N, w), violations,
                            note="product data unavailable" if data_gap else "")
-    best_violations = None
-    any_checked = False
+    # raising the threshold only drops checks, so one scan at 0 serves all
+    everything = _check_variant(term, n, 0, variant)
     for cand in range(w - 2):
-        violations, checked = _check_variant(term, n, cand, variant)
-        if checked == 0:
-            break  # larger thresholds only shrink the (now empty) check set
-        any_checked = True
+        if next(_column_pairs(variant, cand, w), None) is None:
+            break
+        violations = [v for v in everything if _kept(v, cand, variant)]
         if not violations:
             # (even, even) pairs alone say nothing of the mixed-parity half
             # that strong duality shares with weak duality
-            if variant == "sspd" and not _has_mixed_pair(cand, w):
+            if variant == "sspd" and 2 * cand + 3 > w:
                 return DualityFlag(variant, None, None, (cand, w), note=_NO_MIXED)
             return DualityFlag(variant, True, cand, (cand, w))
         if any(v.reason == _NO_DATA for v in violations):
             return DualityFlag(variant, None, None, (cand, w), violations,
                                note="product data unavailable")
-        if best_violations is None:
-            best_violations = violations
-    if not any_checked:
-        return DualityFlag(variant, None, None, (0, w), note="no qualifying pairs in window")
-    return DualityFlag(variant, False, None, (0, w), best_violations or [])
+    return DualityFlag(variant, False, None, (0, w), everything)
 
 
 def check_pd(term, n: int, N: int | None = None) -> DualityFlag:
@@ -241,8 +237,8 @@ def duality_report(terms: dict[int, object], n: int) -> dict[int, dict[str, Dual
             "wpd": check_wpd(term, n),
             "sspd": check_sspd(term, n),
         }
-        if flags["sspd"].holds:
-            assert flags["wpd"].holds, "strong duality must imply weak duality"
+        if flags["sspd"].holds and not flags["wpd"].holds:
+            raise InvariantError("duality.report", f"strong duality without weak duality on page {r}")
         report[r] = flags
     return report
 
@@ -263,11 +259,13 @@ def check_odd_vanishing_terms(terms: dict[int, object], n: int) -> bool:
     return True
 
 
-def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool) -> dict:
+def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool,
+                         flags: dict[int, dict[str, DualityFlag]]) -> dict:
     """Page-to-page duality propagation plus differential rank symmetries.
 
-    Violations contradict proved propositions, so they indicate
-    implementation bugs; callers treat any violation as a hard failure.
+    `flags` is the `duality_report` of the same terms.  Violations
+    contradict proved propositions, so they indicate implementation bugs;
+    callers treat any violation as a hard failure.
     """
     if not zero_row:
         return {"status": "not-applicable", "reason": "zeroth row does not survive", "checked": 0, "violations": []}
@@ -310,8 +308,7 @@ def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool) -> di
                             {"page": r + 1, "k": k, "l": l, "k2": k2, "reason": status}
                         )
         # rank symmetries on pages satisfying full or strong duality
-        flag_pd = check_pd(term, n)
-        flag_sspd = check_sspd(term, n)
+        flag_pd, flag_sspd = flags[r]["pd"], flags[r]["sspd"]
         columns = []
         if flag_pd.holds:
             N = flag_pd.threshold
@@ -387,19 +384,21 @@ def _gate(theorem, hypotheses, lhs, rhs, modulus, relation="mod", notes=()):
     return CongruenceVerdict(theorem, hypotheses, lhs, rhs, modulus, "pass" if ok else "fail", relation, notes)
 
 
-def mod4_audit(terms: dict[int, object], n: int) -> CongruenceVerdict:
+def mod4_audit(terms: dict[int, object], n: int,
+               flags: dict[int, dict[str, DualityFlag]]) -> CongruenceVerdict:
     """Column sums at a large even column are constant mod 4 across pages.
 
     Hypotheses: char != 2; full duality at every page, or strong duality
     with vanishing odd-page differentials; and n even or row vanishing
-    E_2^(k,l) = 0 for even 0 < l <= (n-1)/2 at large k.
+    E_2^(k,l) = 0 for even 0 < l <= (n-1)/2 at large k.  `flags` is the
+    `duality_report` of the same terms.
     """
     rs = sorted(terms)
     first, last = terms[rs[0]], terms[rs[-1]]
     hyps = [Hypothesis("field characteristic != 2", first.field_char != 2,
                        f"char {first.field_char}")]
-    pd_all = all(check_pd(terms[r], n).holds for r in rs)
-    sspd_all = all(check_sspd(terms[r], n).holds for r in rs)
+    pd_all = all(flags[r]["pd"].holds for r in rs)
+    sspd_all = all(flags[r]["sspd"].holds for r in rs)
     odd_vanish = all(
         terms[r].d_is_zero(k, l)
         for r in rs if r % 2 == 1

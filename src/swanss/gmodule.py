@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvariantError
 from .linalg import FieldP, PrimeFieldMatrix, Subquotient
 
 
@@ -213,7 +214,7 @@ def check_dual_pairing(
 
     Equivariance means pairing(t x, t y) = pairing(x, y), i.e.
     T^t . P . T' = P.  A passing pairing forces the two modules to have
-    equal decompositions, which is asserted.
+    equal decompositions, which is checked.
     """
     if module.p != other.p:
         raise ValueError("modules over different fields")
@@ -228,7 +229,8 @@ def check_dual_pairing(
         return False
     if pairing.rank() != module.dim:
         return False
-    assert decompose(module) == decompose(other), "dual modules must decompose equally"
+    if decompose(module) != decompose(other):
+        raise InvariantError("gmodule.dual_pairing", "dual modules decompose differently")
     return True
 
 
@@ -291,7 +293,9 @@ class CohomologyProfile:
             dec = decompose(mod)
             t = t_number(mod)
             closed_form = sum(m for d, m in dec.multiplicities.items() if d < p)
-            assert t == closed_form, "t-number disagrees with the decomposition"
+            if t != closed_form:
+                raise InvariantError("gmodule.profile",
+                                     f"t-number {t} disagrees with the decomposition's {closed_form}")
             degrees.append(ProfileDegree(mod, dec, t))
         self.degrees: tuple[ProfileDegree, ...] = tuple(degrees)
 

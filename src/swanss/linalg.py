@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InvariantError
+
 MAX_PRIME = 251
 # Columns per panel of the blocked elimination.  A pivot costs rows x
 # PANEL inside its panel, and wider panels make fewer, larger block steps;
@@ -409,7 +411,8 @@ class Subquotient:
         rep_cols = [c - bdim for c in pivots if c >= bdim]
         self.reps = self.z[:, rep_cols].copy()
         self.dim = len(rep_cols)
-        assert self.dim == self.z.shape[1] - bdim
+        if self.dim != self.z.shape[1] - bdim:
+            raise InvariantError("linalg.subquotient", "dim Z/B != dim Z - dim B")
 
     @cached_property
     def _solver(self) -> FactoredSolve:

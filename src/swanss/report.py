@@ -127,8 +127,8 @@ def analyze_complex(
     zero_row = check_zero_row(tower)
     odd_vanishing = check_odd_page_vanishing(tower)
     duality = duality_report(terms, n)
-    audit = pd_propagation_audit(terms, n, zero_row)
-    mod4 = mod4_audit(terms, n)
+    audit = pd_propagation_audit(terms, n, zero_row, duality)
+    mod4 = mod4_audit(terms, n, duality)
 
     circles = fixed_circle_count(fixed_betti)
     verdicts = []

@@ -13,7 +13,7 @@ A differential matrix at (k, l) maps that cell to (k+r, l-r+1), shaped
 (target dim) x (source dim).  A product table entry T[i][j] is the
 coefficient vector of basis_i * basis_j in the target cell's basis.
 Entries are integers, or strings parsed as exact fractions when the
-field characteristic is 0.
+field characteristic is 0.  Malformed input raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,17 +24,26 @@ from fractions import Fraction
 
 import numpy as np
 
+from .complexes import _is_int
 from .linalg import is_prime, rank_mod
 
 
 def _parse_entry(x, char: int):
-    if char == 0:
-        return Fraction(x) if isinstance(x, str) else Fraction(int(x))
-    return int(x) % char
+    if not (_is_int(x) or isinstance(x, str)):
+        raise ValueError(f"entry {x!r} is neither an integer nor a string")
+    try:
+        return Fraction(x) if char == 0 else int(x) % char
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad entry {x!r}") from exc
 
 
-def _parse_matrix(rows, char: int):
-    return [[_parse_entry(x, char) for x in row] for row in rows]
+def _parse_rows(rows, what: str, parse) -> list[list]:
+    """A rectangular list of lists, each item passed through `parse`."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{what} must be a list of lists, not {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{what} has rows of different lengths")
+    return [[parse(x) for x in row] for row in rows]
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -127,40 +136,64 @@ class SyntheticPage:
         return sorted(self.terms)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
+def _cell(key: str) -> tuple[int, int]:
+    m = _CELL_RE.match(key)
+    if not m:
+        raise ValueError(f"bad cell key {key!r}")
+    return int(m.group(1)), int(m.group(2))
+
+
 def load_synthetic_page(text: str) -> SyntheticPage:
     data = json.loads(text)
-    char = int(data["field_char"])
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    for name in ("field_char", "n", "window"):
+        if name not in data:
+            raise ValueError(f"missing field {name!r}")
+        if not _is_int(data[name]):
+            raise ValueError(f"{name!r} must be an integer, not {data[name]!r}")
+    char, n, window = data["field_char"], data["n"], data["window"]
     if char != 0 and not is_prime(char):
         raise ValueError(f"field characteristic {char} is neither 0 nor prime")
-    n = int(data["n"])
-    window = int(data["window"])
+    if n < 0:
+        raise ValueError(f"'n' must not be negative, not {n}")
 
     dims: dict[tuple[int, int], int] = {}
-    for key, value in data.get("dims", {}).items():
-        m = _CELL_RE.match(key)
-        if not m:
-            raise ValueError(f"bad cell key {key!r}")
-        dims[(int(m.group(1)), int(m.group(2)))] = int(value)
+    for key, value in _object(data.get("dims", {}), "'dims'").items():
+        if not _is_int(value) or value < 0:
+            raise ValueError(f"dimension of cell {key!r} must be a natural number, not {value!r}")
+        dims[_cell(key)] = value
+
+    def coefficients(vector):
+        if not isinstance(vector, list) or not vector:
+            raise ValueError(f"coefficient vector {vector!r} is not a non-empty list")
+        return [_parse_entry(x, char) for x in vector]
 
     products: dict = {}
-    for key, table in data.get("products", {}).items():
+    for key, table in _object(data.get("products", {}), "'products'").items():
         m = _PROD_RE.match(key)
         if not m:
             raise ValueError(f"bad product key {key!r}")
         cells = ((int(m.group(1)), int(m.group(2))), (int(m.group(3)), int(m.group(4))))
-        products[cells] = [
-            [[_parse_entry(x, char) for x in entry] for entry in row] for row in table
-        ]
+        products[cells] = _parse_rows(table, f"product table {key!r}", coefficients)
 
-    diff_spec = data.get("differentials", {})
-    rs = sorted(int(r) for r in diff_spec) or [2]
+    pages: dict[int, dict] = {}
+    for key, cells in _object(data.get("differentials", {}), "'differentials'").items():
+        if not re.fullmatch(r"\s*\d+\s*", key) or int(key) in pages:
+            raise ValueError(f"bad or repeated page number {key!r}")
+        pages[int(key)] = _object(cells, f"page {key!r} of 'differentials'")
     terms = {}
-    for r in rs:
+    for r in sorted(pages) or [2]:
         diffs = {}
-        for key, mat in diff_spec.get(str(r), {}).items():
-            m = _CELL_RE.match(key)
-            if not m:
-                raise ValueError(f"bad cell key {key!r}")
-            diffs[(int(m.group(1)), int(m.group(2)))] = _parse_matrix(mat, char)
+        for key, mat in pages.get(r, {}).items():
+            diffs[_cell(key)] = _parse_rows(
+                mat, f"differential {key!r} on page {r}", lambda x: _parse_entry(x, char)
+            )
         terms[r] = SyntheticTerm(r, n, window, char, dims, diffs, products)
     return SyntheticPage(n, window, char, terms)

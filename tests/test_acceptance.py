@@ -158,7 +158,9 @@ def test_criterion_6_duality_suite(pipelines):
     violations = 0
     for name in SIMPLICIAL:
         tower = pipelines(name).tower
-        audit = pd_propagation_audit(tower_terms(tower), tower.n, check_zero_row(tower))
+        terms = tower_terms(tower)
+        flags = duality_report(terms, tower.n)
+        audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
         violations += len(audit["violations"])
     _report(6, violations == 0, "wpd on pages 2..5, sspd everywhere (nice, n<=3), audits clean")
 
@@ -168,7 +170,8 @@ def test_criterion_7_mod4_suite(pipelines):
     skew_triggered = 0
     for name in SIMPLICIAL:
         tower = pipelines(name).tower
-        verdict = mod4_audit(tower_terms(tower), tower.n)
+        terms = tower_terms(tower)
+        verdict = mod4_audit(terms, tower.n, duality_report(terms, tower.n))
         assert verdict.verdict in ("pass", "not-applicable"), (name, verdict.to_json())
         if verdict.verdict == "pass":
             qualifying += 1

@@ -185,6 +185,35 @@ def test_cli_check_pd_complex(tmp_path):
     assert data["2"]["sspd"]["holds"] is True
 
 
+_PAGE = {"field_char": 0, "n": 2, "window": 6}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**_PAGE, "dims": 5},
+        {**_PAGE, "dims": {"0,0": 1, "2,2": 1}, "products": {"(0,0)x(2,2)": 5}},
+        {**_PAGE, "dims": {"0,2": 1}, "differentials": {"2": {"0,2": 5}}},
+        [_PAGE],
+        {**_PAGE, "dims": {"0,0": 1, "2,2": 1}, "products": {"(0,0)x(2,2)": [[["1/0"]]]}},
+    ],
+    ids=["dims-not-an-object", "product-table-not-a-list", "differential-not-a-list",
+         "top-level-list", "zero-denominator"],
+)
+def test_cli_check_pd_malformed_page(tmp_path, capsys, data):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-pd", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_cli_check_pd_rejects_negative_n(tmp_path, capsys):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(_PAGE))
+    assert main(["check-pd", str(path), "--n", "-1"]) == 2
+    assert "--n must not be negative" in capsys.readouterr().err
+
+
 def test_cli_entry_point_installed(tmp_path):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(module_from_multiplicities(5, {1: 2}).to_json()))

@@ -2,12 +2,22 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swanss import duality
 from swanss.cli import main
 
 from swanss.duality import (
+    DualityFlag,
+    PairingViolation,
+    _pairing_status,
     check_betti_chi_mod4,
     check_pd,
     duality_report,
@@ -100,7 +110,9 @@ def test_wpd_on_fixed_point_corpus_actions(pipelines):
 def test_propagation_audit_clean_on_corpus(pipelines):
     for name in ("join-3-1-0", "join-5-1-0", "suspension-3"):
         tower = pipelines(name).tower
-        audit = pd_propagation_audit(tower_terms(tower), tower.n, check_zero_row(tower))
+        terms = tower_terms(tower)
+        flags = duality_report(terms, tower.n)
+        audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
         assert audit["status"] == "done"
         assert audit["violations"] == []
         assert audit["checked"] > 0
@@ -108,13 +120,16 @@ def test_propagation_audit_clean_on_corpus(pipelines):
 
 def test_propagation_audit_skips_free_actions(pipelines):
     tower = pipelines("circle-3").tower
-    audit = pd_propagation_audit(tower_terms(tower), tower.n, check_zero_row(tower))
+    terms = tower_terms(tower)
+    flags = duality_report(terms, tower.n)
+    audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
     assert audit["status"] == "not-applicable"
 
 
 def test_mod4_audit_semifree(pipelines):
     tower = pipelines("join-5-1-0").tower
-    verdict = mod4_audit(tower_terms(tower), tower.n)
+    terms = tower_terms(tower)
+    verdict = mod4_audit(terms, tower.n, duality_report(terms, tower.n))
     assert verdict.verdict == "pass"
     assert verdict.lhs == 2 and verdict.rhs == 2
     assert any("skew" in note for note in verdict.notes)
@@ -125,7 +140,7 @@ def test_mod4_audit_rejects_odd_skew_rank():
     # rejected at the hypothesis stage or detected
     page = load_synthetic_page(json.dumps(_pd_page_json(odd_rank_skew=True)))
     terms = {2: page.term(2), 3: page.term(2)}
-    verdict = mod4_audit(terms, 2)
+    verdict = mod4_audit(terms, 2, duality_report(terms, 2))
     assert verdict.verdict in ("not-applicable", "fail")
 
 
@@ -136,7 +151,8 @@ def test_mod4_audit_point():
 
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
     tower = compute_pages(SwanDoubleComplex(cochain_complex(pt)))
-    verdict = mod4_audit(tower_terms(tower), 0)
+    terms = tower_terms(tower)
+    verdict = mod4_audit(terms, 0, duality_report(terms, 0))
     assert verdict.verdict == "pass"
     assert verdict.lhs == 1 and verdict.rhs == 1
 
@@ -303,6 +319,222 @@ def test_sspd_implies_wpd_assertion(pipelines):
     for flags in report.values():
         if flags["sspd"].holds:
             assert flags["wpd"].holds
+
+
+_BREAK_WPD = """
+import json, sys
+from swanss import duality
+from swanss.cli import main
+from swanss.corpus import build_circle
+from swanss.errors import InvariantError
+from swanss.pages import compute_pages
+from swanss.swan import SwanDoubleComplex
+from swanss.complexes import cochain_complex, validate_and_regularize
+
+real = duality.check_wpd
+def broken(term, n, N=None):
+    flag = real(term, n, N)
+    flag.holds = False
+    return flag
+duality.check_wpd = broken
+
+K = build_circle(3)
+tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
+try:
+    duality.duality_report(duality.tower_terms(tower), tower.n)
+except InvariantError as exc:
+    print("raised", exc.stage, sys.flags.optimize)
+with open(sys.argv[1], "w") as fh:
+    json.dump(K.to_json(), fh)
+sys.exit(main(["analyze", sys.argv[1]]))
+"""
+
+
+def test_sspd_without_wpd_raises_under_optimize(tmp_path):
+    # strong duality on the free circle's E_2, with weak duality forced to
+    # fail: the implication is checked with asserts switched off too
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BREAK_WPD, str(tmp_path / "circle.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == "raised duality.report 1\n"
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "internal error: duality.report: strong duality without weak duality on page 2\n"
+    )
+
+
+# -- the threshold search against a candidate-by-candidate reference --------
+
+
+def _reference_column_pairs(variant, N, w):
+    for k in range(w + 1):
+        for k2 in range(w + 1):
+            if k + k2 > w:
+                continue
+            if variant == "pd":
+                if k % 2 or k2 % 2 or k < N or k2 < N:
+                    continue
+            elif variant == "wpd":
+                if k <= N or k2 <= N or (k % 2) == (k2 % 2):
+                    continue
+            else:
+                if k <= N or k2 <= N or (k % 2 and k2 % 2):
+                    continue
+            yield k, k2
+
+
+def _reference_has_mixed_pair(N, w):
+    return any((k + k2) % 2 for k, k2 in _reference_column_pairs("sspd", N, w))
+
+
+def _reference_check_variant(term, n, N, variant):
+    w = term.trusted_k
+    out = []
+    for k in range(N + 1, w + 1):
+        if variant == "pd":
+            if k % 2:
+                for l in range(n + 1):
+                    if term.dim(k, l):
+                        out.append(PairingViolation(k, l, -1, -1, "odd column not zero"))
+            else:
+                for l in (0, n):
+                    if term.dim(k, l) != 1:
+                        out.append(
+                            PairingViolation(k, l, -1, -1, f"dim {term.dim(k, l)} != 1")
+                        )
+        elif variant == "wpd":
+            if k % 2 and term.dim(k, n) != 1:
+                out.append(PairingViolation(k, n, -1, -1, f"dim {term.dim(k, n)} != 1"))
+        else:
+            if term.dim(k, n) != 1:
+                out.append(PairingViolation(k, n, -1, -1, f"dim {term.dim(k, n)} != 1"))
+    checked = 0
+    for k, k2 in _reference_column_pairs(variant, N, w):
+        for l in range(n + 1):
+            checked += 1
+            reason = _pairing_status(term, k, l, k2, n - l)
+            if reason is not None:
+                out.append(PairingViolation(k, l, k2, n - l, reason))
+    return out, checked
+
+
+def _reference_check_duality(term, n, variant, N=None):
+    """The search as it was first written: one full scan per candidate N."""
+    no_data, no_mixed = "no product data", "no mixed-parity pair in window"
+    w = term.trusted_k
+    if w < 3:
+        return DualityFlag(variant, None, None, (0, w), note="trusted window too small")
+    if N is not None:
+        violations, checked = _reference_check_variant(term, n, N, variant)
+        data_gap = any(v.reason == no_data for v in violations)
+        if checked == 0:
+            return DualityFlag(variant, None, N, (N, w), note="no qualifying pairs in window")
+        if variant == "sspd" and not _reference_has_mixed_pair(N, w):
+            return DualityFlag(variant, None, N, (N, w), violations, note=no_mixed)
+        holds = None if data_gap else not violations
+        return DualityFlag(variant, holds, N, (N, w), violations,
+                           note="product data unavailable" if data_gap else "")
+    best_violations = None
+    any_checked = False
+    for cand in range(w - 2):
+        violations, checked = _reference_check_variant(term, n, cand, variant)
+        if checked == 0:
+            break
+        any_checked = True
+        if not violations:
+            if variant == "sspd" and not _reference_has_mixed_pair(cand, w):
+                return DualityFlag(variant, None, None, (cand, w), note=no_mixed)
+            return DualityFlag(variant, True, cand, (cand, w))
+        if any(v.reason == no_data for v in violations):
+            return DualityFlag(variant, None, None, (cand, w), violations,
+                               note="product data unavailable")
+        if best_violations is None:
+            best_violations = violations
+    if not any_checked:
+        return DualityFlag(variant, None, None, (0, w), note="no qualifying pairs in window")
+    return DualityFlag(variant, False, None, (0, w), best_violations or [])
+
+
+@st.composite
+def synthetic_terms(draw):
+    """A synthetic page: random dimensions left of a column, a duality-like
+    pattern (rows 0 and n, every column or even ones only, perhaps with
+    noise) from it on, and product tables that are perfect, degenerate,
+    missing or a mixture."""
+    char = draw(st.sampled_from([0, 2, 3, 5]))
+    w, n = draw(st.sampled_from(range(15))), draw(st.integers(0, 3))
+    clean_from = draw(st.sampled_from(range(w // 2 + 2)))
+    odd_columns = draw(st.booleans())
+    noise = draw(st.sampled_from([0.0, 0.0, 0.05]))
+    mode = draw(st.sampled_from(["perfect", "perfect", "degenerate", "missing", "mixed"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dims = {}
+    for k in range(w + 1):
+        for l in range(n + 1):
+            if k < clean_from or rng.random() < noise:
+                dims[(k, l)] = rng.choice([0, 0, 1, 1, 1, 2])
+            else:
+                dims[(k, l)] = int(l in (0, n) and (odd_columns or k % 2 == 0))
+    entry = str if char == 0 else int
+    products = {}
+    for (k, l), d in dims.items():
+        for k2 in range(w + 1 - k):
+            if not d or dims.get((k2, n - l)) != d or dims.get((k + k2, n)) != 1:
+                continue
+            kind = rng.choice(["perfect"] * 6 + ["degenerate", "missing"]) if mode == "mixed" else mode
+            if kind == "missing":
+                continue
+            table = [[[entry(int(i == j) if kind == "perfect" else rng.randrange(3))]
+                      for j in range(d)] for i in range(d)]
+            products[f"({k},{l})x({k2},{n - l})"] = table
+    data = {
+        "field_char": char, "n": n, "window": w,
+        "dims": {f"{k},{l}": d for (k, l), d in dims.items() if d},
+        "products": products,
+    }
+    return load_synthetic_page(json.dumps(data)).term(2), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_terms())
+def test_threshold_search_matches_reference(case):
+    term, n = case
+    w = term.trusted_k
+    for variant in ("pd", "wpd", "sspd"):
+        for N in [None, *range(-1, w + 1)]:
+            got = duality._check_duality(term, n, variant, N)
+            want = _reference_check_duality(term, n, variant, N)
+            assert got.to_json() == want.to_json(), (variant, N)
+            assert got.violations == want.violations, (variant, N)
+
+
+def test_search_scans_once(monkeypatch):
+    page = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))
+    scans = []
+    real = duality._check_variant
+    monkeypatch.setattr(duality, "_check_variant", lambda *a: scans.append(a[2]) or real(*a))
+    for variant in ("pd", "wpd", "sspd"):
+        scans.clear()
+        duality._check_duality(page.term(2), 2, variant)
+        assert scans == [0], variant
+
+
+def test_audits_read_the_given_flags(pipelines, monkeypatch):
+    tower = pipelines("join-3-1-0").tower
+    terms = tower_terms(tower)
+    flags = duality_report(terms, tower.n)
+
+    def no_search(*args):
+        raise AssertionError("the audits searched again")
+
+    monkeypatch.setattr(duality, "_check_duality", no_search)
+    audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
+    assert audit["violations"] == [] and audit["checked"] > 0
+    assert mod4_audit(terms, tower.n, flags).verdict == "pass"
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -234,6 +234,15 @@ def test_synthetic_page_loading():
     assert term.pairing_matrix(0, 1, 2, 0) is None  # no table for that pair
 
 
+def test_synthetic_page_numbers_are_integers():
+    data = {"field_char": 5, "n": 2, "window": 6, "dims": {"0,2": 1, "2,1": 1},
+            "differentials": {"02": {"0,2": [[1]]}}}
+    assert load_synthetic_page(json.dumps(data)).term(2).d_rank(0, 2) == 1
+    data["differentials"]["2"] = {}
+    with pytest.raises(ValueError, match="repeated page number"):
+        load_synthetic_page(json.dumps(data))
+
+
 def test_synthetic_rejects_bad_field():
     with pytest.raises(ValueError):
         load_synthetic_page(json.dumps({"field_char": 6, "n": 1, "window": 4}))
