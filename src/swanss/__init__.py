@@ -6,7 +6,7 @@ congruence validators."""
 __version__ = "0.1.0"
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient, subquotient_dim
+from .linalg import FieldP, PrimeFieldMatrix, Subquotient
 from .gmodule import (
     CohomologyProfile,
     Decomposition,
@@ -18,7 +18,6 @@ from .gmodule import (
     is_nice,
     module_from_multiplicities,
     t_sum,
-    trivial_module,
 )
 from .complexes import (
     EquivariantCochainComplex,
@@ -27,23 +26,20 @@ from .complexes import (
     betti_numbers,
     cochain_complex,
     cohomology_gmodules,
-    cup_product,
     fixed_subcomplex,
     load_complex_json,
     quotient_complex,
     validate_and_regularize,
 )
-from .swan import SwanDoubleComplex, build, swan_product, total_cohomology_dims
+from .swan import SwanDoubleComplex
 from .pages import (
     PageClass,
     PageTower,
     check_odd_page_vanishing,
     check_zero_row,
     compute_pages,
-    page_product,
 )
 from .duality import (
-    check_odd_vanishing_terms,
     check_pd,
     check_sspd,
     check_wpd,

@@ -95,9 +95,9 @@ def cmd_decompose(args) -> int:
     data = _parse_json(text, args.module)
     try:
         module = GModule.from_json(data)
-        dec = decompose(module)
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise InputError(f"{args.module}: {exc}") from exc
+    dec = decompose(module)
     _emit({"p": module.p, "dim": module.dim, "decomposition": dec.to_json(),
            "nice": dec.is_nice()}, args.format)
     return 0

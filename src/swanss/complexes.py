@@ -22,7 +22,7 @@ import json
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient, sparse_rank
+from .linalg import FieldP, PrimeFieldMatrix, Subquotient, _is_int, sparse_rank
 from .gmodule import CohomologyProfile, GModule
 
 
@@ -300,9 +300,16 @@ def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
 class EquivariantCochainComplex:
     """Cochain complex over F_p with the induced Z/p action per degree.
 
-    The action matrix in degree l sends a cochain a to a(g^{-1}(.)),
-    with the orientation sign of the vertex reordering (always +1 after
-    regularization, still computed defensively).
+    The action T in degree l sends a cochain a to a(g^{-1}(.)), with the
+    orientation sign of the vertex reordering (always +1 after
+    regularization, still computed defensively); it is stored as a signed
+    permutation (`act_pre`, `act_sign`).
+
+    The constructor checks delta o delta = 0, T delta = delta T in every
+    degree and T^p = 1, and raises `InvariantError` at `complexes.cochain`
+    otherwise.  This is the only check the Swan double complex relies on:
+    its d_h is T - 1 or the norm N, so [d_h, d_v] = 0 and d_h o d_h = 0
+    follow from these two facts about T (see `swan`).
     """
 
     def __init__(self, K: SimplicialGComplex):
@@ -341,7 +348,6 @@ class EquivariantCochainComplex:
 
         self._check_invariants()
         self._cohomology = None
-        self._action_matrices: dict[int, PrimeFieldMatrix] = {}
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
     # -- the action as an operator ----------------------------------------
@@ -355,27 +361,6 @@ class EquivariantCochainComplex:
             else:
                 out = np.mod(sign[:, None] * out[pre, :], self.p)
         return out
-
-    def apply_norm(self, l: int, vectors: np.ndarray) -> np.ndarray:
-        """Apply N = 1 + T + ... + T^(p-1) in degree l."""
-        acc = np.mod(np.asarray(vectors, dtype=np.int64), self.p)
-        cur = acc
-        for _ in range(self.p - 1):
-            cur = self.apply_action(l, cur)
-            acc = acc + cur
-        return np.mod(acc, self.p)
-
-    def action_matrix(self, l: int) -> PrimeFieldMatrix:
-        if l not in self._action_matrices:
-            n = self.dims[l]
-            m = np.zeros((n, n), dtype=np.int64)
-            m[np.arange(n), self.act_pre[l]] = self.act_sign[l]
-            self._action_matrices[l] = PrimeFieldMatrix(self.field, m)
-        return self._action_matrices[l]
-
-    @property
-    def action(self) -> list[PrimeFieldMatrix]:
-        return [self.action_matrix(l) for l in range(self.top_degree + 1)]
 
     def _check_invariants(self):
         p = self.p
@@ -498,12 +483,6 @@ def cohomology_gmodules(C: EquivariantCochainComplex) -> CohomologyProfile:
     return CohomologyProfile(C.p, [h.module for h in C.cohomology()])
 
 
-def cup_product(
-    C: EquivariantCochainComplex, l: int, alpha, lp: int, beta
-) -> np.ndarray:
-    return C.cup(l, np.asarray(alpha), lp, np.asarray(beta))
-
-
 # -- fast Betti numbers (no action needed) ------------------------------
 
 
@@ -572,10 +551,6 @@ class ComplexFileError(ValueError):
         if line is not None:
             message = f"line {line}, column {column}: {message}"
         super().__init__(message)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_complex_json(text: str) -> SimplicialGComplex:

@@ -246,19 +246,6 @@ def duality_report(terms: dict[int, object], n: int) -> dict[int, dict[str, Dual
 # -- propagation and rank-symmetry audit ---------------------------------
 
 
-def check_odd_vanishing_terms(terms: dict[int, object], n: int) -> bool:
-    """d_r = 0 for odd r > 1 from column n on, on any term collection
-    (computed pages or synthetic data)."""
-    for r, term in terms.items():
-        if r <= 1 or r % 2 == 0:
-            continue
-        for k in range(n, term.trusted_k + 1):
-            for l in range(n + 1):
-                if not term.d_is_zero(k, l):
-                    return False
-    return True
-
-
 def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool,
                          flags: dict[int, dict[str, DualityFlag]]) -> dict:
     """Page-to-page duality propagation plus differential rank symmetries.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient
+from .linalg import FieldP, PrimeFieldMatrix, Subquotient, _is_int
 
 
 class GModule:
@@ -79,11 +79,35 @@ class GModule:
         return {"p": self.p, "dim": self.dim, "action": self.action.a.tolist()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "GModule":
-        mod = cls(int(data["p"]), data["action"])
-        if mod.dim != int(data["dim"]):
-            raise ValueError("declared dim does not match the action matrix")
-        return mod
+    def from_json(cls, data) -> "GModule":
+        """The module of {"p": prime, "dim": d, "action": d rows of d integers}.
+
+        Raises ValueError, naming the field at fault, on anything else.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, not {data!r}")
+        for name in ("p", "dim", "action"):
+            if name not in data:
+                raise ValueError(f"missing field {name!r}")
+        for name in ("p", "dim"):
+            if not _is_int(data[name]):
+                raise ValueError(f"{name!r} must be an integer, not {data[name]!r}")
+        p, dim, action = data["p"], data["dim"], data["action"]
+        if not isinstance(action, list) or not all(
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in action
+        ):
+            raise ValueError("'action' must be a list of lists of integers")
+        if len(action) != dim or any(len(row) != dim for row in action):
+            raise ValueError(f"'action' must have {dim} rows of {dim} entries, as 'dim' says")
+        try:
+            fieldp = FieldP(p)
+        except ValueError as exc:
+            raise ValueError(f"'p': {exc}") from exc
+        entries = np.array([[x % p for x in row] for row in action], dtype=np.int64)
+        try:
+            return cls(fieldp, entries.reshape(dim, dim))
+        except ValueError as exc:
+            raise ValueError(f"'action': {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -260,10 +284,6 @@ def module_from_multiplicities(p: int, multiplicities: dict[int, int]) -> GModul
         a[at : at + k, at : at + k] = b
         at += k
     return GModule(p, a)
-
-
-def trivial_module(p: int, dim: int) -> GModule:
-    return GModule(p, np.eye(dim, dtype=np.int64))
 
 
 # -- cohomology profiles ------------------------------------------------

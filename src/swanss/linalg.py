@@ -56,16 +56,22 @@ class FieldP:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        # the bound first: trial division of a huge modulus would not finish
         if self.p > MAX_PRIME:
             raise ValueError(f"modulus {self.p} exceeds supported bound {MAX_PRIME}")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(x, self.p - 2, self.p)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (Python's bool is an int, JSON's true is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_array(entries, p: int) -> np.ndarray:
@@ -371,21 +377,6 @@ class PrimeFieldMatrix:
         return FactoredSolve(self.a, self.p).solve(np.asarray(b, dtype=np.int64))
 
 
-def subquotient_dim(z: PrimeFieldMatrix, b: PrimeFieldMatrix, p: int | None = None) -> int:
-    """dim(span Z / span B); rejects B not contained in span Z."""
-    if isinstance(z, PrimeFieldMatrix):
-        p = z.p
-        z, b = z.a, b.a
-    if p is None:
-        raise ValueError("modulus required for raw arrays")
-    zdim = rank_mod(z, p)
-    bdim = rank_mod(b, p)
-    joint = rank_mod(np.concatenate([z, b], axis=1), p)
-    if joint != zdim:
-        raise ValueError("B is not contained in the span of Z (inconsistent filtration)")
-    return zdim - bdim
-
-
 class Subquotient:
     """A subquotient span(Z)/span(B) with canonical representatives.
 
@@ -406,13 +397,13 @@ class Subquotient:
         self.b = column_echelon_mod(b, p)
         bdim = self.b.shape[1]
         joint, pivots = rref_mod(np.concatenate([self.b, self.z], axis=1), p)
-        if len([c for c in pivots if c < bdim]) != bdim:
-            raise ValueError("B is not contained in the span of Z")
+        # the columns of b are independent, so each is a pivot, and the rest
+        # number dim Z - dim B exactly when B lies in span Z
         rep_cols = [c - bdim for c in pivots if c >= bdim]
         self.reps = self.z[:, rep_cols].copy()
         self.dim = len(rep_cols)
         if self.dim != self.z.shape[1] - bdim:
-            raise InvariantError("linalg.subquotient", "dim Z/B != dim Z - dim B")
+            raise InvariantError("linalg.subquotient", "B is not contained in the span of Z")
 
     @cached_property
     def _solver(self) -> FactoredSolve:

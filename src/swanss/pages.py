@@ -451,11 +451,6 @@ def compute_pages(dc: SwanDoubleComplex, r_max: int | None = None) -> PageTower:
     return PageTower(dc, r_max)
 
 
-def page_product(tower: PageTower, r: int, a: PageClass, b: PageClass) -> PageClass:
-    """Product of two page-r classes, via total-complex representatives."""
-    return tower.product(r, a, b)
-
-
 def check_zero_row(tower: PageTower) -> bool:
     """True iff every differential into row 0 vanishes in the trusted region."""
     for r in range(2, tower.r_max + 1):

@@ -24,8 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import _is_int
-from .linalg import is_prime, rank_mod
+from .linalg import _is_int, is_prime, rank_mod
 
 
 def _parse_entry(x, char: int):

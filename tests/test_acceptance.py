@@ -46,7 +46,8 @@ from swanss.gmodule import (
 from swanss.linalg import FactoredSolve, PrimeFieldMatrix, rank_mod
 from swanss.pages import check_odd_page_vanishing, check_zero_row
 from swanss.report import analyze_complex
-from swanss.swan import SwanDoubleComplex, tot_differential, tot_product
+from swanss.swan import SwanDoubleComplex
+from swan_helpers import tot_differential, tot_product
 
 SIMPLICIAL = [
     "circle-2", "circle-3", "circle-5", "circle-trivial-3",

@@ -10,7 +10,6 @@ from swanss.complexes import (
     betti_numbers,
     cochain_complex,
     cohomology_gmodules,
-    cup_product,
     fixed_subcomplex,
     load_complex_json,
     quotient_complex,
@@ -98,7 +97,7 @@ def test_cup_unit_law():
     one = np.ones(C.dims[0], dtype=np.int64)
     rng = np.random.default_rng(3)
     beta = rng.integers(0, 3, C.dims[1])
-    assert np.array_equal(cup_product(C, 0, one, 1, beta), beta % 3)
+    assert np.array_equal(C.cup(0, one, 1, beta), beta % 3)
 
 
 def test_cup_degree_overflow_is_zero():
@@ -106,7 +105,7 @@ def test_cup_degree_overflow_is_zero():
     C = cochain_complex(R)
     rng = np.random.default_rng(4)
     a = rng.integers(0, 3, C.dims[1])
-    out = cup_product(C, 1, a, 1, a)
+    out = C.cup(1, a, 1, a)
     assert out.size == 0
 
 

@@ -85,6 +85,39 @@ def test_cli_decompose_malformed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, named",
+    [
+        ([1], "JSON object"),
+        (None, "JSON object"),
+        ({"p": 3.7, "dim": 1, "action": [[1]]}, "'p'"),
+        ({"p": 3, "dim": 1, "action": [[1.5]]}, "'action'"),
+        ({"p": 3, "action": [[1]]}, "'dim'"),
+        ({"p": 3, "dim": "1", "action": [[1]]}, "'dim'"),
+        ({"p": 3, "dim": 2, "action": [[1, 0]]}, "'action'"),
+        ({"p": 3, "dim": 1, "action": [[2]]}, "'action'"),
+        ({"p": 4, "dim": 1, "action": [[1]]}, "'p'"),
+        ({"p": 10**30 + 57, "dim": 1, "action": [[1]]}, "'p'"),
+    ],
+    ids=["list", "null", "float-p", "float-entry", "no-dim", "string-dim", "ragged",
+         "order-not-p", "composite-p", "huge-p"],
+)
+def test_cli_decompose_malformed_module(tmp_path, capsys, data, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+def test_cli_decompose_reduces_entries_mod_p(tmp_path):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps({"p": 3, "dim": 2, "action": [[4, -2], [3 * 10**20, 1]]}))
+    code, out = _run_cli(["decompose", str(path)])
+    assert code == 0
+    assert json.loads(out)["decomposition"] == {"2": 1}
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"p": 3.5, "vertices": 1, "generator": [0], "simplices": [[0]]},

@@ -39,7 +39,7 @@ from swanss.complexes import (
     fixed_subcomplex,
 )
 from swanss.gmodule import CohomologyProfile
-from swanss.pages import check_zero_row
+from swanss.pages import check_odd_page_vanishing, check_zero_row
 from swanss.synthetic import load_synthetic_page
 
 
@@ -277,23 +277,9 @@ def test_betti_chi_mod4_even_dim():
     assert check_betti_chi_mod4([1, 4, 1])       # genus-2 surface: 6 = -2 + 8
 
 
-def test_odd_vanishing_on_synthetic_terms(pipelines):
-    from swanss.duality import check_odd_vanishing_terms
-
-    # computed pages of a 3-manifold action: holds
-    tower = pipelines("join-3-1-0").tower
-    assert check_odd_vanishing_terms(tower_terms(tower), tower.n)
-    # synthetic page with a nonzero differential on an odd page from
-    # column >= n: violated
-    data = {
-        "field_char": 5,
-        "n": 2,
-        "window": 10,
-        "dims": {f"{k},{l}": 1 for k in range(11) for l in (0, 2)},
-        "differentials": {"3": {"4,2": [[1]]}},
-    }
-    page = load_synthetic_page(json.dumps(data))
-    assert not check_odd_vanishing_terms({3: page.term(3)}, 2)
+def test_odd_page_vanishing_on_computed_pages(pipelines):
+    # computed pages of a 3-manifold action: d_r = 0 on odd pages from column n
+    assert check_odd_page_vanishing(pipelines("join-3-1-0").tower)
 
 
 def test_duality_propagates_from_e2(pipelines):

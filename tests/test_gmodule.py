@@ -13,7 +13,6 @@ from swanss.gmodule import (
     t_number,
     t_sum,
     t_tail_sum,
-    trivial_module,
 )
 from swanss.linalg import FactoredSolve, PrimeFieldMatrix, rank_mod
 
@@ -38,7 +37,7 @@ def test_gmodule_rejects_non_actions():
 
 
 def test_decompose_trivial():
-    assert decompose(trivial_module(5, 2)).multiplicities == {1: 2}
+    assert decompose(GModule(5, np.eye(2, dtype=np.int64))).multiplicities == {1: 2}
 
 
 def test_decompose_regular_representation():
@@ -114,23 +113,23 @@ def test_group_cohomology_two_periodicity():
 
 def test_group_cohomology_rejects_negative_degree():
     with pytest.raises(ValueError):
-        group_cohomology(trivial_module(3, 1), -1)
+        group_cohomology(GModule(3, np.eye(1, dtype=np.int64)), -1)
 
 
 def test_is_nice():
-    assert is_nice(trivial_module(3, 4))
+    assert is_nice(GModule(3, np.eye(4, dtype=np.int64)))
     assert not is_nice(module_from_multiplicities(5, {4: 1}))
     # over F_2 only trivial and free summands exist
     assert is_nice(module_from_multiplicities(2, {1: 1, 2: 2}))
 
 
 def test_dual_pairing_identity_on_trivial():
-    m = trivial_module(3, 2)
+    m = GModule(3, np.eye(2, dtype=np.int64))
     assert check_dual_pairing(m, m, PrimeFieldMatrix.identity(3, 2))
 
 
 def test_dual_pairing_zero_fails():
-    m = trivial_module(3, 2)
+    m = GModule(3, np.eye(2, dtype=np.int64))
     assert not check_dual_pairing(m, m, PrimeFieldMatrix.zeros(3, 2, 2))
 
 
@@ -144,7 +143,9 @@ def test_dual_pairing_v3_evaluation():
 def test_dual_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
         check_dual_pairing(
-            trivial_module(3, 2), trivial_module(3, 3), PrimeFieldMatrix.zeros(3, 2, 2)
+            GModule(3, np.eye(2, dtype=np.int64)),
+            GModule(3, np.eye(3, dtype=np.int64)),
+            PrimeFieldMatrix.zeros(3, 2, 2),
         )
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swanss.errors import InvariantError
 from swanss.linalg import (
     PANEL,
     FactoredSolve,
@@ -16,7 +17,6 @@ from swanss.linalg import (
     rank_mod,
     rref_mod,
     sparse_rank,
-    subquotient_dim,
 )
 
 
@@ -139,10 +139,10 @@ def test_subquotient_dim():
     p = 5
     z = np.eye(3, dtype=int)[:, :2]
     b = np.eye(3, dtype=int)[:, :1]
-    assert subquotient_dim(PrimeFieldMatrix(p, z), PrimeFieldMatrix(p, b)) == 1
+    assert Subquotient(z, b, p).dim == 1
     bad = np.eye(3, dtype=int)[:, 2:]
-    with pytest.raises(ValueError):
-        subquotient_dim(PrimeFieldMatrix(p, z), PrimeFieldMatrix(p, bad))
+    with pytest.raises(InvariantError, match="B is not contained in the span of Z"):
+        Subquotient(z, bad, p)
 
 
 def test_subquotient_coordinates_roundtrip():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from swanss import swan
+from swanss import complexes, swan
 from swanss.complexes import (
     SimplicialGComplex,
     betti_numbers,
@@ -17,7 +18,9 @@ from swanss.complexes import (
 )
 from swanss.errors import InvariantError
 from swanss.linalg import sparse_rank
-from swanss.swan import SwanDoubleComplex, WindowError, tot_differential, tot_product
+from swanss.corpus import build_circle
+from swanss.swan import SwanDoubleComplex, WindowError
+from swan_helpers import dense_h, tot_differential, tot_product
 
 
 def test_window_too_small():
@@ -77,8 +80,51 @@ def test_semifree_join_localization(pipelines):
 def test_column_periodicity(pipelines):
     dc = pipelines("circle-3").D
     for l in range(dc.n + 1):
-        assert dc.h_matrix(0, l) == dc.h_matrix(2, l)
-        assert dc.h_matrix(1, l) == dc.h_matrix(17, l)
+        assert dc._sparse_columns("h", 0, l) == dc._sparse_columns("h", 2, l)
+        assert dc._sparse_columns("h", 1, l) == dc._sparse_columns("h", 17, l)
+
+
+def _suspended_circle(p):
+    """The suspension of the free circle: the action is semifree, the poles are fixed."""
+    circle = build_circle(p)
+    m = circle.vertex_count
+    tri = [e + (pole,) for e in circle.simplices[1] for pole in (m, m + 1)]
+    return SimplicialGComplex.from_maximal(p, m + 2, list(circle.generator) + [m, m + 1], tri)
+
+
+def _dense(columns, rows):
+    out = np.zeros((rows, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            out[r, j] = v
+    return out
+
+
+def _assert_h_matches_dense_reference(dc):
+    for l in range(dc.n + 1):
+        for parity in (0, 1):
+            columns = dc._sparse_columns("h", parity, l)
+            assert all(v % dc.p for col in columns for v in col.values())
+            ref = dense_h(dc, parity, l)
+            assert np.array_equal(_dense(columns, dc.base.dim(l)), ref)
+            eye = np.eye(dc.base.dim(l), dtype=np.int64)
+            assert np.array_equal(dc.apply_h(parity, l, eye), ref)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("build", [build_circle, _suspended_circle], ids=["free", "semifree"])
+def test_h_columns_equal_the_dense_reference(p, build):
+    K = validate_and_regularize(build(p))
+    _assert_h_matches_dense_reference(SwanDoubleComplex(cochain_complex(K)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_h_columns_follow_the_signs_of_the_permutation(p):
+    # regularized complexes have every sign +1; random signs exercise the column formula
+    C = copy.copy(cochain_complex(validate_and_regularize(_suspended_circle(p))))
+    rng = np.random.default_rng(p)
+    C.act_sign = [rng.integers(1, p, C.dim(l)) for l in range(C.top_degree + 1)]
+    _assert_h_matches_dense_reference(SwanDoubleComplex(C))
 
 
 def test_product_unit_law(pipelines):
@@ -214,3 +260,50 @@ def test_disagreeing_periods_raise_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout == "raised\n", proc.stderr
+
+
+def _rotated_triangle():
+    return validate_and_regularize(build_circle(3))
+
+
+def test_action_not_commuting_with_delta_raises(monkeypatch):
+    # T is the identity on edges but rotates the vertices, so T delta != delta T
+    # while t^p = 1 still holds
+    R = _rotated_triangle()
+    assert R.is_regular() and R.is_order_compatible()
+    monkeypatch.setattr(SimplicialGComplex, "is_regular", lambda self: True)
+    image = SimplicialGComplex.generator_image_ordered
+    monkeypatch.setattr(SimplicialGComplex, "generator_image_ordered",
+                        lambda self, s, power=1: s if len(s) == 2 else image(self, s, power))
+    with pytest.raises(InvariantError) as info:
+        cochain_complex(R)
+    assert info.value.stage == "complexes.cochain"
+    assert "commute" in info.value.invariant
+
+
+def test_action_of_order_not_dividing_p_raises(monkeypatch):
+    # every sign -1 commutes with delta, but then t^3 = -1 on every degree
+    R = _rotated_triangle()
+    monkeypatch.setattr(complexes, "_perm_sign", lambda seq: -1)
+    with pytest.raises(InvariantError) as info:
+        cochain_complex(R)
+    assert info.value.stage == "complexes.cochain"
+    assert "t^p != 1" in info.value.invariant
+
+
+def test_action_of_order_not_dividing_p_raises_under_optimization():
+    script = (
+        "from swanss import complexes\n"
+        "from swanss.corpus import build_circle\n"
+        "from swanss.errors import InvariantError\n"
+        "R = complexes.validate_and_regularize(build_circle(3))\n"
+        "complexes._perm_sign = lambda seq: -1\n"
+        "try:\n"
+        "    complexes.cochain_complex(R)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc.stage)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "complexes.cochain\n", proc.stderr
