@@ -8,7 +8,7 @@ a polynomial-algebra page concentrated in even columns.
 
 import json
 
-from swanss import check_pd, check_sspd, check_wpd, load_synthetic_page
+from swanss import duality_flags, load_synthetic_page
 
 n, window = 2, 12
 
@@ -33,14 +33,15 @@ for k in range(0, window + 1, 2):
         page_data["products"][f"({k},{n})x({k2},{n})"] = [[["0"]]]
 
 term = load_synthetic_page(json.dumps(page_data)).term(2)
-for checker, name in ((check_pd, "full"), (check_wpd, "weak"), (check_sspd, "strong")):
-    flag = checker(term, n)
+flags = duality_flags(term, n)  # one scan decides all three
+for variant, name in (("pd", "full"), ("wpd", "weak"), ("sspd", "strong")):
+    flag = flags[variant]
     print(f"{name:6s} duality: holds={flag.holds} threshold N={flag.threshold}")
 
 # break one pairing: the threshold moves past the defect
 page_data["products"]["(2,0)x(4,2)"] = [[["0"]]]
 term = load_synthetic_page(json.dumps(page_data)).term(2)
-flag = check_pd(term, n)
+flag = duality_flags(term, n)["pd"]
 print("\none degenerate pairing at (2,0)x(4,2): holds =", flag.holds,
       "with threshold pushed to N =", flag.threshold)
 
@@ -49,7 +50,7 @@ for key in list(page_data["products"]):
     if ",0)x(" in key and key.endswith(f",{n})"):
         page_data["products"][key] = [[["0"]]]
 term = load_synthetic_page(json.dumps(page_data)).term(2)
-flag = check_pd(term, n)
+flag = duality_flags(term, n)["pd"]
 print("all top pairings degenerate: holds =", flag.holds)
 for v in flag.violations[:3]:
     print(f"  offender ({v.k},{v.l}) x ({v.k2},{v.l2}): {v.reason}")

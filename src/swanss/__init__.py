@@ -40,9 +40,7 @@ from .pages import (
     compute_pages,
 )
 from .duality import (
-    check_pd,
-    check_sspd,
-    check_wpd,
+    duality_flags,
     duality_report,
     mod4_audit,
     pd_propagation_audit,

@@ -17,9 +17,7 @@ import sys
 from .complexes import ComplexFileError, load_complex_json
 from .corpus import corpus_names, run_corpus, run_entry
 from .duality import (
-    check_pd,
-    check_sspd,
-    check_wpd,
+    duality_flags,
     tower_terms,
     verify_bryan,
     verify_sokolov,
@@ -32,7 +30,7 @@ from .gmodule import GModule, decompose
 from .pages import check_odd_page_vanishing, compute_pages
 from .report import analyze_complex, canonical_json, fixed_circle_count
 from .swan import SwanDoubleComplex
-from .synthetic import load_synthetic_page
+from .synthetic import MAX_EXTENT, load_synthetic_page
 
 
 class InputError(Exception):
@@ -134,32 +132,31 @@ def cmd_check_pd(args) -> int:
     # default all-variant mode is informational (exit 0)
     if args.n is not None and args.n < 0:
         raise InputError(f"--n must not be negative, not {args.n}")
+    if args.n is not None and args.n > MAX_EXTENT:
+        raise InputError(f"--n must not exceed {MAX_EXTENT}, not {args.n}")
     text = _read_json_text(args.input)
     data = _parse_json(text, args.input)
     strict = args.variant is not None
     variants = [args.variant] if args.variant else ["pd", "wpd", "sspd"]
-    checkers = {"pd": check_pd, "wpd": check_wpd, "sspd": check_sspd}
-    out = {}
-    failed = False
     if isinstance(data, dict) and "simplices" in data:
         from .complexes import cochain_complex, validate_and_regularize
 
         K, _ = _load_complex(args.input)
         tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
-        n = args.n if args.n is not None else tower.n
-        for r, term in tower_terms(tower).items():
-            out[str(r)] = {v: checkers[v](term, n).to_json() for v in variants}
-            failed = failed or any(out[str(r)][v]["holds"] is False for v in variants)
+        n, terms = tower.n, tower_terms(tower)
     else:
         try:
             page = load_synthetic_page(text)
         except ValueError as exc:
             raise InputError(f"{args.input}: {exc}") from exc
-        n = args.n if args.n is not None else page.n
-        for r in page.page_numbers:
-            term = page.term(r)
-            out[str(r)] = {v: checkers[v](term, n).to_json() for v in variants}
-            failed = failed or any(out[str(r)][v]["holds"] is False for v in variants)
+        n, terms = page.n, {r: page.term(r) for r in page.page_numbers}
+    if args.n is not None:
+        n = args.n
+    out = {}
+    for r, term in terms.items():
+        flags = duality_flags(term, n)
+        out[str(r)] = {v: flags[v].to_json() for v in variants}
+    failed = any(page[v]["holds"] is False for page in out.values() for v in variants)
     _emit(out, args.format)
     return 1 if failed and strict else 0
 

@@ -45,7 +45,8 @@ class SimplicialGComplex:
         self.p = self.field.p
         self.vertex_count = int(vertex_count)
         gen = tuple(int(v) for v in generator)
-        if sorted(gen) != list(range(self.vertex_count)):
+        # lengths first: a huge vertex count must not build its range
+        if len(gen) != self.vertex_count or sorted(gen) != list(range(self.vertex_count)):
             raise ValueError("generator is not a permutation of the vertices")
         self.generator = gen
 

@@ -10,10 +10,11 @@ are perfect for prescribed column parities: both even (full duality,
 which also demands odd columns vanish), different parity (weak), or at
 least one even (strong).  The checkers find the least workable N in the
 trusted window and report every degenerate pairing with its coordinates.
-Raising N only drops cells and pairs from the check, in the same order,
-so one scan at N = 0 decides every candidate: the violations at N are
-those at 0 that `_kept` still lets through.  `duality_report` runs the
-three searches once per page, and the audits read its flags.
+`duality_flags` decides all three from one scan of a page at N = 0:
+raising N only drops cells and pairs from the check, so the least N is
+read off the violations found there.  Pairing statuses are memoized on
+the page term, so the propagation audit reuses what the scan classified,
+and the audits read the flags of `duality_report`.
 
 All theorem validators are hypothesis-gated: a failed hypothesis yields
 "not-applicable", never "fail".
@@ -42,7 +43,7 @@ class ComputedTerm:
         self.field_char = tower.p
         self.trusted_k = tower.pages[r].trusted_k
         self.has_products = True
-        self._pairings: dict[tuple, object] = {}
+        self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
 
     def dim(self, k: int, l: int) -> int:
         if k < 0 or l < 0 or l > self.n:
@@ -57,11 +58,8 @@ class ComputedTerm:
         return cell is None or cell.d_matrix.is_zero()
 
     def pairing_matrix(self, k, l, k2, l2):
-        key = (k, l, k2, l2)
-        if key not in self._pairings:
-            mat = self.tower.pairing_matrix(self.r, k, l, k2, l2)
-            self._pairings[key] = None if mat is None else mat.tolist()
-        return self._pairings[key]
+        mat = self.tower.pairing_matrix(self.r, k, l, k2, l2)
+        return None if mat is None else mat.tolist()
 
 
 def tower_terms(tower: PageTower, first: int = 2) -> dict[int, ComputedTerm]:
@@ -146,97 +144,90 @@ def _column_pairs(variant: str, N: int, w: int):
                 yield k, k2
 
 
-def _kept(v: PairingViolation, N: int, variant: str) -> bool:
-    """Whether a violation found at threshold 0 is still checked at N >= 0."""
-    if v.k2 < 0:
-        return v.k > N
-    return min(v.k, v.k2) >= N + (variant != "pd")
+def _status(term, k: int, l: int, k2: int, l2: int) -> str | None:
+    """`_pairing_status`, memoized on the term: the flags and the audit
+    ask for overlapping pairs."""
+    key = (k, l, k2, l2)
+    if key not in term.statuses:
+        term.statuses[key] = _pairing_status(term, k, l, k2, l2)
+    return term.statuses[key]
 
 
-def _check_variant(term, n: int, N: int, variant: str) -> list[PairingViolation]:
-    """Violations at threshold N: single cells by column, then pairs."""
-    w = term.trusted_k
-    out: list[PairingViolation] = []
-    for k in range(N + 1, w + 1):
-        if variant == "pd":
-            if k % 2:
-                for l in range(n + 1):
-                    if term.dim(k, l):
-                        out.append(PairingViolation(k, l, -1, -1, "odd column not zero"))
-            else:
-                for l in (0, n):
-                    if term.dim(k, l) != 1:
-                        out.append(
-                            PairingViolation(k, l, -1, -1, f"dim {term.dim(k, l)} != 1")
-                        )
-        elif variant == "wpd":
-            if k % 2 and term.dim(k, n) != 1:
-                out.append(PairingViolation(k, n, -1, -1, f"dim {term.dim(k, n)} != 1"))
-        else:
-            if term.dim(k, n) != 1:
-                out.append(PairingViolation(k, n, -1, -1, f"dim {term.dim(k, n)} != 1"))
-    for k, k2 in _column_pairs(variant, N, w):
-        for l in range(n + 1):
-            reason = _pairing_status(term, k, l, k2, n - l)
-            if reason is not None:
-                out.append(PairingViolation(k, l, k2, n - l, reason))
-    return out
+def _read_off(variant: str, w: int, violations: list[PairingViolation]) -> DualityFlag:
+    """The flag at the least threshold N with no violation left.
+
+    A cell (k, l) is checked while N < k, a pair while both columns are
+    >= N (pd) or > N, so the least N is one past the largest threshold
+    that still checks a violation.  Every violation is checked at N = 0,
+    so missing product data decides the flag there.  Fewer pairs qualify
+    as N grows, so if some do at that least N they do at every smaller one.
+    """
+    if any(v.reason == _NO_DATA for v in violations):
+        return DualityFlag(variant, None, None, (0, w), violations,
+                           note="product data unavailable")
+    shift = variant != "pd"
+    N = 1 + max((v.k - 1 if v.k2 < 0 else min(v.k, v.k2) - shift for v in violations),
+                default=-1)
+    if N > w - 3 or next(_column_pairs(variant, N, w), None) is None:
+        return DualityFlag(variant, False, None, (0, w), violations)
+    # (even, even) pairs alone say nothing of the mixed-parity half that
+    # strong duality shares with weak duality; one fits iff N+1, N+2 does
+    if variant == "sspd" and 2 * N + 3 > w:
+        return DualityFlag(variant, None, None, (N, w), note=_NO_MIXED)
+    return DualityFlag(variant, True, N, (N, w))
 
 
-def _check_duality(term, n: int, variant: str, N: int | None = None) -> DualityFlag:
+def duality_flags(term, n: int) -> dict[str, DualityFlag]:
+    """The pd, wpd and sspd flags of one page, from one scan of it.
+
+    The scan reads the page's dims once, checks the single cells of every
+    column and classifies each column pair with a nonzero cell once; each
+    variant keeps the violations its column parities and bound select, in
+    the order a scan of that variant alone would find them: single cells
+    by column, then pairs in lexicographic order.
+    """
     w = term.trusted_k
     if w < 3:
-        return DualityFlag(variant, None, None, (0, w), note="trusted window too small")
-    if N is not None:
-        violations = _check_variant(term, n, N, variant)
-        data_gap = any(v.reason == _NO_DATA for v in violations)
-        if next(_column_pairs(variant, N, w), None) is None:
-            return DualityFlag(variant, None, N, (N, w), note="no qualifying pairs in window")
-        # a mixed-parity pair of columns > N fits in the window iff N+1, N+2 does
-        if variant == "sspd" and 2 * N + 3 > w:
-            return DualityFlag(variant, None, N, (N, w), violations, note=_NO_MIXED)
-        holds = None if data_gap else not violations
-        return DualityFlag(variant, holds, N, (N, w), violations,
-                           note="product data unavailable" if data_gap else "")
-    # raising the threshold only drops checks, so one scan at 0 serves all
-    everything = _check_variant(term, n, 0, variant)
-    for cand in range(w - 2):
-        if next(_column_pairs(variant, cand, w), None) is None:
-            break
-        violations = [v for v in everything if _kept(v, cand, variant)]
-        if not violations:
-            # (even, even) pairs alone say nothing of the mixed-parity half
-            # that strong duality shares with weak duality
-            if variant == "sspd" and 2 * cand + 3 > w:
-                return DualityFlag(variant, None, None, (cand, w), note=_NO_MIXED)
-            return DualityFlag(variant, True, cand, (cand, w))
-        if any(v.reason == _NO_DATA for v in violations):
-            return DualityFlag(variant, None, None, (cand, w), violations,
-                               note="product data unavailable")
-    return DualityFlag(variant, False, None, (0, w), everything)
-
-
-def check_pd(term, n: int, N: int | None = None) -> DualityFlag:
-    return _check_duality(term, n, "pd", N)
-
-
-def check_wpd(term, n: int, N: int | None = None) -> DualityFlag:
-    return _check_duality(term, n, "wpd", N)
-
-
-def check_sspd(term, n: int, N: int | None = None) -> DualityFlag:
-    return _check_duality(term, n, "sspd", N)
+        return {v: DualityFlag(v, None, None, (0, w), note="trusted window too small")
+                for v in _ODD_COLUMNS}
+    dims = [[term.dim(k, l) for l in range(n + 1)] for k in range(w + 1)]
+    found: dict[str, list[PairingViolation]] = {v: [] for v in _ODD_COLUMNS}
+    for k in range(1, w + 1):
+        col = dims[k]
+        if k % 2:
+            found["pd"] += [PairingViolation(k, l, -1, -1, "odd column not zero")
+                            for l in range(n + 1) if col[l]]
+        else:
+            found["pd"] += [PairingViolation(k, l, -1, -1, f"dim {col[l]} != 1")
+                            for l in (0, n) if col[l] != 1]
+        if col[n] != 1:
+            top = PairingViolation(k, n, -1, -1, f"dim {col[n]} != 1")
+            found["sspd"].append(top)
+            if k % 2:
+                found["wpd"].append(top)
+    for k in range(w + 1):
+        for k2 in range(w + 1 - k):
+            odd = k % 2 + k2 % 2
+            variants = [v for v, allowed in _ODD_COLUMNS.items()
+                        if odd in allowed and min(k, k2) >= (v != "pd")]
+            if not variants:
+                continue
+            for l in range(n + 1):
+                if not (dims[k][l] or dims[k2][n - l]):
+                    continue  # the zero pairing on zero spaces is perfect
+                reason = _status(term, k, l, k2, n - l)
+                if reason is not None:
+                    violation = PairingViolation(k, l, k2, n - l, reason)
+                    for v in variants:
+                        found[v].append(violation)
+    return {v: _read_off(v, w, found[v]) for v in _ODD_COLUMNS}
 
 
 def duality_report(terms: dict[int, object], n: int) -> dict[int, dict[str, DualityFlag]]:
     """pd/wpd/sspd flags per page, with the internal implication checks."""
     report = {}
     for r, term in sorted(terms.items()):
-        flags = {
-            "pd": check_pd(term, n),
-            "wpd": check_wpd(term, n),
-            "sspd": check_sspd(term, n),
-        }
+        flags = duality_flags(term, n)
         if flags["sspd"].holds and not flags["wpd"].holds:
             raise InvariantError("duality.report", f"strong duality without weak duality on page {r}")
         report[r] = flags
@@ -267,20 +258,17 @@ def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool,
             for k, k2 in ((a, b) for a in range(w + 1) for b in range(w + 1) if a + b <= w):
                 if term.dim(k + k2, n) != 1 or term.dim(k + k2, 0) != 1:
                     continue
+                if min(k, k2) + r + 1 > nxt.trusted_k or k + k2 > nxt.trusted_k:
+                    continue
                 for l in range(n + 1):
                     l2 = n - l
-                    hyps = [
-                        _pairing_status(term, k, l, k2, l2),
-                        _pairing_status(term, k + r, l - r + 1, k2 - r, l2 + r - 1)
-                        if l - r + 1 >= 0 else None,
-                        _pairing_status(term, k - r, l + r - 1, k2 + r, l2 - r + 1)
-                        if l2 - r + 1 >= 0 else None,
-                        _pairing_status(term, k, n, k2, 0),
-                        _pairing_status(term, k + r, n - r + 1, k2 - r, r - 1),
-                    ]
-                    if any(h is not None for h in hyps):
-                        continue
-                    if min(k, k2) + r + 1 > nxt.trusted_k or k + k2 > nxt.trusted_k:
+                    hyps = [(k, l, k2, l2)]
+                    if l - r + 1 >= 0:
+                        hyps.append((k + r, l - r + 1, k2 - r, l2 + r - 1))
+                    if l2 - r + 1 >= 0:
+                        hyps.append((k - r, l + r - 1, k2 + r, l2 - r + 1))
+                    hyps += [(k, n, k2, 0), (k + r, n - r + 1, k2 - r, r - 1)]
+                    if any(_status(term, *pair) is not None for pair in hyps):
                         continue
                     checked += 1
                     if nxt.dim(k + k2, n) != 1:
@@ -289,7 +277,7 @@ def pd_propagation_audit(terms: dict[int, object], n: int, zero_row: bool,
                              "reason": "target row-n cell not one-dimensional"}
                         )
                         continue
-                    status = _pairing_status(nxt, k, l, k2, l2)
+                    status = _status(nxt, k, l, k2, l2)
                     if status is not None and status != _NO_DATA:
                         violations.append(
                             {"page": r + 1, "k": k, "l": l, "k2": k2, "reason": status}

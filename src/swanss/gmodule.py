@@ -193,10 +193,6 @@ class GroupCohomology:
         return self.subquotient.dim
 
     @property
-    def cycles(self) -> np.ndarray:
-        return self.subquotient.z
-
-    @property
     def boundaries(self) -> np.ndarray:
         return self.subquotient.b
 

@@ -382,7 +382,10 @@ class Subquotient:
 
     Representatives are the columns of Z that add pivots to a row
     reduction of [B | Z]; coordinates of a vector are taken against
-    [B | reps] with the B-part discarded.
+    [B | reps] with the B-part discarded.  `z` must be a basis in the
+    canonical column-echelon form, as `kernel_mod` returns it: the count
+    of representatives relies on its columns being independent, and they
+    are canonical only when `z` is.
     """
 
     def __init__(self, z: np.ndarray, b: np.ndarray, p: int):
@@ -390,10 +393,9 @@ class Subquotient:
         n = z.shape[0]
         if b.shape[0] != n:
             raise ValueError("ambient dimensions differ")
-        z = np.mod(np.asarray(z, dtype=np.int64), p)
         b = np.mod(np.asarray(b, dtype=np.int64), p)
         self.ambient_dim = n
-        self.z = column_echelon_mod(z, p)
+        self.z = np.mod(np.asarray(z, dtype=np.int64), p)
         self.b = column_echelon_mod(b, p)
         bdim = self.b.shape[1]
         joint, pivots = rref_mod(np.concatenate([self.b, self.z], axis=1), p)
@@ -430,9 +432,6 @@ class Subquotient:
         if sol is None:
             raise ValueError("vector is not in the span of Z")
         return sol[self.b.shape[1] :]
-
-    def contains(self, v: np.ndarray) -> bool:
-        return self._solver.solve(v) is not None
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)

@@ -429,9 +429,6 @@ class PageTower:
                 raise InvariantError("pages", f"E_2^({k},{l}) is {cell.dim}, not H^{k}: {want}")
 
     # -- summaries ---------------------------------------------------------------
-    def column_sum(self, r: int, k: int) -> int:
-        return sum(self.pages[r].dim(k, l) for l in range(self.n + 1))
-
     def antidiagonal_sum(self, r: int, s: int) -> int:
         return sum(
             self.pages[r].dim(k, s - k) for k in range(max(0, s - self.n), s + 1)

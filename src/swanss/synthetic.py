@@ -11,7 +11,8 @@ including the rationals) without a backing complex.  Format:
 
 A differential matrix at (k, l) maps that cell to (k+r, l-r+1), shaped
 (target dim) x (source dim).  A product table entry T[i][j] is the
-coefficient vector of basis_i * basis_j in the target cell's basis.
+coefficient vector of basis_i * basis_j in the target cell's basis, so a
+table has dim(k,l) rows of dim(k',l') vectors each.
 Entries are integers, or strings parsed as exact fractions when the
 field characteristic is 0.  Malformed input raises ValueError.
 """
@@ -24,7 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import _is_int, is_prime, rank_mod
+from .linalg import MAX_PRIME, _is_int, is_prime, rank_mod
+
+# largest n and window checked: the duality scan reads (window+1)(n+1)
+# dims and classifies on the order of window^2 n pairs
+MAX_EXTENT = 256
 
 
 def _parse_entry(x, char: int):
@@ -93,6 +98,7 @@ class SyntheticTerm:
         self._diffs = diffs
         self._products = products
         self.has_products = bool(products)
+        self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
 
     def dim(self, k: int, l: int) -> int:
         if l < 0 or l > self.n or k < 0:
@@ -158,10 +164,14 @@ def load_synthetic_page(text: str) -> SyntheticPage:
         if not _is_int(data[name]):
             raise ValueError(f"{name!r} must be an integer, not {data[name]!r}")
     char, n, window = data["field_char"], data["n"], data["window"]
-    if char != 0 and not is_prime(char):
-        raise ValueError(f"field characteristic {char} is neither 0 nor prime")
+    # bound before primality: trial division of a huge modulus would not finish
+    if char != 0 and not (char <= MAX_PRIME and is_prime(char)):
+        raise ValueError(f"field characteristic {char} is neither 0 nor a prime <= {MAX_PRIME}")
     if n < 0:
         raise ValueError(f"'n' must not be negative, not {n}")
+    for name, value in (("n", n), ("window", window)):
+        if value > MAX_EXTENT:
+            raise ValueError(f"{name!r} must not exceed {MAX_EXTENT}, not {value}")
 
     dims: dict[tuple[int, int], int] = {}
     for key, value in _object(data.get("dims", {}), "'dims'").items():
@@ -180,7 +190,12 @@ def load_synthetic_page(text: str) -> SyntheticPage:
         if not m:
             raise ValueError(f"bad product key {key!r}")
         cells = ((int(m.group(1)), int(m.group(2))), (int(m.group(3)), int(m.group(4))))
-        products[cells] = _parse_rows(table, f"product table {key!r}", coefficients)
+        rows = _parse_rows(table, f"product table {key!r}", coefficients)
+        shape = tuple(dims.get(cell, 0) for cell in cells)
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise ValueError(f"product table {key!r} is not {shape[0]} x {shape[1]}, "
+                             "the dims of its cells")
+        products[cells] = rows
 
     pages: dict[int, dict] = {}
     for key, cells in _object(data.get("differentials", {}), "'differentials'").items():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swanss.cli import main
 from swanss.corpus import (
@@ -123,8 +129,9 @@ def test_cli_decompose_reduces_entries_mod_p(tmp_path):
         {"p": 3.5, "vertices": 1, "generator": [0], "simplices": [[0]]},
         {"p": 3, "vertices": 1, "generator": [0], "simplices": 5},
         {"p": 3, "vertices": 0, "generator": [], "simplices": []},
+        {"p": 3, "vertices": 10**30, "generator": [0], "simplices": [[0]]},
     ],
-    ids=["float-p", "simplices-not-a-list", "no-vertices"],
+    ids=["float-p", "simplices-not-a-list", "no-vertices", "huge-vertex-count"],
 )
 def test_cli_analyze_malformed_complex(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -220,6 +227,13 @@ def test_cli_check_pd_complex(tmp_path):
 
 _PAGE = {"field_char": 0, "n": 2, "window": 6}
 
+# n = 0 with the even columns of dim 1: every product 1 x 1 but one
+_TALL_TABLE = {
+    "field_char": 3, "n": 0, "window": 4, "dims": {"0,0": 1, "2,0": 1, "4,0": 1},
+    "products": {f"({k},0)x({k2},0)": [[[0]], [[1]]] if k == k2 == 0 else [[[1]]]
+                 for k in (0, 2, 4) for k2 in (0, 2, 4) if k + k2 <= 4},
+}
+
 
 @pytest.mark.parametrize(
     "data",
@@ -229,14 +243,18 @@ _PAGE = {"field_char": 0, "n": 2, "window": 6}
         {**_PAGE, "dims": {"0,2": 1}, "differentials": {"2": {"0,2": 5}}},
         [_PAGE],
         {**_PAGE, "dims": {"0,0": 1, "2,2": 1}, "products": {"(0,0)x(2,2)": [[["1/0"]]]}},
+        _TALL_TABLE,
+        {**_PAGE, "window": 10**30},
+        {**_PAGE, "field_char": 1000003},
     ],
     ids=["dims-not-an-object", "product-table-not-a-list", "differential-not-a-list",
-         "top-level-list", "zero-denominator"],
+         "top-level-list", "zero-denominator", "table-not-dim-by-dim", "huge-window",
+         "prime-char-above-251"],
 )
 def test_cli_check_pd_malformed_page(tmp_path, capsys, data):
     path = tmp_path / "page.json"
     path.write_text(json.dumps(data))
-    assert main(["check-pd", str(path)]) == 2
+    assert main(["check-pd", str(path), "--variant", "pd"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
@@ -245,6 +263,78 @@ def test_cli_check_pd_rejects_negative_n(tmp_path, capsys):
     path.write_text(json.dumps(_PAGE))
     assert main(["check-pd", str(path), "--n", "-1"]) == 2
     assert "--n must not be negative" in capsys.readouterr().err
+
+
+def test_cli_check_pd_rejects_huge_n(tmp_path, capsys):
+    path = tmp_path / "page.json"
+    path.write_text(json.dumps(_PAGE))
+    assert main(["check-pd", str(path), "--n", "257"]) == 2
+    assert "--n must not exceed 256" in capsys.readouterr().err
+
+
+_FUZZ_PAGE = {
+    "field_char": 3, "n": 1, "window": 4,
+    "dims": {"0,0": 1, "0,1": 1, "2,0": 1, "2,1": 1},
+    "differentials": {"2": {"0,1": [[1]]}},
+    "products": {"(0,0)x(0,1)": [[[1]]], "(0,0)x(2,1)": [[[1]]]},
+}
+# each kind of input file: a valid document, the command that reads it
+# and its required top-level fields
+_FUZZ_DOCS = {
+    "module": (module_from_multiplicities(3, {1: 1, 2: 1}).to_json(), "decompose",
+               ("p", "dim", "action")),
+    "complex": (build_circle(3).to_json(), "analyze", ("p", "vertices", "generator", "simplices")),
+    "page": (_FUZZ_PAGE, "check-pd", ("field_char", "n", "window")),
+}
+_DROP = object()
+_FUZZ_VALUES = [_DROP, None, True, 1.5, 10**30, "1/0", [[1, 2], [3]], {"a": [1]}]
+
+
+def _paths(doc, prefix=()):
+    """Every path from the root of a JSON document to a value below it."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=450, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_DOCS)), st.data())
+def test_cli_fuzz_exit_codes(kind, data):
+    # a value dropped or replaced anywhere in a valid file: every command
+    # exits 0, 1 or 2 and raises nothing, and a broken required top-level
+    # field is an input error of the command that reads that kind of file
+    doc, own_command, required = _FUZZ_DOCS[kind]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(st.sampled_from(_FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        fname = os.path.join(tmp, f"{kind}.json")
+        with open(fname, "w") as fh:
+            json.dump(_mutated(doc, path, value), fh)
+        for command in ("decompose", "analyze", "check-pd"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, fname])
+            assert code in (0, 1, 2), (command, path, value)
+            if command == own_command and len(path) == 1 and path[0] in required:
+                assert code == 2, (command, path, value)
 
 
 def test_cli_entry_point_installed(tmp_path):

@@ -19,7 +19,7 @@ from swanss.duality import (
     PairingViolation,
     _pairing_status,
     check_betti_chi_mod4,
-    check_pd,
+    duality_flags,
     duality_report,
     mod4_audit,
     pd_propagation_audit,
@@ -76,14 +76,14 @@ def _pd_page_json(n=2, window=12, degenerate=False, odd_rank_skew=False):
 
 def test_pd_on_rational_polynomial_page():
     page = load_synthetic_page(json.dumps(_pd_page_json()))
-    flag = check_pd(page.term(2), 2)
+    flag = duality_flags(page.term(2), 2)["pd"]
     assert flag.holds is True
     assert flag.threshold == 0
 
 
 def test_pd_degenerate_pairing_reported():
     page = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))
-    flag = check_pd(page.term(2), 2)
+    flag = duality_flags(page.term(2), 2)["pd"]
     assert flag.holds is False
     coords = {(v.k, v.l, v.k2, v.l2) for v in flag.violations}
     assert (0, 0, 0, 2) in coords or (0, 0, 2, 2) in coords
@@ -317,12 +317,12 @@ from swanss.pages import compute_pages
 from swanss.swan import SwanDoubleComplex
 from swanss.complexes import cochain_complex, validate_and_regularize
 
-real = duality.check_wpd
-def broken(term, n, N=None):
-    flag = real(term, n, N)
-    flag.holds = False
-    return flag
-duality.check_wpd = broken
+real = duality.duality_flags
+def broken(term, n):
+    flags = real(term, n)
+    flags["wpd"].holds = False
+    return flags
+duality.duality_flags = broken
 
 K = build_circle(3)
 tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
@@ -408,22 +408,12 @@ def _reference_check_variant(term, n, N, variant):
     return out, checked
 
 
-def _reference_check_duality(term, n, variant, N=None):
+def _reference_check_duality(term, n, variant):
     """The search as it was first written: one full scan per candidate N."""
     no_data, no_mixed = "no product data", "no mixed-parity pair in window"
     w = term.trusted_k
     if w < 3:
         return DualityFlag(variant, None, None, (0, w), note="trusted window too small")
-    if N is not None:
-        violations, checked = _reference_check_variant(term, n, N, variant)
-        data_gap = any(v.reason == no_data for v in violations)
-        if checked == 0:
-            return DualityFlag(variant, None, N, (N, w), note="no qualifying pairs in window")
-        if variant == "sspd" and not _reference_has_mixed_pair(N, w):
-            return DualityFlag(variant, None, N, (N, w), violations, note=no_mixed)
-        holds = None if data_gap else not violations
-        return DualityFlag(variant, holds, N, (N, w), violations,
-                           note="product data unavailable" if data_gap else "")
     best_violations = None
     any_checked = False
     for cand in range(w - 2):
@@ -489,24 +479,51 @@ def synthetic_terms(draw):
 @given(synthetic_terms())
 def test_threshold_search_matches_reference(case):
     term, n = case
-    w = term.trusted_k
-    for variant in ("pd", "wpd", "sspd"):
-        for N in [None, *range(-1, w + 1)]:
-            got = duality._check_duality(term, n, variant, N)
-            want = _reference_check_duality(term, n, variant, N)
-            assert got.to_json() == want.to_json(), (variant, N)
-            assert got.violations == want.violations, (variant, N)
+    flags = duality_flags(term, n)
+    assert list(flags) == ["pd", "wpd", "sspd"]
+    for variant, got in flags.items():
+        want = _reference_check_duality(term, n, variant)
+        assert got.to_json() == want.to_json(), variant
+        assert got.violations == want.violations, variant
+
+
+def _count_statuses(monkeypatch):
+    """Every `_pairing_status` call, keyed by (term, k, l, k2, l2)."""
+    calls = []
+    real = duality._pairing_status
+
+    def counted(term, *pair):
+        calls.append((id(term), *pair))
+        return real(term, *pair)
+
+    monkeypatch.setattr(duality, "_pairing_status", counted)
+    return calls
 
 
 def test_search_scans_once(monkeypatch):
-    page = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))
-    scans = []
-    real = duality._check_variant
-    monkeypatch.setattr(duality, "_check_variant", lambda *a: scans.append(a[2]) or real(*a))
-    for variant in ("pd", "wpd", "sspd"):
-        scans.clear()
-        duality._check_duality(page.term(2), 2, variant)
-        assert scans == [0], variant
+    # one scan classifies each pair with a nonzero cell once for all three
+    # variants, and leaves pairs of zero cells unclassified
+    term = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True))).term(2)
+    calls = _count_statuses(monkeypatch)
+    flags = duality_flags(term, 2)
+    assert calls and len(calls) == len(set(calls))
+    assert all(term.dim(k, l) or term.dim(k2, l2) for _, k, l, k2, l2 in calls)
+    assert [f.holds for f in flags.values()] == [False, False, False]
+    calls.clear()
+    assert duality_flags(term, 2)["pd"].to_json() == flags["pd"].to_json()
+    assert calls == []  # the statuses are memoized on the term
+
+
+def test_report_and_audit_classify_each_pair_once(pipelines, monkeypatch):
+    calls = _count_statuses(monkeypatch)
+    for name in ("join-3-1-0", "suspension-3"):
+        tower = pipelines(name).tower
+        terms = tower_terms(tower)
+        calls.clear()
+        flags = duality_report(terms, tower.n)
+        audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
+        assert audit["checked"] > 0 and audit["violations"] == []
+        assert calls and len(calls) == len(set(calls)), name
 
 
 def test_audits_read_the_given_flags(pipelines, monkeypatch):
@@ -517,7 +534,7 @@ def test_audits_read_the_given_flags(pipelines, monkeypatch):
     def no_search(*args):
         raise AssertionError("the audits searched again")
 
-    monkeypatch.setattr(duality, "_check_duality", no_search)
+    monkeypatch.setattr(duality, "duality_flags", no_search)
     audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
     assert audit["violations"] == [] and audit["checked"] > 0
     assert mod4_audit(terms, tower.n, flags).verdict == "pass"
