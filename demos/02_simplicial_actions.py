@@ -4,7 +4,7 @@ A rotation of a polygon is a perfectly good simplicial action, but its
 wraparound edge reverses the vertex order, and its orbit quotient is not
 a simplicial complex.  One barycentric subdivision (barycenters ordered
 by dimension) repairs the ordering; the quotient machinery subdivides
-further on its own until orbits of simplices form a complex.
+once more on its own when orbits of simplices do not yet form a complex.
 """
 
 from swanss import (

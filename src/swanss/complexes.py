@@ -1,23 +1,28 @@
 """Finite ordered simplicial complexes with a Z/p action.
 
 Simplices are strictly increasing vertex tuples.  The pipeline needs the
-action to be *order-compatible* (the generator restricted to any simplex
-is increasing, so cochain-level actions carry no signs and the
-front/back-face cup product is equivariant) and *regular* (a power fixing
-a simplex setwise fixes it pointwise).  One barycentric subdivision,
-ordered barycenters-by-dimension, always achieves both.
+action to be *order-compatible*: the generator g is increasing on every
+simplex, so cochain-level actions carry no signs and the front/back-face
+cup product is equivariant.  One barycentric subdivision, ordered
+barycenters-by-dimension, always achieves it, and order compatibility
+implies everything else this module asks of an action:
 
-Building a simplicial quotient needs more: no simplex may contain two
-vertices of one orbit, and simplices with the same orbit image must lie
-in one orbit.  A subdivision of a complex that already satisfies the
-orbit-injectivity condition has a simplicial quotient, so at most two
-extra subdivisions are ever required; `quotient_complex` handles that
-internally.
+- *regularity*: every power of g is increasing on every simplex, and an
+  increasing bijection of a finite chain onto itself is the identity, so
+  a power fixing a simplex setwise fixes it pointwise;
+- *orbit injectivity*: if u < g^j u lay in one simplex, then
+  g^j u < g^2j u < ... < g^pj u = u, a contradiction, so no simplex holds
+  two vertices of one orbit.
+
+A simplicial orbit quotient also needs distinct orbits of simplices to have
+distinct images; `quotient_complex` checks that by a count and subdivides
+at most once to pass it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -103,11 +108,8 @@ class SimplicialGComplex:
     def index(self, simplex: tuple) -> int:
         return self._index[len(simplex) - 1][simplex]
 
-    def apply_generator(self, simplex: tuple, power: int = 1) -> tuple:
-        s = list(simplex)
-        for _ in range(power % self.p):
-            s = [self.generator[v] for v in s]
-        return tuple(sorted(s))
+    def apply_generator(self, simplex: tuple) -> tuple:
+        return tuple(sorted(self.generator[v] for v in simplex))
 
     def generator_image_ordered(self, simplex: tuple, power: int = 1):
         s = list(simplex)
@@ -125,65 +127,30 @@ class SimplicialGComplex:
         return True
 
     def is_regular(self) -> bool:
-        """Any power fixing a simplex setwise fixes it pointwise."""
-        for d in range(self.dim + 1):
+        """Any power fixing a simplex setwise fixes it pointwise.
+
+        p is prime, so every nontrivial power generates G: a power fixes a
+        simplex setwise (pointwise) exactly when g does, and g alone is tested.
+        """
+        for d in range(1, self.dim + 1):
             for s in self.simplices[d]:
-                for j in range(1, self.p):
-                    img = self.generator_image_ordered(s, j)
-                    if set(img) == set(s) and img != list(s):
-                        return False
+                img = tuple(self.generator[v] for v in s)
+                if img != s and tuple(sorted(img)) == s:
+                    return False
         return True
 
     def vertex_orbits(self) -> list[int]:
-        """Orbit id per vertex; ids are indices of sorted minimal elements."""
-        seen = [False] * self.vertex_count
-        reps = []
+        """Orbit id per vertex; ids number the orbits by their least vertex."""
+        orbit_of = [-1] * self.vertex_count
+        count = 0
         for v in range(self.vertex_count):
-            if seen[v]:
-                continue
-            orbit = [v]
-            w = self.generator[v]
-            while w != v:
-                orbit.append(w)
-                w = self.generator[w]
-            for u in orbit:
-                seen[u] = True
-            reps.append(min(orbit))
-        reps.sort()
-        rep_index = {r: i for i, r in enumerate(reps)}
-        orbit_of = [0] * self.vertex_count
-        for v in range(self.vertex_count):
-            u, best = v, v
-            w = self.generator[v]
-            while w != v:
-                best = min(best, w)
-                w = self.generator[w]
-            orbit_of[v] = rep_index[best]
+            if orbit_of[v] < 0:
+                w = v
+                while orbit_of[w] < 0:
+                    orbit_of[w] = count
+                    w = self.generator[w]
+                count += 1
         return orbit_of
-
-    def satisfies_orbit_injectivity(self) -> bool:
-        """No simplex contains two distinct vertices of one orbit."""
-        orbit = self.vertex_orbits()
-        for d in range(1, self.dim + 1):
-            for s in self.simplices[d]:
-                labels = [orbit[v] for v in s]
-                if len(set(labels)) != len(labels):
-                    return False
-        return True
-
-    def is_quotient_safe(self) -> bool:
-        """Orbit injectivity plus: equal orbit images imply equal orbits."""
-        if not self.satisfies_orbit_injectivity():
-            return False
-        orbit = self.vertex_orbits()
-        for d in range(self.dim + 1):
-            image_owner: dict[tuple, tuple] = {}
-            for s in self.simplices[d]:
-                img = tuple(sorted(orbit[v] for v in s))
-                rep = min(self.apply_generator(s, j) for j in range(self.p))
-                if image_owner.setdefault(img, rep) != rep:
-                    return False
-        return True
 
     def is_free(self) -> bool:
         return all(self.generator[v] != v for v in range(self.vertex_count))
@@ -250,15 +217,14 @@ def barycentric_subdivision(K: SimplicialGComplex) -> SimplicialGComplex:
 
 
 def validate_and_regularize(K: SimplicialGComplex) -> SimplicialGComplex:
-    """Return an order-compatible regular model of K, subdividing at most twice."""
-    current = K
-    for _ in range(2):
-        if current.is_order_compatible() and current.is_regular():
-            return current
-        current = barycentric_subdivision(current)
-    if current.is_order_compatible() and current.is_regular():
-        return current
-    raise RuntimeError("complex not regular after two subdivisions (internal error)")
+    """Return an order-compatible regular model of K: K itself or its subdivision."""
+    if K.is_order_compatible() and K.is_regular():
+        return K
+    R = barycentric_subdivision(K)
+    if not (R.is_order_compatible() and R.is_regular()):
+        raise InvariantError("complexes.regularize",
+                             "the barycentric subdivision is not order-compatible and regular")
+    return R
 
 
 def fixed_subcomplex(K: SimplicialGComplex) -> SimplicialGComplex:
@@ -275,24 +241,48 @@ def fixed_subcomplex(K: SimplicialGComplex) -> SimplicialGComplex:
     )
 
 
-def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
-    """Orbit-space complex; subdivides internally until the quotient is simplicial."""
-    Q = K
-    for _ in range(3):
-        if Q.is_quotient_safe():
-            break
-        Q = barycentric_subdivision(Q)
-    else:
-        raise RuntimeError("no simplicial quotient after two subdivisions")
-    orbit = Q.vertex_orbits()
+def _orbit_quotient(K: SimplicialGComplex) -> SimplicialGComplex | None:
+    """The complex of orbit images of K, or None if they are not one per orbit."""
+    orbit = K.vertex_orbits()
+    fixed = [K.generator[v] == v for v in range(K.vertex_count)]
+    # an image that repeats an orbit is shorter than its simplex, so the top
+    # dimension holding such a simplex comes out short in the count
+    images = {tuple(sorted({orbit[v] for v in s}))
+              for d in range(K.dim + 1) for s in K.simplices[d]}
+    counts = Counter(len(t) for t in images)
+    for d in range(K.dim + 1):
+        fixed_d = sum(all(fixed[v] for v in s) for s in K.simplices[d])
+        if K.p * counts[d + 1] != len(K.simplices[d]) + (K.p - 1) * fixed_d:
+            return None
     n_orbits = max(orbit) + 1 if orbit else 0
-    simplices = set()
-    for d in range(Q.dim + 1):
-        for s in Q.simplices[d]:
-            simplices.add(tuple(sorted(orbit[v] for v in s)))
     return SimplicialGComplex(
-        Q.p, n_orbits, list(range(n_orbits)), sorted(simplices, key=lambda s: (len(s), s))
+        K.p, n_orbits, list(range(n_orbits)), sorted(images, key=lambda s: (len(s), s))
     )
+
+
+def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
+    """Orbit-space complex of an order-compatible K, subdividing it once if needed.
+
+    The d-simplices of the quotient are the orbit images (sorted vertex-orbit
+    labels) of K's d-simplices.  Each orbit has one image, so this is the
+    orbit space when distinct orbits have distinct images.  K is regular
+    (module docstring), so a d-simplex is fixed, with all its vertices, or
+    lies in an orbit of p: the images must number (f_d + (p - 1) f_d^G) / p,
+    f_d^G counting the fixed d-simplices.  When K fails this count, its
+    subdivision passes it: if chains s_0 < ... < s_k and t_0 < ... < t_k of
+    K's simplices have equal images and t_k = h s_k, then t_i and h s_i are
+    faces of t_k in one orbit, equal since t_k holds no two vertices of one
+    orbit.
+    """
+    if not K.is_order_compatible():
+        raise ValueError("quotient complex requires an order-compatible complex")
+    Q = _orbit_quotient(K)
+    if Q is None:
+        Q = _orbit_quotient(barycentric_subdivision(K))
+    if Q is None:
+        raise InvariantError("complexes.quotient",
+                             "the subdivision's orbit images are not one per orbit")
+    return Q
 
 
 # -- cochain complexes ------------------------------------------------

@@ -96,8 +96,7 @@ def analyze_complex(
     """Full pipeline: regularize, profiles, Swan complex, pages, verdicts."""
     digest_source = input_bytes if input_bytes is not None else K.to_json()
     R = validate_and_regularize(K)
-    # a subdivision has one vertex per simplex of the complex it subdivides
-    subdivisions = 0 if R is K else 1 if R.vertex_count == K.size() else 2
+    subdivisions = 0 if R is K else 1
 
     C = cochain_complex(R)
     n = C.top_degree if C.top_degree >= 0 else 0

@@ -10,9 +10,10 @@ including the rationals) without a backing complex.  Format:
       "products": {"(k,l)x(k',l')": [[[entry]]]} }   (optional)
 
 A differential matrix at (k, l) maps that cell to (k+r, l-r+1), shaped
-(target dim) x (source dim).  A product table entry T[i][j] is the
-coefficient vector of basis_i * basis_j in the target cell's basis, so a
-table has dim(k,l) rows of dim(k',l') vectors each.
+(target dim) x (source dim), so it is [] when the target cell is zero.  A
+product table entry T[i][j] is the coefficient vector of basis_i * basis_j
+in the target cell's basis, so a table has dim(k,l) rows of dim(k',l')
+vectors each.
 Entries are integers, or strings parsed as exact fractions when the
 field characteristic is 0.  Malformed input raises ValueError.
 """
@@ -209,5 +210,10 @@ def load_synthetic_page(text: str) -> SyntheticPage:
             diffs[_cell(key)] = _parse_rows(
                 mat, f"differential {key!r} on page {r}", lambda x: _parse_entry(x, char)
             )
-        terms[r] = SyntheticTerm(r, n, window, char, dims, diffs, products)
+        terms[r] = term = SyntheticTerm(r, n, window, char, dims, diffs, products)
+        for (k, l), rows in diffs.items():
+            shape = (term.dim(k + r, l - r + 1), term.dim(k, l))
+            if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+                raise ValueError(f"differential {k},{l} on page {r} is not {shape[0]} x "
+                                 f"{shape[1]}, the dims of its target and source")
     return SyntheticPage(n, window, char, terms)

@@ -41,6 +41,16 @@ def test_triangle_circle_needs_subdivision():
     assert R.is_order_compatible() and R.is_regular()
 
 
+def test_regularity_fails_on_a_simplex_turned_in_itself():
+    # the rotation fixes the 2-simplex and the swap the edge, setwise only
+    filled = SimplicialGComplex.from_maximal(3, 3, [1, 2, 0], [(0, 1, 2)])
+    edge = SimplicialGComplex.from_maximal(2, 2, [1, 0], [(0, 1)])
+    for K in (filled, edge):
+        assert not K.is_regular()
+        assert barycentric_subdivision(K).is_regular()
+    assert build_circle(3).is_regular()  # no simplex is fixed setwise
+
+
 def test_trivial_action_unchanged():
     K = SimplicialGComplex.from_maximal(3, 4, [0, 1, 2, 3], [(0, 1, 2), (1, 2, 3)])
     assert validate_and_regularize(K) is K

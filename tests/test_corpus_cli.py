@@ -246,10 +246,12 @@ _TALL_TABLE = {
         _TALL_TABLE,
         {**_PAGE, "window": 10**30},
         {**_PAGE, "field_char": 1000003},
+        # d_2 at (0,2) lands in (2,1), a cell of dim 0
+        {**_PAGE, "dims": {"0,2": 1}, "differentials": {"2": {"0,2": [["1"]]}}},
     ],
     ids=["dims-not-an-object", "product-table-not-a-list", "differential-not-a-list",
          "top-level-list", "zero-denominator", "table-not-dim-by-dim", "huge-window",
-         "prime-char-above-251"],
+         "prime-char-above-251", "differential-not-target-by-source"],
 )
 def test_cli_check_pd_malformed_page(tmp_path, capsys, data):
     path = tmp_path / "page.json"

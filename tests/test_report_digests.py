@@ -7,12 +7,23 @@ import sys
 
 import pytest
 
-from swanss.corpus import build_circle, build_sphere_join, build_suspension_sphere
+from swanss.corpus import (
+    build_circle,
+    build_sphere_join,
+    build_suspension_sphere,
+    build_trivial_circle,
+)
 from swanss.report import analyze_complex, canonical_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# circle-2 is quotient-safe after regularizing and circle-trivial-3 needs no
+# subdivision at all; every other case also subdivides for its quotient
 REPORTS = {
+    "circle-2": (lambda: build_circle(2), None, None,
+                 "caa7801089252bf38856971bfad29d16c0452fa9d25035bdb8608750ecb10682"),
+    "circle-trivial-3": (lambda: build_trivial_circle(3), None, None,
+                         "bdc9c4e3313deb58e3b336916626982bbc13367e166aee964dd6f33365d02229"),
     "circle-3": (lambda: build_circle(3), None, None,
                  "c23cd13a7e2b61783e2520500c7fdf99787a21b7d5a62530423d71357c52db9c"),
     "suspension-3": (lambda: build_suspension_sphere(3), None, None,
