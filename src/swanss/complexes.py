@@ -23,12 +23,22 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, combinations, groupby, repeat
+from operator import add, eq, gt, itemgetter, lt
 
 import numpy as np
 
 from .errors import InvariantError
 from .linalg import FieldP, PrimeFieldMatrix, Subquotient, _is_int, sparse_rank
 from .gmodule import CohomologyProfile, GModule
+
+
+_tail = itemgetter(slice(1, None))
+
+
+def _images(g, simplices):
+    """The vertices g(v) of every simplex, lazily and in order: map(g, s) for each s."""
+    return map(map, repeat(g), simplices)
 
 
 def _perm_sign(seq) -> int:
@@ -55,21 +65,31 @@ class SimplicialGComplex:
             raise ValueError("generator is not a permutation of the vertices")
         self.generator = gen
 
-        by_dim: dict[int, set] = {}
-        for s in simplices:
-            t = tuple(int(v) for v in s)
-            if not t or any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-                raise ValueError(f"simplex {t} is not strictly increasing")
-            if t[0] < 0 or t[-1] >= self.vertex_count:
-                raise ValueError(f"simplex {t} has out-of-range vertices")
-            by_dim.setdefault(len(t) - 1, set()).add(t)
-        self.dim = max(by_dim) if by_dim else -1
-        self.simplices: dict[int, list[tuple]] = {
-            d: sorted(by_dim.get(d, ())) for d in range(self.dim + 1)
-        }
+        simplices = list(simplices)
+        try:
+            ts = list(map(tuple, map(map, repeat(int), simplices)))
+            valid = (all(ts) and all(map(all, map(map, repeat(lt), ts, map(_tail, ts))))
+                     and min(map(itemgetter(0), ts), default=0) >= 0
+                     and max(map(itemgetter(-1), ts), default=-1) < self.vertex_count)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            # the first simplex in the given order that fails, with its message
+            for s in simplices:
+                t = tuple(int(v) for v in s)
+                if not t or any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+                    raise ValueError(f"simplex {t} is not strictly increasing")
+                if t[0] < 0 or t[-1] >= self.vertex_count:
+                    raise ValueError(f"simplex {t} has out-of-range vertices")
+        # lexicographic, then stably by size: each dimension comes out sorted
+        ordered = sorted(set(ts))
+        ordered.sort(key=len)
+        self.dim = len(ordered[-1]) - 1 if ordered else -1
+        self.simplices: dict[int, list[tuple]] = {d: [] for d in range(self.dim + 1)}
+        for size, group in groupby(ordered, len):
+            self.simplices[size - 1] = list(group)
         self._index: dict[int, dict[tuple, int]] = {
-            d: {s: i for i, s in enumerate(self.simplices[d])}
-            for d in range(self.dim + 1)
+            d: dict(zip(S, range(len(S)))) for d, S in self.simplices.items()
         }
 
         self._validate_closure_and_action()
@@ -77,23 +97,28 @@ class SimplicialGComplex:
     # -- validation ----------------------------------------------------
     def _validate_closure_and_action(self):
         for d in range(1, self.dim + 1):
-            lower = self._index[d - 1]
-            for s in self.simplices[d]:
+            lower, top = self._index[d - 1], self.simplices[d]
+            if all(map(lower.__contains__, chain.from_iterable(map(combinations, top, repeat(d))))):
+                continue
+            # name the first missing face in the order s minus s[0], s minus s[1], ...
+            for s in top:
                 for i in range(len(s)):
                     face = s[:i] + s[i + 1 :]
                     if face not in lower:
                         raise FaceClosureError(s, face)
         # order divides p
+        g = self.generator.__getitem__
         v = list(range(self.vertex_count))
         for _ in range(self.p):
-            v = [self.generator[x] for x in v]
+            v = list(map(g, v))
         if v != list(range(self.vertex_count)):
             raise ValueError("generator order does not divide p")
         for d in range(self.dim + 1):
-            idx = self._index[d]
-            for s in self.simplices[d]:
-                if tuple(sorted(self.generator[x] for x in s)) not in idx:
-                    raise ValueError(f"generator does not map simplex {s} to a simplex")
+            idx, top = self._index[d], self.simplices[d]
+            found = list(map(idx.__contains__, map(tuple, map(sorted, _images(g, top)))))
+            if not all(found):
+                s = top[found.index(False)]
+                raise ValueError(f"generator does not map simplex {s} to a simplex")
 
     # -- elementary queries ---------------------------------------------
     def f_vector(self) -> list[int]:
@@ -108,9 +133,6 @@ class SimplicialGComplex:
     def index(self, simplex: tuple) -> int:
         return self._index[len(simplex) - 1][simplex]
 
-    def apply_generator(self, simplex: tuple) -> tuple:
-        return tuple(sorted(self.generator[v] for v in simplex))
-
     def generator_image_ordered(self, simplex: tuple, power: int = 1):
         s = list(simplex)
         for _ in range(power % self.p):
@@ -119,11 +141,11 @@ class SimplicialGComplex:
 
     def is_order_compatible(self) -> bool:
         """Generator is increasing on every simplex."""
+        g = self.generator.__getitem__
         for d in range(1, self.dim + 1):
-            for s in self.simplices[d]:
-                img = [self.generator[v] for v in s]
-                if any(img[i] >= img[i + 1] for i in range(len(img) - 1)):
-                    return False
+            imgs = list(map(tuple, _images(g, self.simplices[d])))
+            if not all(map(all, map(map, repeat(lt), imgs, map(_tail, imgs)))):
+                return False
         return True
 
     def is_regular(self) -> bool:
@@ -132,11 +154,13 @@ class SimplicialGComplex:
         p is prime, so every nontrivial power generates G: a power fixes a
         simplex setwise (pointwise) exactly when g does, and g alone is tested.
         """
+        g = self.generator.__getitem__
         for d in range(1, self.dim + 1):
-            for s in self.simplices[d]:
-                img = tuple(self.generator[v] for v in s)
-                if img != s and tuple(sorted(img)) == s:
-                    return False
+            top = self.simplices[d]
+            imgs = list(map(tuple, _images(g, top)))
+            setwise = map(eq, map(tuple, map(sorted, imgs)), top)
+            if any(map(gt, setwise, map(eq, imgs, top))):  # fixed setwise, not pointwise
+                return False
         return True
 
     def vertex_orbits(self) -> list[int]:
@@ -167,16 +191,8 @@ class SimplicialGComplex:
     def from_maximal(cls, p, vertex_count, generator, maximal) -> "SimplicialGComplex":
         """Convenience constructor closing the given simplices under faces."""
         closed = set()
-        stack = [tuple(sorted(s)) for s in maximal]
-        while stack:
-            s = stack.pop()
-            if s in closed or not s:
-                continue
-            closed.add(s)
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                if face and face not in closed:
-                    stack.append(face)
+        for s in map(sorted, maximal):
+            closed.update(chain.from_iterable(map(combinations, repeat(s), range(1, len(s) + 1))))
         return cls(p, vertex_count, generator, sorted(closed, key=lambda s: (len(s), s)))
 
 
@@ -199,18 +215,18 @@ def barycentric_subdivision(K: SimplicialGComplex) -> SimplicialGComplex:
     on the subdivision, and a setwise-fixed chain is fixed pointwise.
     """
     order = [s for d in range(K.dim + 1) for s in K.simplices[d]]
-    index = {s: i for i, s in enumerate(order)}
-    generator = [index[K.apply_generator(s)] for s in order]
+    index = dict(zip(order, range(len(order))))
+    images = map(tuple, map(sorted, _images(K.generator.__getitem__, order)))
+    generator = list(map(index.__getitem__, images))
 
+    # the chains ending at s: (s,) and every chain of a proper face followed by s
     chains_of: dict[tuple, list[tuple]] = {}
     all_chains: list[tuple] = []
-    for s in order:
-        mine = [(index[s],)]
-        n = len(s)
-        for mask in range(1, (1 << n) - 1):
-            face = tuple(v for i, v in enumerate(s) if mask & (1 << i))
-            for c in chains_of[face]:
-                mine.append(c + (index[s],))
+    for i, s in enumerate(order):
+        tail = (i,)
+        mine = [tail]
+        for face in chain.from_iterable(map(combinations, repeat(s), range(1, len(s)))):
+            mine.extend(map(add, chains_of[face], repeat(tail)))
         chains_of[s] = mine
         all_chains.extend(mine)
     return SimplicialGComplex(K.p, len(order), generator, all_chains)
@@ -247,17 +263,16 @@ def _orbit_quotient(K: SimplicialGComplex) -> SimplicialGComplex | None:
     fixed = [K.generator[v] == v for v in range(K.vertex_count)]
     # an image that repeats an orbit is shorter than its simplex, so the top
     # dimension holding such a simplex comes out short in the count
-    images = {tuple(sorted({orbit[v] for v in s}))
-              for d in range(K.dim + 1) for s in K.simplices[d]}
-    counts = Counter(len(t) for t in images)
+    images = set()
     for d in range(K.dim + 1):
-        fixed_d = sum(all(fixed[v] for v in s) for s in K.simplices[d])
+        images.update(map(tuple, map(sorted, map(set, _images(orbit.__getitem__, K.simplices[d])))))
+    counts = Counter(map(len, images))
+    for d in range(K.dim + 1):
+        fixed_d = sum(map(all, _images(fixed.__getitem__, K.simplices[d])))
         if K.p * counts[d + 1] != len(K.simplices[d]) + (K.p - 1) * fixed_d:
             return None
     n_orbits = max(orbit) + 1 if orbit else 0
-    return SimplicialGComplex(
-        K.p, n_orbits, list(range(n_orbits)), sorted(images, key=lambda s: (len(s), s))
-    )
+    return SimplicialGComplex(K.p, n_orbits, list(range(n_orbits)), images)
 
 
 def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
@@ -484,25 +499,22 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     wasteful; field coefficients make homology and cohomology dims agree.
     """
     p = p or K.p
-    ranks = []
-    for d in range(1, K.dim + 1):
+    # ranks[d] is the rank of the boundary out of dimension d; clearing
+    # (see `linalg`) needs the boundary above reduced first
+    ranks = [0] * (K.dim + 2)
+    cleared = []
+    for d in range(K.dim, 0, -1):
         lower = K._index[d - 1]
-        cols = []
-        for s in K.simplices[d]:
-            col = {}
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                col[lower[face]] = (-1) ** j % p
-            cols.append(col)
-        ranks.append(sparse_rank(cols, p))
-    ranks.append(0)
+        # combinations drop s[d] first, ..., s[0] last: signs (-1)^d, ..., 1
+        signs = [(-1) ** (d - k) % p for k in range(d + 1)]
+        cols = [dict(zip(map(lower.__getitem__, combinations(s, d)), signs))
+                for s in K.simplices[d]]
+        for i in cleared:
+            cols[i] = {}
+        ranks[d] = sparse_rank(cols, p)
+        cleared = [max(c) for c in cols if c]
     f = K.f_vector()
-    out = []
-    prev_rank = 0
-    for d in range(K.dim + 1):
-        out.append(f[d] - prev_rank - ranks[d])
-        prev_rank = ranks[d]
-    return out
+    return [f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)]
 
 
 # -- JSON ingestion -----------------------------------------------------

@@ -14,9 +14,22 @@ echelon form is unique, so their results are canonical.  `FactoredSolve`
 keeps the float64 transform of the reduction and solves any number of
 right-hand sides with one product.
 
-A small sparse elimination (`sparse_rank`) is provided for the few places
-where dense storage would be wasteful (total-complex ranks, Betti numbers
-of large quotient complexes).
+`kernel_mod` needs one elimination: reducing the columns from the last one
+leaves free exactly the positions where some kernel vector has its first
+nonzero entry, so the kernel basis that is the identity there is already
+the canonical column-echelon basis.
+
+A small sparse elimination (`sparse_rank`) serves the places where dense
+storage would be wasteful (total-complex ranks, Betti numbers of large
+quotient complexes).  It reduces its list of columns in place, so that
+each nonzero column ends with a distinct largest row, its pivot row.
+Callers ranking consecutive maps of a complex read those rows to clear the
+next map (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
+A reduced column of d_s is a combination of columns of d_s, so d_(s+1)
+maps it to zero; its last nonzero entry is at its pivot row i, so column i
+of d_(s+1) is a combination of the columns before it.  Setting that column
+to {} skips its reduction and leaves the rank as it is.
 """
 
 from __future__ import annotations
@@ -185,8 +198,18 @@ def rank_mod(a: np.ndarray, p: int) -> int:
 
 
 def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis of the right kernel of `a`, as columns."""
-    r, pivots = rref_mod(a, p)
+    """Canonical basis of the right kernel of `a`, as columns.
+
+    One elimination of the columns in reverse order.  Column j of `a` is
+    left free exactly when it lies in the span of the columns after it,
+    that is, when some kernel vector has its first nonzero entry at j.
+    The basis vector of free column j is 1 at j, 0 at the other free
+    positions, and nonzero only at pivots after j, since a reduced free
+    column has entries only in the rows of earlier (reversed) pivots.  So
+    its first nonzero entry is a 1 at j where every other basis vector is
+    0: the columns, ordered by j, are the canonical column-echelon basis.
+    """
+    r, pivots = rref_mod(np.asarray(a)[:, ::-1], p)
     n = r.shape[1]
     if not pivots:
         return np.eye(n, dtype=np.int64)
@@ -195,7 +218,7 @@ def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
     k = np.zeros((n, n - len(pivots)), dtype=np.int64)
     k[free] = np.eye(n - len(pivots), dtype=np.int64)
     k[~free] = np.mod(-r[: len(pivots), free], p)
-    return column_echelon_mod(k, p)
+    return np.ascontiguousarray(k[::-1, ::-1])
 
 
 def column_echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -438,22 +461,24 @@ class Subquotient:
         return matmul_mod(self.reps, coords, self.p).astype(np.int64)
 
 
-def sparse_rank(columns, p: int) -> int:
-    """Rank over F_p of a matrix given as an iterable of {row: value} dicts.
+def sparse_rank(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of a matrix given as a list of {row: value} columns.
 
     Standard left-to-right reduction keyed on the largest row index of
-    each column; only fill-in actually touched is paid for.
+    each column; only fill-in actually touched is paid for.  The list is
+    reduced in place: afterwards each nonzero column has a distinct
+    largest row, its pivot row, there are as many of them as the rank, and
+    every other column is {}.  A column that is {} on entry costs nothing,
+    which is what clearing (module docstring) relies on.
     """
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in columns:
+    for j, col in enumerate(columns):
         col = {r: v % p for r, v in col.items() if v % p}
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
-                rank += 1
                 break
             f = (col[low] * pow(piv[low], p - 2, p)) % p
             for r, v in piv.items():
@@ -462,5 +487,5 @@ def sparse_rank(columns, p: int) -> int:
                     col[r] = nv
                 else:
                     col.pop(r, None)
-        # fully reduced to zero: contributes nothing
-    return rank
+        columns[j] = col
+    return len(pivots)

@@ -11,9 +11,10 @@ the complex repeats with period 2 away from column 0.  For s >= n every
 block of d: Tot^s -> Tot^(s+1) lies in a column >= 0, and d at s + 2 is
 the same matrix as d at s.  `total_cohomology_dims` ranks d only for
 s = 0..n+3, checks that degrees n, n+1 give the ranks of n+2, n+3, and
-takes every later rank from the degree of the same parity.  K_max only
-bounds what is reported: H^s for s <= K_max - 2, and products into
-columns <= K_max.
+takes every later rank from the degree of the same parity.  Each rank
+clears d_s with the pivot rows of the reduced d_(s-1), as `linalg`
+describes.  K_max only bounds what is reported: H^s for s <= K_max - 2,
+and products into columns <= K_max.
 
 The product takes a pair at columns (k, k') to
 
@@ -160,7 +161,15 @@ class SwanDoubleComplex:
         """dim H^s of the total complex for 0 <= s <= K_max - 2."""
         if self._tot_dims_cache is None:
             n = self.n
-            ranks = [sparse_rank(self.total_differential_columns(s), self.p) for s in range(n + 4)]
+            # clearing: a pivot row of reduced d_(s-1) is a column of d_s that
+            # reduces to zero (linalg module docstring), so it is never reduced
+            ranks, cleared = [], []
+            for s in range(n + 4):
+                columns = self.total_differential_columns(s)
+                for i in cleared:
+                    columns[i] = {}
+                ranks.append(sparse_rank(columns, self.p))
+                cleared = [max(c) for c in columns if c]
             if ranks[n : n + 2] != ranks[n + 2 :]:
                 raise InvariantError("swan.tot_dims", f"ranks {ranks} of d: no period 2 from {n}")
 

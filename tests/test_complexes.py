@@ -241,6 +241,7 @@ def test_json_load_and_errors():
     with pytest.raises(ComplexFileError) as err:
         load_complex_json(json.dumps(no_closure, indent=1))
     assert err.value.line is not None
+    assert "lacks face [1]" in str(err.value)
 
 
 def test_generator_must_be_permutation_of_right_order():

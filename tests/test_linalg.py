@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swanss import linalg
 from swanss.errors import InvariantError
 from swanss.linalg import (
     PANEL,
@@ -179,6 +180,56 @@ def test_sparse_rank_matches_dense():
         for j in range(a.shape[1]):
             cols.append({i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]})
         assert sparse_rank(cols, p) == rank_mod(a, p)
+
+
+def _sparse_columns(a):
+    return [{i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]} for j in range(a.shape[1])]
+
+
+def test_sparse_rank_reduces_its_list_in_place():
+    rng = np.random.default_rng(59)
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
+        m, n = int(rng.integers(1, 12)), int(rng.integers(2, 12))
+        a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.4)
+        # column j is a combination of the columns before it
+        j = int(rng.integers(1, n))
+        a[:, j] = np.mod(a[:, :j] @ rng.integers(0, p, j), p)
+        rank = rank_mod(a, p)
+        cols = _sparse_columns(a)
+        assert sparse_rank(cols, p) == rank
+        lows = [max(c) for c in cols if c]
+        assert len(lows) == len(set(lows)) == rank
+        assert all(v % p for c in cols for v in c.values())
+        # the reduced columns span what the input columns span
+        reduced = np.zeros_like(a)
+        for k, c in enumerate(cols):
+            for i, v in c.items():
+                reduced[i, k] = v
+        assert rank_mod(reduced, p) == rank_mod(np.concatenate([a, reduced], axis=1), p) == rank
+        # blanking a column in the span of the earlier ones keeps the rank
+        cols = _sparse_columns(a)
+        cols[j] = {}
+        assert sparse_rank(cols, p) == rank
+        assert cols[j] == {}
+
+
+def test_kernel_takes_one_elimination(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    rng = np.random.default_rng(61)
+    a = rng.integers(0, 5, (6, 9))
+    a[:, 4] = np.mod(a[:, 0] + 2 * a[:, 1], 5)
+    k = kernel_mod(a, 5)
+    assert len(calls) == 1
+    assert k.shape == (9, 9 - rank_mod(a, 5))
+    assert not np.mod(a @ k, 5).any()
 
 
 def test_immutability():
