@@ -193,10 +193,6 @@ class GroupCohomology:
         return self.subquotient.dim
 
     @property
-    def boundaries(self) -> np.ndarray:
-        return self.subquotient.b
-
-    @property
     def representatives(self) -> np.ndarray:
         return self.subquotient.reps
 
@@ -216,9 +212,9 @@ def group_cohomology(module: GModule, k: int) -> GroupCohomology:
     if k == 0:
         sub = Subquotient(shifted.kernel_basis().a, zero, p)
     elif k % 2 == 1:
-        sub = Subquotient(norm.kernel_basis().a, shifted.image_basis().a, p)
+        sub = Subquotient(norm.kernel_basis().a, shifted.a, p)
     else:
-        sub = Subquotient(shifted.kernel_basis().a, norm.image_basis().a, p)
+        sub = Subquotient(shifted.kernel_basis().a, norm.a, p)
     return GroupCohomology(k, sub)
 
 

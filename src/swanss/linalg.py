@@ -8,11 +8,14 @@ Dumas, Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 2008).
 
 There is one elimination, `_eliminate`: panels of columns reduced pivot by
 pivot, each followed by one block Gauss-Jordan step, a single `matmul_mod`
-update of the rows and columns it changes.  `rref_mod`, `kernel_mod`,
-`column_echelon_mod` and `FactoredSolve` are built on it; the reduced row
-echelon form is unique, so their results are canonical.  `FactoredSolve`
-keeps the float64 transform of the reduction and solves any number of
-right-hand sides with one product.
+update of the rows and columns it changes.  `rref_mod` (and so `rank_mod`,
+`kernel_mod` and `column_echelon_mod`) and `FactoredSolve` are the only
+callers; the reduced row echelon form is unique, so their results are
+canonical.  `FactoredSolve` keeps the float64 transform of the reduction
+and solves any number of right-hand sides with one product.  A
+`Subquotient` is one `FactoredSolve` of [b | z]: its representatives, the
+basis of B, the coordinates of classes and the preimages under b are all
+read off that one factor.
 
 `kernel_mod` needs one elimination: reducing the columns from the last one
 leaves free exactly the positions where some kernel vector has its first
@@ -34,8 +37,8 @@ to {} skips its reduction and leaves the rank as it is.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -124,24 +127,29 @@ def _eliminate(r: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
     other row loses its pivot-column entries times them, as a single
     matmul_mod update of the rows that change.  When no row lies above
     the panel and no column lies past it, the panel step alone is the
-    whole reduction and works on `r` directly.
+    whole reduction and works on `r` directly.  So does a single panel of
+    all ncols columns when `r` is at most 2 * PANEL wide: its per-pivot
+    steps on whole rows cost no more than a panel's, and the block step's
+    fixed cost is saved on the many small matrices.
     """
     m, width = r.shape
+    narrow = width <= 2 * PANEL
+    step = max(ncols, 1) if narrow else PANEL
     pivots = []
     row = 0
-    for c0 in range(0, ncols, PANEL):
+    for c0 in range(0, ncols, step):
         if row == m:
             break
-        c1 = min(c0 + PANEL, ncols)
+        c1 = min(c0 + step, ncols)
         w = c1 - c0
         top = row
-        block = top > 0 or c1 < width
+        block = not narrow and (top > 0 or c1 < width)
         # panel of the rows without a pivot, then the multipliers of its pivot rows
         if block:
             work = np.zeros((m - top, 2 * w), dtype=r.dtype)
             work[:, :w] = r[top:, c0:c1]
         else:
-            work = r[:, c0:c1]
+            work = r[:, c0:]
         for j in range(w):
             at = row - top
             if at == len(work):
@@ -244,8 +252,10 @@ class FactoredSolve:
         a = np.asarray(a)
         m, n = a.shape
         buf = np.zeros((m, n + m))
-        buf[:, :n] = np.mod(a, p)
-        buf[:, n:] = np.eye(m)
+        # reduced straight into the buffer: no integer temporary of a's size
+        np.mod(a, p, out=buf[:, :n], casting="unsafe")
+        diag = np.arange(m)
+        buf[diag, n + diag] = 1
         self.p = p
         self.shape = (m, n)
         self.pivots = _eliminate(buf, p, n)
@@ -389,26 +399,31 @@ class PrimeFieldMatrix:
     def kernel_basis(self) -> "PrimeFieldMatrix":
         return self._wrap(kernel_mod(self.a, self.p))
 
-    def image_basis(self) -> "PrimeFieldMatrix":
-        return self._wrap(column_echelon_mod(self.a, self.p))
-
-    def column_echelon(self) -> "PrimeFieldMatrix":
-        return self._wrap(column_echelon_mod(self.a, self.p))
-
-    def solve(self, b) -> np.ndarray | None:
-        """One solution x of self·x = b, or None if b is outside the image."""
-        return FactoredSolve(self.a, self.p).solve(np.asarray(b, dtype=np.int64))
-
 
 class Subquotient:
-    """A subquotient span(Z)/span(B) with canonical representatives.
+    """A subquotient span(Z)/span(B) with canonical representatives, read
+    off one factorization (`FactoredSolve`) of [b | z].
 
-    Representatives are the columns of Z that add pivots to a row
-    reduction of [B | Z]; coordinates of a vector are taken against
-    [B | reps] with the B-part discarded.  `z` must be a basis in the
-    canonical column-echelon form, as `kernel_mod` returns it: the count
-    of representatives relies on its columns being independent, and they
-    are canonical only when `z` is.
+    `z` must be a basis in the canonical column-echelon form, as
+    `kernel_mod` returns it; `b` is any generating set of B, such as the
+    coboundary whose image B is.  The reduced row echelon form of a column
+    prefix is the prefix of the reduced form, so:
+
+    - the pivots among the columns of b are those of b alone, and the kept
+      columns of b (`self.b`) are a basis of B;
+    - the pivots among the columns of z are the columns of z outside the
+      span of B and of the columns of z before them.  This depends only on
+      span(B), not on its generators, so these columns are the
+      representatives, canonical when `z` is.  Their number is
+      dim Z - dim B exactly when B lies in span Z (the columns of z are
+      independent), which is checked;
+    - [self.b | reps] is a basis of span Z, so the solution of
+      [b | z]·x = v with free variables 0 gives the unique coordinates of
+      v against it: those at the representative pivots are the coordinates
+      of the class of v;
+    - for y in im b, that solution uses b's pivot columns only, and its b
+      part is the one FactoredSolve(b) returns, the solution of b·w = y
+      with free variables 0 (`preimage`).
     """
 
     def __init__(self, z: np.ndarray, b: np.ndarray, p: int):
@@ -416,45 +431,53 @@ class Subquotient:
         n = z.shape[0]
         if b.shape[0] != n:
             raise ValueError("ambient dimensions differ")
-        b = np.mod(np.asarray(b, dtype=np.int64), p)
         self.ambient_dim = n
-        self.z = np.mod(np.asarray(z, dtype=np.int64), p)
-        self.b = column_echelon_mod(b, p)
-        bdim = self.b.shape[1]
-        joint, pivots = rref_mod(np.concatenate([self.b, self.z], axis=1), p)
-        # the columns of b are independent, so each is a pivot, and the rest
-        # number dim Z - dim B exactly when B lies in span Z
-        rep_cols = [c - bdim for c in pivots if c >= bdim]
-        self.reps = self.z[:, rep_cols].copy()
-        self.dim = len(rep_cols)
-        if self.dim != self.z.shape[1] - bdim:
+        nb = b.shape[1]
+        # [b | z] mod p as bytes (p <= MAX_PRIME < 256): the factor reads it
+        # once, and an int64 copy would raise the peak memory of a degree
+        bz = np.empty((n, nb + z.shape[1]), dtype=np.uint8)
+        np.mod(b, p, out=bz[:, :nb], casting="unsafe")
+        np.mod(z, p, out=bz[:, nb:], casting="unsafe")
+        self._solver = FactoredSolve(bz, p)
+        # the pivot columns in order: the kept columns of b, then the reps
+        pivots = self._solver._pivot_rows
+        rank_b = bisect_left(self._solver.pivots, nb)
+        # b as given is kept by the caller anyway (a coboundary, a page d_r)
+        self._gens, self._b_cols = b, pivots[:rank_b]
+        # solution rows of the representatives' coordinates
+        self._rep_rows = pivots[rank_b:]
+        self.reps = bz[:, self._rep_rows].astype(np.int64)
+        self.dim = len(self._rep_rows)
+        if len(pivots) != z.shape[1]:
             raise InvariantError("linalg.subquotient", "B is not contained in the span of Z")
 
-    @cached_property
-    def _solver(self) -> FactoredSolve:
-        # factored on first use: most page subquotients are never solved against
-        return FactoredSolve(np.concatenate([self.b, self.reps], axis=1), self.p)
+    @property
+    def b(self) -> np.ndarray:
+        """A basis of B: the kept columns of b, mod p."""
+        return np.mod(np.asarray(self._gens, dtype=np.int64)[:, self._b_cols], self.p)
 
-    def decompose(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write v = B·xi_b + reps·xi_r; raises if v is outside span(Z)."""
-        sol = self._solver.solve(v)
+    def _coordinates(self, sol: np.ndarray | None) -> np.ndarray:
         if sol is None:
             raise ValueError("vector is not in the span of Z")
-        bdim = self.b.shape[1]
-        return sol[:bdim], sol[bdim:]
+        return sol[self._rep_rows]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of [v] in the canonical representative basis."""
-        return self.decompose(v)[1]
+        return self._coordinates(self._solver.solve(v))
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the columns of `vs`, as columns."""
         if vs.shape[1] == 0:
             return np.zeros((self.dim, 0), dtype=np.int64)
-        sol = self._solver.solve_many(vs)
-        if sol is None:
-            raise ValueError("vector is not in the span of Z")
-        return sol[self.b.shape[1] :]
+        return self._coordinates(self._solver.solve_many(vs))
+
+    def preimage(self, y: np.ndarray) -> np.ndarray | None:
+        """The solution w of b·w = y with free variables 0, or None if y is
+        outside im b."""
+        sol = self._solver.solve(y)
+        if sol is None or sol[self._rep_rows].any():
+            return None
+        return sol[: self._gens.shape[1]].copy()
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)

@@ -190,9 +190,7 @@ class PageTower:
         if r_max > self.n + 2:
             raise ValueError(f"r_max {r_max} exceeds n + 2 = {self.n + 2}")
         self.r_max = r_max
-        base = dc.base
-        self.H = base.cohomology()
-        self._delta_solvers = [FactoredSolve(base.delta(l).a, self.p) for l in range(self.n + 1)]
+        self.H = dc.base.cohomology()
         self.pages: dict[int, Page] = {}
         self._pairings: dict[tuple[int, int, int, int], dict[int, np.ndarray]] = {}
         self._build_page_one()
@@ -229,7 +227,7 @@ class PageTower:
                 cell = page.cell(k, l)
                 src = page.cell(k - r, l + r - 1)  # the source of the d_r into (k, l)
                 incoming = src.d_matrix.a if src else np.zeros((cell.dim, 0), dtype=np.int64)
-                # Subquotient brings both spans to their canonical bases
+                # ker d_r in its canonical basis, against the d_r images as they are
                 sub = Subquotient(kernel_mod(cell.d_matrix.a, self.p), incoming, self.p)
                 new_cell = PageCell(k, l, r + 1, sub.dim, sub, [], k <= nxt.trusted_k)
                 # boundary generators: page r's, plus the d_r images into (k, l)
@@ -304,7 +302,8 @@ class PageTower:
                 if np.any(z):
                     raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
                 continue
-            w = self._delta_solvers[row - 1].solve(np.mod(sign * z, self.p))
+            # the subquotient of H^row was factored with b = delta_(row-1)
+            w = sub.preimage(np.mod(sign * z, self.p))
             if w is None:
                 raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")
             lift[col] = w

@@ -138,23 +138,29 @@ class SwanDoubleComplex:
                 col[r] = (col.get(r, 0) + v) % p
         return [{r: v for r, v in col.items() if v} for col in columns]
 
-    def total_differential_columns(self, s: int) -> list[dict[int, int]]:
-        """Sparse columns of d: Tot^s -> Tot^(s+1)."""
+    def total_differential_columns(self, s: int, cleared=()) -> list[dict[int, int]]:
+        """Sparse columns of d: Tot^s -> Tot^(s+1); the columns whose
+        indices are in `cleared` come back as {} without being built."""
         offset, at = {}, 0
         for k, l in self._tot_blocks(s + 1):
             offset[(k, l)] = at
             at += self.cell_dim(k, l)
-        columns = []
+        skip = set(cleared)
+        columns, at = [], 0
         for k, l in self._tot_blocks(s):
             # d_h lands in block (k + 1, l) and d_v in (k, l + 1), which exists for l < n
             h_off, hcols = offset[(k + 1, l)], self._sparse_columns("h", k, l)
             v_off, vcols = offset.get((k, l + 1)), self._sparse_columns("v", k, l)
             sgn = (-1) ** k % self.p
             for j in range(self.cell_dim(k, l)):
+                if at + j in skip:
+                    columns.append({})
+                    continue
                 col = {h_off + r: v for r, v in hcols[j].items()}
                 if v_off is not None:
                     col.update({v_off + r: sgn * v % self.p for r, v in vcols[j].items()})
                 columns.append(col)
+            at += self.cell_dim(k, l)
         return columns
 
     def total_cohomology_dims(self) -> list[int]:
@@ -165,9 +171,7 @@ class SwanDoubleComplex:
             # reduces to zero (linalg module docstring), so it is never reduced
             ranks, cleared = [], []
             for s in range(n + 4):
-                columns = self.total_differential_columns(s)
-                for i in cleared:
-                    columns[i] = {}
+                columns = self.total_differential_columns(s, cleared)
                 ranks.append(sparse_rank(columns, self.p))
                 cleared = [max(c) for c in columns if c]
             if ranks[n : n + 2] != ranks[n + 2 :]:

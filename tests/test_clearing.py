@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from swanss.complexes import betti_numbers, cochain_complex, quotient_complex, validate_and_regularize
-from swanss.linalg import rank_mod
+from swanss.linalg import rank_mod, sparse_rank
 from swanss.swan import SwanDoubleComplex
 from test_quotient import orbit_closures
 from test_swan import _direct_total_dims
@@ -38,3 +38,16 @@ def test_betti_numbers_equal_dense_ranks(K):
 def test_total_dims_equal_a_rank_at_every_degree(K):
     dc = SwanDoubleComplex(cochain_complex(validate_and_regularize(K)))
     assert dc.total_cohomology_dims() == _direct_total_dims(dc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_closures())
+def test_cleared_columns_come_back_empty(K):
+    dc = SwanDoubleComplex(cochain_complex(validate_and_regularize(K)))
+    cleared = set()
+    for s in range(dc.n + 4):
+        full = dc.total_differential_columns(s)
+        columns = dc.total_differential_columns(s, cleared)
+        assert columns == [{} if i in cleared else col for i, col in enumerate(full)]
+        sparse_rank(columns, dc.p)
+        cleared = {max(col) for col in columns if col}

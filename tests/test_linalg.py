@@ -93,8 +93,7 @@ def test_kernel_image_rank_nullity():
 def test_image_basis_of_shift_minus_identity():
     # cyclic permutation minus identity on F_3^3 has rank 2
     t = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    m = PrimeFieldMatrix(3, t - np.eye(3, dtype=int))
-    assert m.image_basis().cols == 2
+    assert column_echelon_mod(t - np.eye(3, dtype=int), 3).shape[1] == 2
 
 
 def test_solve_membership():
@@ -102,19 +101,19 @@ def test_solve_membership():
     for _ in range(60):
         p = int(rng.choice([2, 3, 5, 7]))
         a = rng.integers(0, p, (rng.integers(1, 7), rng.integers(1, 7)))
-        m = PrimeFieldMatrix(p, a)
-        x = rng.integers(0, p, m.cols)
+        fs = FactoredSolve(a, p)
+        x = rng.integers(0, p, a.shape[1])
         b = np.mod(a @ x, p)
-        sol = m.solve(b)
+        sol = fs.solve(b)
         assert sol is not None
         assert np.array_equal(np.mod(a @ sol, p), b)
         # a vector outside the image must be rejected
-        img = m.image_basis()
-        if img.cols < m.rows:
-            outside = rng.integers(0, p, m.rows)
-            joint = rank_mod(np.concatenate([img.a, outside.reshape(-1, 1)], axis=1), p)
-            if joint > img.cols:
-                assert m.solve(outside) is None
+        img = column_echelon_mod(a, p)
+        if img.shape[1] < a.shape[0]:
+            outside = rng.integers(0, p, a.shape[0])
+            joint = rank_mod(np.concatenate([img, outside.reshape(-1, 1)], axis=1), p)
+            if joint > img.shape[1]:
+                assert fs.solve(outside) is None
 
 
 def test_canonical_basis_property():
@@ -404,3 +403,96 @@ def test_empty_shapes():
         assert fs.rank == 0
         assert np.array_equal(fs.solve(np.zeros(shape[0], dtype=np.int64)), np.zeros(shape[1]))
         assert fs.solve_many(np.zeros((shape[0], 2), dtype=np.int64)).shape == (shape[1], 2)
+
+
+# -- Subquotient against the three-elimination construction -------------------
+
+
+class ReferenceSubquotient:
+    """span(Z)/span(B) as it was built from three eliminations: B brought
+    to its column-echelon basis, representatives from the rref of [B | Z],
+    and coordinates from a factorization of [B | reps]."""
+
+    def __init__(self, z, b, p):
+        self.b = column_echelon_mod(b, p)
+        bdim = self.b.shape[1]
+        _, pivots = rref_mod(np.concatenate([self.b, z], axis=1), p)
+        cols = [c - bdim for c in pivots if c >= bdim]
+        self.reps = np.mod(z[:, cols], p)
+        self.dim = len(cols)
+        if self.dim != z.shape[1] - bdim:
+            raise InvariantError("linalg.subquotient", "B is not contained in the span of Z")
+        self.solver = FactoredSolve(np.concatenate([self.b, self.reps], axis=1), p)
+
+    def coordinates_many(self, vs):
+        return self.solver.solve_many(vs)[self.b.shape[1] :]
+
+
+@st.composite
+def subquotients(draw):
+    """p, a canonical basis z of a random subspace Z and generators b of a
+    subspace of it (rank-deficient, empty or zero), with a random source."""
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.one_of(st.integers(0, 6), st.integers(PANEL - 4, PANEL + 8)))
+    dz = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.zeros((n, 0), dtype=np.int64)
+    while z.shape[1] < dz:
+        z = column_echelon_mod(rng.integers(0, p, (n, dz)), p)
+    rank = draw(st.integers(0, dz))
+    nb = draw(st.integers(rank, rank + 4))
+    left = z @ rng.integers(0, p, (dz, rank))
+    b = np.mod(left @ rng.integers(0, p, (rank, nb)), p)
+    if draw(st.booleans()):
+        b[:, rng.random(nb) < 0.3] = 0
+    return p, z, b, rng
+
+
+def _outside(a, p):
+    """A unit vector outside the column span of `a`, or None."""
+    n = a.shape[0]
+    for i in range(n):
+        e = np.eye(n, dtype=np.int64)[:, i : i + 1]
+        if rank_mod(np.concatenate([a, e], axis=1), p) > rank_mod(a, p):
+            return e[:, 0]
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(subquotients())
+def test_subquotient_matches_three_elimination_reference(case):
+    p, z, b, rng = case
+    sub, ref = Subquotient(z, b, p), ReferenceSubquotient(z, b, p)
+    assert sub.dim == ref.dim
+    assert sub.reps.dtype == np.int64 and np.array_equal(sub.reps, ref.reps)
+    # sub.b is a basis of span(b)
+    rank_b = rank_mod(b, p)
+    assert sub.b.shape == (z.shape[0], rank_b)
+    assert rank_mod(sub.b, p) == rank_mod(np.concatenate([sub.b, b], axis=1), p) == rank_b
+    vs = np.mod(z @ rng.integers(0, p, (z.shape[1], 4)), p)
+    assert np.array_equal(sub.coordinates_many(vs), ref.coordinates_many(vs))
+    assert np.array_equal(sub.coordinates(vs[:, 0]), ref.coordinates_many(vs[:, :1])[:, 0])
+    # preimage is the solve against b: in im b, in span Z outside im b, outside span Z
+    ys = [np.mod(b @ rng.integers(0, p, b.shape[1]), p), np.zeros(z.shape[0], dtype=np.int64)]
+    if sub.dim:
+        ys.append(np.mod(ys[0] + sub.reps[:, -1], p))
+    outside = _outside(z, p)
+    if outside is not None:
+        ys.append(outside)
+    solver = FactoredSolve(b, p)
+    for y in ys:
+        got, want = sub.preimage(y), solver.solve(y)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    if sub.dim:
+        assert sub.preimage(ys[2]) is None
+    if outside is not None:
+        assert sub.preimage(outside) is None
+        with pytest.raises(ValueError):
+            sub.coordinates(outside)
+        # B outside span Z is refused
+        bad = np.concatenate([b, outside.reshape(-1, 1)], axis=1)
+        with pytest.raises(InvariantError, match="B is not contained in the span of Z") as err:
+            Subquotient(z, bad, p)
+        assert err.value.stage == "linalg.subquotient"

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from swanss import pages
-from swanss.complexes import SimplicialGComplex, cochain_complex
+from swanss import linalg, pages
+from swanss.complexes import SimplicialGComplex, cochain_complex, validate_and_regularize
+from swanss.corpus import build_sphere_join
 from swanss.errors import InvariantError
 from swanss.gmodule import group_cohomology
 from swanss.pages import check_odd_page_vanishing, check_zero_row, compute_pages
@@ -268,3 +269,35 @@ def test_pairing_matrices_equal_products_of_basis_classes(pipelines, name):
                         for i in range(mat.shape[0])
                     ]
                     assert mat.tolist() == direct, (r, k, l, k2)
+
+
+def test_one_factorization_per_cohomology_degree(monkeypatch):
+    C = cochain_complex(validate_and_regularize(build_sphere_join(3, 1, 0)))
+    dc = SwanDoubleComplex(C)
+    calls = []  # (name, first argument)
+
+    def count(owner, attr, name):
+        fn = getattr(owner, attr)
+
+        def counted(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(linalg, "_eliminate", "eliminate")
+    count(linalg, "kernel_mod", "kernel")
+    count(linalg, "column_echelon_mod", "echelon")
+    count(linalg.FactoredSolve, "__init__", "factor")
+    C.cohomology()
+    degrees = C.top_degree + 1
+    names = [name for name, _ in calls]
+    assert names.count("kernel") == names.count("factor") == degrees
+    assert names.count("echelon") == 0
+    # the zero map out of the top degree needs no elimination
+    assert names.count("eliminate") <= 2 * degrees
+    # the page tower solves against the factorizations of the cohomology
+    calls.clear()
+    compute_pages(dc)
+    rows = [r.shape[0] for name, r in calls if name == "eliminate"]
+    assert rows and max(rows) < min(C.dims)
