@@ -303,8 +303,28 @@ def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
 # -- cochain complexes ------------------------------------------------
 
 
+def _sorted_rows(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of each row, (column, value), sorted by column within the row."""
+    order = np.argsort(cols, axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+def _face_signs(d: int) -> np.ndarray:
+    """Signs of the faces of a d-simplex s in the order of combinations(s, d).
+
+    The k-th combination drops s[d - k], with sign (-1)^(d - k).
+    """
+    return (-1) ** (d - np.arange(d + 1))
+
+
 class EquivariantCochainComplex:
     """Cochain complex over F_p with the induced Z/p action per degree.
+
+    The coboundary out of degree l is kept as a face table, `faces[l]`:
+    row i lists the indices of the l-faces of the i-th (l+1)-simplex in
+    the order of `combinations`, with the fixed signs `_face_signs(l + 1)`,
+    so (delta a)[i] = sum_k sign_k a[faces[l][i, k]].  `delta(l)` builds
+    the dense matrix from it on request.
 
     The action T in degree l sends a cochain a to a(g^{-1}(.)), with the
     orientation sign of the vertex reordering (always +1 after
@@ -313,9 +333,14 @@ class EquivariantCochainComplex:
 
     The constructor checks delta o delta = 0, T delta = delta T in every
     degree and T^p = 1, and raises `InvariantError` at `complexes.cochain`
-    otherwise.  This is the only check the Swan double complex relies on:
-    its d_h is T - 1 or the norm N, so [d_h, d_v] = 0 and d_h o d_h = 0
-    follow from these two facts about T (see `swan`).
+    otherwise.  The first two checks work on the face tables in time
+    linear in their size: delta o delta composes two tables, and
+    T delta = delta T compares, row by row and sorted by column, the
+    entries of (T delta)[i] (faces[pre1[i]] with signs sign1[i] sign_k)
+    with those of (delta T)[i] (pre0[faces[i]] with signs
+    sign_k sign0[faces[i]]).  This is the only check the Swan double
+    complex relies on: its d_h is T - 1 or the norm N, so [d_h, d_v] = 0
+    and d_h o d_h = 0 follow from these two facts about T (see `swan`).
     """
 
     def __init__(self, K: SimplicialGComplex):
@@ -327,15 +352,13 @@ class EquivariantCochainComplex:
         self.top_degree = K.dim
         self.dims = [len(K.simplices[d]) for d in range(K.dim + 1)]
 
-        self.coboundary: list[PrimeFieldMatrix] = []
+        self.faces: list[np.ndarray] = []
         for l in range(self.top_degree):
-            m = np.zeros((self.dims[l + 1], self.dims[l]), dtype=np.int64)
             lower = K._index[l]
-            for i, s in enumerate(K.simplices[l + 1]):
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1 :]
-                    m[i, lower[face]] += (-1) ** j
-            self.coboundary.append(PrimeFieldMatrix(self.field, m))
+            flat = map(lower.__getitem__,
+                       chain.from_iterable(map(combinations, K.simplices[l + 1], repeat(l + 1))))
+            self.faces.append(np.fromiter(flat, dtype=np.intp).reshape(-1, l + 2))
+        self.face_signs = [_face_signs(l + 1) for l in range(self.top_degree)]
 
         # Action stored as signed permutations: (T a)[i] = sign[i] * a[pre[i]]
         # where pre[i] indexes g^{-1}(sigma_i).
@@ -353,6 +376,7 @@ class EquivariantCochainComplex:
             self.act_sign.append(sign)
 
         self._check_invariants()
+        self._dense: dict[int, PrimeFieldMatrix] = {}
         self._cohomology = None
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
@@ -371,16 +395,22 @@ class EquivariantCochainComplex:
     def _check_invariants(self):
         p = self.p
         for l in range(self.top_degree - 1):
-            if not (self.coboundary[l + 1] @ self.coboundary[l]).is_zero():
+            # row i of delta_(l+1) delta_l: the l-faces of the l-faces of
+            # simplex i, with the products of their signs, summed per face
+            ends = self.faces[l][self.faces[l + 1]].reshape(self.dims[l + 2], -1)
+            signs = np.outer(self.face_signs[l + 1], self.face_signs[l]).ravel()
+            ends, signs = _sorted_rows(ends, np.broadcast_to(signs, ends.shape))
+            first = np.ones(ends.shape, dtype=bool)
+            first[:, 1:] = ends[:, 1:] != ends[:, :-1]
+            if np.any(np.add.reduceat(signs.ravel(), np.flatnonzero(first)) % p):
                 raise InvariantError("complexes.cochain", f"delta o delta != 0 out of degree {l}")
         for l in range(self.top_degree):
-            delta = self.coboundary[l].a
+            faces, face_sign = self.faces[l], self.face_signs[l] % p
             pre1, sign1 = self.act_pre[l + 1], self.act_sign[l + 1]
-            t_delta = np.mod(sign1[:, None] * delta[pre1, :], p)
             pre0, sign0 = self.act_pre[l], self.act_sign[l]
-            delta_t = np.zeros_like(delta)
-            delta_t[:, pre0] = np.mod(delta * sign0[None, :], p)
-            if not np.array_equal(t_delta, delta_t):
+            t_delta = _sorted_rows(faces[pre1], np.outer(sign1, face_sign) % p)
+            delta_t = _sorted_rows(pre0[faces], face_sign * sign0[faces] % p)
+            if not all(map(np.array_equal, t_delta, delta_t)):
                 raise InvariantError("complexes.cochain",
                                      f"the action does not commute with delta out of degree {l}")
         for l in range(self.top_degree + 1):
@@ -394,12 +424,17 @@ class EquivariantCochainComplex:
                 raise InvariantError("complexes.cochain", f"t^p != 1 on {l}-cochains")
 
     def delta(self, l: int) -> PrimeFieldMatrix:
-        """Coboundary out of degree l (zero map above the top degree)."""
-        if 0 <= l < self.top_degree:
-            return self.coboundary[l]
-        rows = self.dims[l + 1] if l + 1 <= self.top_degree else 0
-        cols = self.dims[l] if 0 <= l <= self.top_degree else 0
-        return PrimeFieldMatrix.zeros(self.field, rows, cols)
+        """Coboundary out of degree l (zero map above the top degree), built
+        densely from the face table once; the subquotients of `cohomology`
+        keep these matrices anyway."""
+        if l not in self._dense:
+            rows = self.dims[l + 1] if 0 <= l + 1 <= self.top_degree else 0
+            cols = self.dims[l] if 0 <= l <= self.top_degree else 0
+            m = np.zeros((rows, cols), dtype=np.int64)
+            if 0 <= l < self.top_degree:
+                m[np.arange(rows)[:, None], self.faces[l]] = self.face_signs[l] % self.p
+            self._dense[l] = PrimeFieldMatrix(self.field, m)
+        return self._dense[l]
 
     def dim(self, l: int) -> int:
         return self.dims[l] if 0 <= l <= self.top_degree else 0
@@ -410,11 +445,7 @@ class EquivariantCochainComplex:
             out = []
             for l in range(self.top_degree + 1):
                 kernel = self.delta(l).kernel_basis().a
-                if l == 0:
-                    image = np.zeros((self.dims[0], 0), dtype=np.int64)
-                else:
-                    image = self.delta(l - 1).a
-                sub = Subquotient(kernel, image, self.p)
+                sub = Subquotient(kernel, self.delta(l - 1).a, self.p)
                 act = sub.coordinates_many(self.apply_action(l, sub.reps))
                 out.append(
                     DegreeCohomology(l, sub, GModule(self.field, PrimeFieldMatrix(self.field, act)))
@@ -505,8 +536,7 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     cleared = []
     for d in range(K.dim, 0, -1):
         lower = K._index[d - 1]
-        # combinations drop s[d] first, ..., s[0] last: signs (-1)^d, ..., 1
-        signs = [(-1) ** (d - k) % p for k in range(d + 1)]
+        signs = (_face_signs(d) % p).tolist()
         cols = [dict(zip(map(lower.__getitem__, combinations(s, d)), signs))
                 for s in K.simplices[d]]
         for i in cleared:

@@ -12,10 +12,18 @@ update of the rows and columns it changes.  `rref_mod` (and so `rank_mod`,
 `kernel_mod` and `column_echelon_mod`) and `FactoredSolve` are the only
 callers; the reduced row echelon form is unique, so their results are
 canonical.  `FactoredSolve` keeps the float64 transform of the reduction
-and solves any number of right-hand sides with one product.  A
-`Subquotient` is one `FactoredSolve` of [b | z]: its representatives, the
-basis of B, the coordinates of classes and the preimages under b are all
-read off that one factor.
+and solves any number of right-hand sides with one product.
+
+A `Subquotient` span Z / span B works in the lead coordinates of Z.  Its
+z is a canonical column-echelon basis, so z[lead] = I_k on the rows
+where its columns start, and v in span Z is v = z·v[lead].  B and every
+vector it is asked about are checked to lie in span Z, v[rest] =
+z[rest]·v[lead] on the other rows, with one exact product; everything
+else happens on the k lead rows.  [b | z] = z·[b[lead] | I_k] with z
+injective, so the one `FactoredSolve` of the k-row [b[lead] | I_k] has
+the pivots and the solutions that a factor of the n-row [b | z] would:
+the representatives, the basis of B, the coordinates of classes and the
+preimages under b are all read off it.
 
 `kernel_mod` needs one elimination: reducing the columns from the last one
 leaves free exactly the positions where some kernel vector has its first
@@ -254,8 +262,7 @@ class FactoredSolve:
         buf = np.zeros((m, n + m))
         # reduced straight into the buffer: no integer temporary of a's size
         np.mod(a, p, out=buf[:, :n], casting="unsafe")
-        diag = np.arange(m)
-        buf[diag, n + diag] = 1
+        buf.reshape(-1)[n :: n + m + 1] = 1  # the entries (i, n + i)
         self.p = p
         self.shape = (m, n)
         self.pivots = _eliminate(buf, p, n)
@@ -300,10 +307,6 @@ class PrimeFieldMatrix:
         raise AttributeError("PrimeFieldMatrix is immutable")
 
     # -- constructors ------------------------------------------------
-    @classmethod
-    def zeros(cls, p, rows: int, cols: int) -> "PrimeFieldMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
     @classmethod
     def identity(cls, p, n: int) -> "PrimeFieldMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
@@ -402,21 +405,29 @@ class PrimeFieldMatrix:
 
 class Subquotient:
     """A subquotient span(Z)/span(B) with canonical representatives, read
-    off one factorization (`FactoredSolve`) of [b | z].
+    off one factorization (`FactoredSolve`) of [b[lead] | I_k].
 
     `z` must be a basis in the canonical column-echelon form, as
-    `kernel_mod` returns it; `b` is any generating set of B, such as the
-    coboundary whose image B is.  The reduced row echelon form of a column
-    prefix is the prefix of the reduced form, so:
+    `kernel_mod` returns it; anything else raises `InvariantError` at
+    `linalg.subquotient`.  Its k columns have their first nonzero entries
+    at rows lead[0] < ... < lead[k-1], and z[lead] = I_k: restricting to
+    the lead rows maps span Z isomorphically onto F_p^k, and v lies in
+    span Z exactly when v[rest] = z[rest]·v[lead] on the other rows, with
+    v = z·v[lead].  `b` is any generating set of B, such as the coboundary
+    whose image B is.  B lies in span Z exactly when
+    b[rest] = z[rest]·b[lead], which is checked with one product.  Then
+    [b | z] = z·[b[lead] | I_k] with z injective, so the two matrices have
+    the same column dependencies: the factor of the k-row matrix has the
+    pivots, and gives the solutions, that a factor of the n-row [b | z]
+    would.  The reduced row echelon form of a column prefix is the prefix
+    of the reduced form, so:
 
     - the pivots among the columns of b are those of b alone, and the kept
       columns of b (`self.b`) are a basis of B;
     - the pivots among the columns of z are the columns of z outside the
       span of B and of the columns of z before them.  This depends only on
       span(B), not on its generators, so these columns are the
-      representatives, canonical when `z` is.  Their number is
-      dim Z - dim B exactly when B lies in span Z (the columns of z are
-      independent), which is checked;
+      representatives, canonical because `z` is;
     - [self.b | reps] is a basis of span Z, so the solution of
       [b | z]·x = v with free variables 0 gives the unique coordinates of
       v against it: those at the representative pivots are the coordinates
@@ -424,60 +435,95 @@ class Subquotient:
     - for y in im b, that solution uses b's pivot columns only, and its b
       part is the one FactoredSolve(b) returns, the solution of b·w = y
       with free variables 0 (`preimage`).
+
+    `coordinates*` and `preimage` check the same way that their vectors
+    lie in span Z before they solve on the lead rows.
     """
 
     def __init__(self, z: np.ndarray, b: np.ndarray, p: int):
         self.p = p
-        n = z.shape[0]
+        n, k = z.shape
         if b.shape[0] != n:
             raise ValueError("ambient dimensions differ")
         self.ambient_dim = n
         nb = b.shape[1]
-        # [b | z] mod p as bytes (p <= MAX_PRIME < 256): the factor reads it
-        # once, and an int64 copy would raise the peak memory of a degree
-        bz = np.empty((n, nb + z.shape[1]), dtype=np.uint8)
-        np.mod(b, p, out=bz[:, :nb], casting="unsafe")
-        np.mod(z, p, out=bz[:, nb:], casting="unsafe")
-        self._solver = FactoredSolve(bz, p)
-        # the pivot columns in order: the kept columns of b, then the reps
-        pivots = self._solver._pivot_rows
-        rank_b = bisect_left(self._solver.pivots, nb)
-        # b as given is kept by the caller anyway (a coboundary, a page d_r)
-        self._gens, self._b_cols = b, pivots[:rank_b]
-        # solution rows of the representatives' coordinates
-        self._rep_rows = pivots[rank_b:]
-        self.reps = bz[:, self._rep_rows].astype(np.int64)
-        self.dim = len(self._rep_rows)
-        if len(pivots) != z.shape[1]:
+        z = np.mod(np.asarray(z, dtype=np.int64), p)
+        # (count_nonzero is the cheapest test of a small boolean array)
+        if k >= n:  # the only canonical basis of the whole space is I_n
+            lead = np.arange(n)
+            canonical = (k == n and np.count_nonzero(z) == n
+                         and np.count_nonzero(z.diagonal() == 1) == n)
+        else:  # the first nonzero row of every column; z[lead] = I_k
+            lead = (z != 0).argmax(axis=0)
+            zl = z[lead]
+            canonical = (not np.count_nonzero(lead[1:] <= lead[:-1]) and np.count_nonzero(zl) == k
+                         and np.count_nonzero(zl.diagonal() == 1) == k)
+        if not canonical:
+            raise InvariantError("linalg.subquotient", "Z is not in canonical column-echelon form")
+        self._lead, self._rest = lead, None
+        if k < n:
+            rest = np.ones(n, dtype=bool)
+            rest[lead] = False
+            self._rest = rest.nonzero()[0]
+            self._z_rest = z[self._rest].astype(np.float64)
+        b_lead = self._lead_rows(b)
+        if b_lead is None:
             raise InvariantError("linalg.subquotient", "B is not contained in the span of Z")
+        # [b[lead] | I_k] as bytes (p <= MAX_PRIME < 256): the factor reads it once
+        bl = np.zeros((k, nb + k), dtype=np.uint8)
+        bl[:, :nb] = b_lead
+        bl.reshape(-1)[nb :: nb + k + 1] = 1  # the entries (i, nb + i)
+        solver = FactoredSolve(bl, p)
+        # [b[lead] | I_k] has rank k, so E·v[lead] is the solution at all k
+        # pivots, in order: the kept columns of b, then the representatives
+        self._transform = solver.transform
+        self._rank_b = bisect_left(solver.pivots, nb)
+        # b as given is kept by the caller anyway (a coboundary, a page d_r)
+        self._gens, self._b_cols = b, solver._pivot_rows[: self._rank_b]
+        self.reps = z[:, solver._pivot_rows[self._rank_b :] - nb]
+        self.dim = k - self._rank_b
+
+    def _lead_rows(self, vs: np.ndarray) -> np.ndarray | None:
+        """v[lead] mod p for the columns v of `vs`, or None if one of them is
+        outside span Z (v[rest] != z[rest]·v[lead])."""
+        if self._rest is None:  # z = I_n
+            return np.mod(vs, self.p)
+        # the rows are copies, reduced in place
+        lead, rest = vs[self._lead], vs[self._rest]
+        np.mod(lead, self.p, out=lead)
+        np.mod(rest, self.p, out=rest)
+        if np.count_nonzero(matmul_mod(self._z_rest, lead, self.p) != rest):
+            return None
+        return lead
 
     @property
     def b(self) -> np.ndarray:
         """A basis of B: the kept columns of b, mod p."""
         return np.mod(np.asarray(self._gens, dtype=np.int64)[:, self._b_cols], self.p)
 
-    def _coordinates(self, sol: np.ndarray | None) -> np.ndarray:
-        if sol is None:
-            raise ValueError("vector is not in the span of Z")
-        return sol[self._rep_rows]
-
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of [v] in the canonical representative basis."""
-        return self._coordinates(self._solver.solve(v))
+        return self.coordinates_many(np.reshape(v, (-1, 1)))[:, 0]
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the columns of `vs`, as columns."""
-        if vs.shape[1] == 0:
-            return np.zeros((self.dim, 0), dtype=np.int64)
-        return self._coordinates(self._solver.solve_many(vs))
+        lead = self._lead_rows(vs)
+        if lead is None:
+            raise ValueError("vector is not in the span of Z")
+        return matmul_mod(self._transform[self._rank_b :], lead, self.p).astype(np.int64)
 
     def preimage(self, y: np.ndarray) -> np.ndarray | None:
         """The solution w of b·w = y with free variables 0, or None if y is
         outside im b."""
-        sol = self._solver.solve(y)
-        if sol is None or sol[self._rep_rows].any():
+        lead = self._lead_rows(np.reshape(y, (-1, 1)))
+        if lead is None:
             return None
-        return sol[: self._gens.shape[1]].copy()
+        sol = matmul_mod(self._transform, lead, self.p)[:, 0]
+        if np.count_nonzero(sol[self._rank_b :]):
+            return None
+        w = np.zeros(self._gens.shape[1], dtype=np.int64)
+        w[self._b_cols] = sol[: self._rank_b]
+        return w
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)

@@ -34,7 +34,10 @@ so the sparse columns of d_h are read off it directly:
                         along the orbit of j
 
 with values mod p and zero entries dropped (a fixed cochain j has
-post[j] = j, and its entries add up).
+post[j] = j, and its entries add up).  The sparse columns of d_v = delta_l
+are read off the base complex's face table (`faces[l]`, signs
+`face_signs[l]`): column j holds the sign of j in every (l+1)-simplex
+that has j as a face, so no dense coboundary is built for them.
 
 Nothing here re-checks the double complex.  The base complex checks, in
 its constructor, that T delta = delta T in every degree and that T^p = 1
@@ -110,11 +113,22 @@ class SwanDoubleComplex:
             if kind == "h":
                 self._sparse[key] = self._h_columns(k % 2, l)
             else:
-                a = self.base.delta(l).a
-                self._sparse[key] = [
-                    {int(r): int(a[r, j]) for r in np.nonzero(a[:, j])[0]} for j in range(a.shape[1])
-                ]
+                self._sparse[key] = self._v_columns(l)
         return self._sparse[key]
+
+    def _v_columns(self, l: int) -> list[dict[int, int]]:
+        """Columns of delta_l, read off the face table: column j holds the
+        sign of j in every (l+1)-simplex that has j as a face."""
+        base = self.base
+        if l >= self.n:
+            return [{} for _ in range(base.dim(l))]
+        faces = base.faces[l]
+        # entries (row, column, value) of every face, by column and then by row
+        order = np.argsort(faces.ravel(), kind="stable")
+        rows = (order // faces.shape[1]).tolist()
+        vals = np.tile(base.face_signs[l] % self.p, len(faces))[order].tolist()
+        ends = np.cumsum(np.bincount(faces.ravel(), minlength=base.dim(l))).tolist()
+        return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
 
     def _h_columns(self, parity: int, l: int) -> list[dict[int, int]]:
         """Columns of T - 1 (parity 0) or N (parity 1), read off the signed permutation."""

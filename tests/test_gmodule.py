@@ -130,7 +130,7 @@ def test_dual_pairing_identity_on_trivial():
 
 def test_dual_pairing_zero_fails():
     m = GModule(3, np.eye(2, dtype=np.int64))
-    assert not check_dual_pairing(m, m, PrimeFieldMatrix.zeros(3, 2, 2))
+    assert not check_dual_pairing(m, m, PrimeFieldMatrix(3, np.zeros((2, 2), dtype=np.int64)))
 
 
 def test_dual_pairing_v3_evaluation():
@@ -145,7 +145,7 @@ def test_dual_pairing_dimension_mismatch():
         check_dual_pairing(
             GModule(3, np.eye(2, dtype=np.int64)),
             GModule(3, np.eye(3, dtype=np.int64)),
-            PrimeFieldMatrix.zeros(3, 2, 2),
+            PrimeFieldMatrix(3, np.zeros((2, 2), dtype=np.int64)),
         )
 
 

@@ -33,7 +33,7 @@ def test_fieldp_validation():
 
 
 def test_rref_empty_matrix():
-    m = PrimeFieldMatrix.zeros(5, 0, 0)
+    m = PrimeFieldMatrix(5, np.zeros((0, 0), dtype=np.int64))
     r, pivots = m.rref()
     assert pivots == ()
     assert m.rank() == 0
@@ -73,7 +73,7 @@ def test_rank_equals_rank_of_transpose():
 
 
 def test_kernel_of_zero_map():
-    m = PrimeFieldMatrix.zeros(3, 1, 2)
+    m = PrimeFieldMatrix(3, np.zeros((1, 2), dtype=np.int64))
     assert m.kernel_basis().cols == 2
 
 
@@ -151,6 +151,7 @@ def test_subquotient_coordinates_roundtrip():
     z = rng.integers(0, p, (8, 5))
     while rank_mod(z, p) < 5:
         z = rng.integers(0, p, (8, 5))
+    z = column_echelon_mod(z, p)
     b = np.mod(z @ rng.integers(0, p, (5, 2)), p)
     sub = Subquotient(z, b, p)
     assert sub.dim == 5 - rank_mod(b, p)
@@ -159,6 +160,21 @@ def test_subquotient_coordinates_roundtrip():
     # the lift differs from v by an element of span(B)
     diff = np.mod(v - sub.lift(coords), p)
     assert rank_mod(np.concatenate([sub.b, diff.reshape(-1, 1)], axis=1), p) == sub.b.shape[1]
+
+
+@pytest.mark.parametrize("z", [
+    np.array([[0, 1], [1, 0], [0, 0]]),
+    np.array([[2, 0], [0, 1], [1, 1]]),
+    np.array([[1, 1], [0, 1], [0, 0]]),
+    np.array([[1, 0], [0, 0], [0, 0]]),
+    np.zeros((0, 1), dtype=int),
+], ids=["leads-out-of-order", "lead-not-one", "not-reduced", "zero-column", "no-rows"])
+def test_subquotient_refuses_a_non_canonical_z(z):
+    p = 5
+    b = np.zeros((z.shape[0], 0), dtype=int)
+    with pytest.raises(InvariantError, match="canonical column-echelon") as err:
+        Subquotient(z, b, p)
+    assert err.value.stage == "linalg.subquotient"
 
 
 def test_factored_solve_many():

@@ -274,13 +274,14 @@ def test_pairing_matrices_equal_products_of_basis_classes(pipelines, name):
 def test_one_factorization_per_cohomology_degree(monkeypatch):
     C = cochain_complex(validate_and_regularize(build_sphere_join(3, 1, 0)))
     dc = SwanDoubleComplex(C)
-    calls = []  # (name, first argument)
+    cocycle_dims = [C.dims[l] - linalg.rank_mod(C.delta(l).a, C.p) for l in range(C.top_degree + 1)]
+    calls = []  # (name, matrix argument)
 
     def count(owner, attr, name):
         fn = getattr(owner, attr)
 
         def counted(*args):
-            calls.append((name, args[0]))
+            calls.append((name, args[1] if name == "factor" else args[0]))
             return fn(*args)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -294,6 +295,9 @@ def test_one_factorization_per_cohomology_degree(monkeypatch):
     names = [name for name, _ in calls]
     assert names.count("kernel") == names.count("factor") == degrees
     assert names.count("echelon") == 0
+    # degree l is factored on the lead rows of its cocycles: dim Z^l rows, not dims[l]
+    factored_rows = [a.shape[0] for name, a in calls if name == "factor"]
+    assert factored_rows == cocycle_dims != C.dims
     # the zero map out of the top degree needs no elimination
     assert names.count("eliminate") <= 2 * degrees
     # the page tower solves against the factorizations of the cohomology

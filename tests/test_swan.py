@@ -18,7 +18,7 @@ from swanss.complexes import (
 )
 from swanss.errors import InvariantError
 from swanss.linalg import sparse_rank
-from swanss.corpus import build_circle
+from swanss.corpus import build_circle, build_suspension_sphere
 from swanss.swan import SwanDoubleComplex, WindowError
 from swan_helpers import dense_h, tot_differential, tot_product
 
@@ -116,6 +116,30 @@ def _assert_h_matches_dense_reference(dc):
 def test_h_columns_equal_the_dense_reference(p, build):
     K = validate_and_regularize(build(p))
     _assert_h_matches_dense_reference(SwanDoubleComplex(cochain_complex(K)))
+
+
+def _dense_delta_reference(K, l, p):
+    """delta_l by the per-simplex loop: (-1)^j at the face that drops s[j]."""
+    rows = len(K.simplices[l + 1]) if l < K.dim else 0
+    m = np.zeros((rows, len(K.simplices[l])), dtype=np.int64)
+    for i, s in enumerate(K.simplices[l + 1] if rows else ()):
+        for j in range(len(s)):
+            m[i, K._index[l][s[:j] + s[j + 1 :]]] += (-1) ** j
+    return np.mod(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("build", [build_circle, _suspended_circle], ids=["free", "semifree"])
+def test_v_columns_equal_the_dense_reference(p, build):
+    K = validate_and_regularize(build(p))
+    dc = SwanDoubleComplex(cochain_complex(K))
+    for l in range(dc.n + 1):
+        ref = _dense_delta_reference(K, l, p)
+        assert np.array_equal(dc.base.delta(l).a, ref)
+        for k in (0, 3):
+            columns = dc._sparse_columns("v", k, l)
+            assert all(v % p for col in columns for v in col.values())
+            assert np.array_equal(_dense(columns, ref.shape[0]), ref)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -289,6 +313,37 @@ def test_action_of_order_not_dividing_p_raises(monkeypatch):
         cochain_complex(R)
     assert info.value.stage == "complexes.cochain"
     assert "t^p != 1" in info.value.invariant
+
+
+def test_delta_squared_nonzero_raises(monkeypatch):
+    # with every face sign +1 each codimension-2 face is reached twice with
+    # sign +1, 2 != 0 mod 3, while T delta = delta T and t^p = 1 still hold
+    R = validate_and_regularize(build_suspension_sphere(3))
+    assert R.dim == 2
+    monkeypatch.setattr(complexes, "_face_signs", lambda d: np.ones(d + 1, dtype=np.int64))
+    with pytest.raises(InvariantError) as info:
+        cochain_complex(R)
+    assert info.value.stage == "complexes.cochain"
+    assert "delta o delta" in info.value.invariant
+
+
+def test_delta_squared_nonzero_raises_under_optimization():
+    script = (
+        "import numpy as np\n"
+        "from swanss import complexes\n"
+        "from swanss.corpus import build_suspension_sphere\n"
+        "from swanss.errors import InvariantError\n"
+        "R = complexes.validate_and_regularize(build_suspension_sphere(3))\n"
+        "complexes._face_signs = lambda d: np.ones(d + 1, dtype=np.int64)\n"
+        "try:\n"
+        "    complexes.cochain_complex(R)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "complexes.cochain: delta o delta != 0 out of degree 0\n", proc.stderr
 
 
 def test_action_of_order_not_dividing_p_raises_under_optimization():
