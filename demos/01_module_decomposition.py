@@ -11,14 +11,13 @@ import numpy as np
 
 from swanss import (
     GModule,
-    PrimeFieldMatrix,
     check_dual_pairing,
     decompose,
     group_cohomology,
     is_nice,
     module_from_multiplicities,
 )
-from swanss.linalg import FactoredSolve, rank_mod
+from swanss.linalg import FactoredSolve, matmul_mod, rank_mod
 
 p = 5
 
@@ -32,7 +31,7 @@ g = rng.integers(0, p, (module.dim, module.dim))
 while rank_mod(g, p) < module.dim:
     g = rng.integers(0, p, (module.dim, module.dim))
 inv = FactoredSolve(g, p).solve_many(np.eye(module.dim, dtype=np.int64))
-conjugated = GModule(p, PrimeFieldMatrix(p, g) @ module.action @ PrimeFieldMatrix(p, inv))
+conjugated = GModule(p, matmul_mod(matmul_mod(g, module.action, p), inv, p))
 print("after a random change of basis:", decompose(conjugated))
 print("nice (only trivial and free summands)?", is_nice(conjugated))
 
@@ -48,5 +47,5 @@ for d in range(1, p + 1):
 # equivariant, which forces the two decompositions to agree.
 v3 = module_from_multiplicities(p, {3: 1})
 print("\ndual pairing on V_3 x V_3*:",
-      check_dual_pairing(v3, v3.dual(), PrimeFieldMatrix.identity(p, 3)))
+      check_dual_pairing(v3, v3.dual(), np.eye(3, dtype=np.int64)))
 print("decomposition of the dual:", decompose(v3.dual()))

@@ -48,5 +48,5 @@ print("t-numbers (dim H^2(Z/p, H^i)):", profile.t_numbers)
 S2 = validate_and_regularize(build_suspension_sphere(3))
 print("\nsuspension 2-sphere fixed points:", betti_numbers(fixed_subcomplex(S2)))
 C2 = cochain_complex(S2)
-print("cup pairing H^0 x H^2 -> H^2:", C2.cohomology_cup_pairing(0, 2).a.tolist(),
+print("cup pairing H^0 x H^2 -> H^2:", C2.cohomology_cup_pairing(0, 2).tolist(),
       "(perfect: this is a duality space)")

@@ -6,7 +6,7 @@ congruence validators."""
 __version__ = "0.1.0"
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient
+from .linalg import Subquotient
 from .gmodule import (
     CohomologyProfile,
     Decomposition,

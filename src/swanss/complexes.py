@@ -29,7 +29,7 @@ from operator import add, eq, gt, itemgetter, lt
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient, _is_int, sparse_rank
+from .linalg import Subquotient, _is_int, check_modulus, kernel_mod, sparse_rank
 from .gmodule import CohomologyProfile, GModule
 
 
@@ -56,8 +56,7 @@ class SimplicialGComplex:
     """A finite simplicial complex with a vertex permutation of order | p."""
 
     def __init__(self, p: int, vertex_count: int, generator, simplices):
-        self.field = FieldP(p)
-        self.p = self.field.p
+        self.p = check_modulus(p)
         self.vertex_count = int(vertex_count)
         gen = tuple(int(v) for v in generator)
         # lengths first: a huge vertex count must not build its range
@@ -348,7 +347,6 @@ class EquivariantCochainComplex:
             raise ValueError("cochain complex requires a regular, order-compatible complex")
         self.K = K
         self.p = K.p
-        self.field = K.field
         self.top_degree = K.dim
         self.dims = [len(K.simplices[d]) for d in range(K.dim + 1)]
 
@@ -376,7 +374,7 @@ class EquivariantCochainComplex:
             self.act_sign.append(sign)
 
         self._check_invariants()
-        self._dense: dict[int, PrimeFieldMatrix] = {}
+        self._dense: dict[int, np.ndarray] = {}
         self._cohomology = None
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
@@ -423,17 +421,18 @@ class EquivariantCochainComplex:
             if not (np.array_equal(perm, ident) and np.all(sign == 1 % p)):
                 raise InvariantError("complexes.cochain", f"t^p != 1 on {l}-cochains")
 
-    def delta(self, l: int) -> PrimeFieldMatrix:
+    def delta(self, l: int) -> np.ndarray:
         """Coboundary out of degree l (zero map above the top degree), built
-        densely from the face table once; the subquotients of `cohomology`
-        keep these matrices anyway."""
+        densely from the face table once and kept read-only; the
+        subquotients of `cohomology` keep these matrices anyway."""
         if l not in self._dense:
             rows = self.dims[l + 1] if 0 <= l + 1 <= self.top_degree else 0
             cols = self.dims[l] if 0 <= l <= self.top_degree else 0
             m = np.zeros((rows, cols), dtype=np.int64)
             if 0 <= l < self.top_degree:
                 m[np.arange(rows)[:, None], self.faces[l]] = self.face_signs[l] % self.p
-            self._dense[l] = PrimeFieldMatrix(self.field, m)
+            m.setflags(write=False)
+            self._dense[l] = m
         return self._dense[l]
 
     def dim(self, l: int) -> int:
@@ -444,12 +443,9 @@ class EquivariantCochainComplex:
         if self._cohomology is None:
             out = []
             for l in range(self.top_degree + 1):
-                kernel = self.delta(l).kernel_basis().a
-                sub = Subquotient(kernel, self.delta(l - 1).a, self.p)
+                sub = Subquotient(kernel_mod(self.delta(l), self.p), self.delta(l - 1), self.p)
                 act = sub.coordinates_many(self.apply_action(l, sub.reps))
-                out.append(
-                    DegreeCohomology(l, sub, GModule(self.field, PrimeFieldMatrix(self.field, act)))
-                )
+                out.append(DegreeCohomology(l, sub, GModule(self.p, act)))
             if sum((-1) ** l * d for l, d in enumerate(self.dims)) != sum(
                 (-1) ** h.degree * h.dim for h in out
             ):
@@ -485,7 +481,7 @@ class EquivariantCochainComplex:
         beta = np.asarray(beta, dtype=np.int64)
         return np.mod(alpha[front] * beta[back], self.p)
 
-    def cohomology_cup_pairing(self, l: int, lp: int) -> PrimeFieldMatrix:
+    def cohomology_cup_pairing(self, l: int, lp: int) -> np.ndarray:
         """Matrix of the scalar pairing H^l x H^lp -> H^(l+lp) = K."""
         coh = self.cohomology()
         target = coh[l + lp]
@@ -494,8 +490,7 @@ class EquivariantCochainComplex:
         # every product rep_i u rep'_j as one column, i major
         cups = coh[l].subquotient.reps[front][:, :, None] * coh[lp].subquotient.reps[back][:, None, :]
         coords = target.subquotient.coordinates_many(np.mod(cups.reshape(len(front), da * db), self.p))
-        mat = coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
-        return PrimeFieldMatrix(self.field, mat)
+        return coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
 
 
 class DegreeCohomology:

@@ -55,7 +55,7 @@ class ComputedTerm:
 
     def d_is_zero(self, k: int, l: int) -> bool:
         cell = self.tower.pages[self.r].source(k, l)
-        return cell is None or cell.d_matrix.is_zero()
+        return cell is None or not cell.d_matrix.any()
 
     def pairing_matrix(self, k, l, k2, l2):
         mat = self.tower.pairing_matrix(self.r, k, l, k2, l2)

@@ -15,37 +15,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import FieldP, PrimeFieldMatrix, Subquotient, _is_int
+from .linalg import Subquotient, _is_int, check_modulus, kernel_mod, matmul_mod, rank_mod
+
+
+def _power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for a square matrix a, by repeated squaring."""
+    out = np.eye(a.shape[0])
+    while e:
+        if e & 1:
+            out = matmul_mod(out, a, p)
+        a = matmul_mod(a, a, p)
+        e >>= 1
+    return out.astype(np.int64)
 
 
 class GModule:
     """An F_p vector space with the action of a chosen generator t of Z/p.
 
-    The generator matrix must satisfy action^p = 1, equivalently
-    (action - 1)^p = 0 over F_p; both are checked at construction.
+    `action` is stored as a read-only int64 array with entries in [0, p).
+    The constructor checks action^p = 1.  That is equivalent to
+    (action - 1)^p = 0 over F_p: action commutes with 1 and p divides the
+    binomial coefficient C(p, k) for 0 < k < p, so
+    (action - 1)^p = action^p - 1 in characteristic p.
     """
 
-    __slots__ = ("field", "dim", "action")
+    __slots__ = ("p", "dim", "action")
 
-    def __init__(self, p: int | FieldP, action: PrimeFieldMatrix | list):
-        fieldp = p if isinstance(p, FieldP) else FieldP(p)
-        if not isinstance(action, PrimeFieldMatrix):
-            action = PrimeFieldMatrix(fieldp, action)
-        if action.rows != action.cols:
+    def __init__(self, p: int, action):
+        p = check_modulus(p)
+        action = np.mod(np.asarray(action, dtype=np.int64), p)
+        if action.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {action.shape}")
+        if action.shape[0] != action.shape[1]:
             raise ValueError("action matrix must be square")
-        pp = fieldp.p
-        ident = PrimeFieldMatrix.identity(fieldp, action.rows)
-        if action ** pp != ident:
+        if not np.array_equal(_power(action, p, p), np.eye(len(action), dtype=np.int64)):
             raise ValueError("action does not have order dividing p")
-        if not ((action - ident) ** pp).is_zero():
-            raise ValueError("action - 1 is not nilpotent of order p")
-        self.field = fieldp
-        self.dim = action.rows
+        action.setflags(write=False)
+        self.p = p
+        self.dim = len(action)
         self.action = action
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     def __repr__(self):
         return f"GModule(p={self.p}, dim={self.dim})"
@@ -54,29 +62,27 @@ class GModule:
         return (
             isinstance(other, GModule)
             and self.p == other.p
-            and self.action == other.action
+            and np.array_equal(self.action, other.action)
         )
 
-    def norm_matrix(self) -> PrimeFieldMatrix:
+    def norm_matrix(self) -> np.ndarray:
         """N = 1 + t + ... + t^(p-1) as a matrix."""
-        acc = PrimeFieldMatrix.identity(self.field, self.dim)
-        power = PrimeFieldMatrix.identity(self.field, self.dim)
+        power = acc = np.eye(self.dim)
         for _ in range(self.p - 1):
-            power = power @ self.action
+            power = matmul_mod(power, self.action, self.p)
             acc = acc + power
-        return acc
+        return np.mod(acc, self.p).astype(np.int64)
 
-    def shifted(self) -> PrimeFieldMatrix:
+    def shifted(self) -> np.ndarray:
         """t - 1."""
-        return self.action - PrimeFieldMatrix.identity(self.field, self.dim)
+        return np.mod(self.action - np.eye(self.dim, dtype=np.int64), self.p)
 
     def dual(self) -> "GModule":
         """Dual module: t acts by (t^-1) transposed."""
-        inv = self.action ** (self.p - 1)
-        return GModule(self.field, inv.T)
+        return GModule(self.p, _power(self.action, self.p - 1, self.p).T)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "dim": self.dim, "action": self.action.a.tolist()}
+        return {"p": self.p, "dim": self.dim, "action": self.action.tolist()}
 
     @classmethod
     def from_json(cls, data) -> "GModule":
@@ -100,12 +106,12 @@ class GModule:
         if len(action) != dim or any(len(row) != dim for row in action):
             raise ValueError(f"'action' must have {dim} rows of {dim} entries, as 'dim' says")
         try:
-            fieldp = FieldP(p)
+            check_modulus(p)
         except ValueError as exc:
             raise ValueError(f"'p': {exc}") from exc
         entries = np.array([[x % p for x in row] for row in action], dtype=np.int64)
         try:
-            return cls(fieldp, entries.reshape(dim, dim))
+            return cls(p, entries.reshape(dim, dim))
         except ValueError as exc:
             raise ValueError(f"'action': {exc}") from exc
 
@@ -154,10 +160,10 @@ def decompose(module: GModule) -> Decomposition:
     p = module.p
     shifted = module.shifted()
     ranks = [module.dim]
-    power = PrimeFieldMatrix.identity(module.field, module.dim)
+    power = np.eye(module.dim)
     for _ in range(p):
-        power = power @ shifted
-        ranks.append(power.rank())
+        power = matmul_mod(power, shifted, p)
+        ranks.append(rank_mod(power, p))
     mult = {}
     for d in range(1, p):
         m = ranks[d - 1] - 2 * ranks[d] + ranks[d + 1]
@@ -192,10 +198,6 @@ class GroupCohomology:
     def dim(self) -> int:
         return self.subquotient.dim
 
-    @property
-    def representatives(self) -> np.ndarray:
-        return self.subquotient.reps
-
 
 def group_cohomology(module: GModule, k: int) -> GroupCohomology:
     """H^k(Z/p, M) from the 2-periodic free resolution of the trivial module.
@@ -210,11 +212,11 @@ def group_cohomology(module: GModule, k: int) -> GroupCohomology:
     norm = module.norm_matrix()
     zero = np.zeros((module.dim, 0), dtype=np.int64)
     if k == 0:
-        sub = Subquotient(shifted.kernel_basis().a, zero, p)
+        sub = Subquotient(kernel_mod(shifted, p), zero, p)
     elif k % 2 == 1:
-        sub = Subquotient(norm.kernel_basis().a, shifted.a, p)
+        sub = Subquotient(kernel_mod(norm, p), shifted, p)
     else:
-        sub = Subquotient(shifted.kernel_basis().a, norm.a, p)
+        sub = Subquotient(kernel_mod(shifted, p), norm, p)
     return GroupCohomology(k, sub)
 
 
@@ -223,9 +225,7 @@ def t_number(module: GModule) -> int:
     return group_cohomology(module, 2).dim
 
 
-def check_dual_pairing(
-    module: GModule, other: GModule, pairing: PrimeFieldMatrix
-) -> bool:
+def check_dual_pairing(module: GModule, other: GModule, pairing) -> bool:
     """True iff `pairing` is a non-degenerate Z/p-equivariant bilinear form.
 
     Equivariance means pairing(t x, t y) = pairing(x, y), i.e.
@@ -234,16 +234,19 @@ def check_dual_pairing(
     """
     if module.p != other.p:
         raise ValueError("modules over different fields")
+    p = module.p
+    pairing = np.mod(np.asarray(pairing, dtype=np.int64), p)
     if pairing.shape != (module.dim, other.dim):
         raise ValueError(
             f"pairing shape {pairing.shape} does not match module dims "
             f"({module.dim}, {other.dim})"
         )
-    if not (module.action.T @ pairing @ other.action == pairing):
+    moved = matmul_mod(matmul_mod(module.action.T, pairing, p), other.action, p)
+    if not np.array_equal(moved, pairing):
         return False
     if module.dim != other.dim:
         return False
-    if pairing.rank() != module.dim:
+    if rank_mod(pairing, p) != module.dim:
         return False
     if decompose(module) != decompose(other):
         raise InvariantError("gmodule.dual_pairing", "dual modules decompose differently")

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries kept as canonical
-representatives in [0, p).  Every product goes through `matmul_mod`: one
-float64 BLAS product reduced mod p, exact because with p <= 251 every
-partial sum is an integer far below 2^53 (the word-size approach of
-Dumas, Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 2008).
+There is no matrix class: a matrix is a numpy int64 array with entries
+kept as canonical representatives in [0, p), and the prime p is a plain
+int passed to every function, validated by `check_modulus` where it
+enters the program.  Every product goes through `matmul_mod`: one float64
+BLAS product reduced mod p, exact because with p <= 251 every partial sum
+is an integer far below 2^53 (the word-size approach of Dumas, Giorgi and
+Pernet, "FFLAS and FFPACK", ACM TOMS 2008).  It returns float64, so a
+product that is stored is converted back to int64.
 
 There is one elimination, `_eliminate`: panels of columns reduced pivot by
 pivot, each followed by one block Gauss-Jordan step, a single `matmul_mod`
@@ -46,7 +49,6 @@ to {} skips its reduction and leaves the rank as it is.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,36 +75,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldP:
-    """The prime field F_p, p prime and at most MAX_PRIME."""
-
-    p: int
-
-    def __post_init__(self):
-        # the bound first: trial division of a huge modulus would not finish
-        if self.p > MAX_PRIME:
-            raise ValueError(f"modulus {self.p} exceeds supported bound {MAX_PRIME}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(x, self.p - 2, self.p)
+def check_modulus(p: int) -> int:
+    """p itself if it is a prime at most MAX_PRIME; ValueError otherwise."""
+    # the bound first: trial division of a huge modulus would not finish
+    if p > MAX_PRIME:
+        raise ValueError(f"modulus {p} exceeds supported bound {MAX_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 def _is_int(value) -> bool:
     """A JSON integer (Python's bool is an int, JSON's true is not)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _as_array(entries, p: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    return np.mod(a, p)
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -240,8 +225,9 @@ def kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
 def column_echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical column-echelon basis of the column space of `a`.
 
-    Equal column spans yield byte-identical results, so this is used as
-    the subspace identity everywhere.
+    Equal column spans yield byte-identical results, so two bases span the
+    same subspace exactly when their echelon bases are equal.  `kernel_mod`
+    returns this form directly, and `Subquotient` checks it of its z.
     """
     r, pivots = rref_mod(np.asarray(a, dtype=np.int64).T, p)
     return r[: len(pivots)].T.copy()
@@ -289,118 +275,6 @@ class FactoredSolve:
         """Solve a·X = b for the m×k matrix b; None if any column is inconsistent."""
         b = np.asarray(b)
         return self._solve(b if b.ndim == 2 else b.reshape(self.shape[0], -1))
-
-
-class PrimeFieldMatrix:
-    """Immutable dense matrix over F_p."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, p: int | FieldP, entries):
-        field = p if isinstance(p, FieldP) else FieldP(p)
-        a = _as_array(entries, field.p)
-        a.setflags(write=False)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PrimeFieldMatrix is immutable")
-
-    # -- constructors ------------------------------------------------
-    @classmethod
-    def identity(cls, p, n: int) -> "PrimeFieldMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    # -- basic protocol ----------------------------------------------
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __repr__(self):
-        return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldMatrix)
-            and self.p == other.p
-            and self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.shape, self.a.tobytes()))
-
-    def _wrap(self, a: np.ndarray) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.field, a)
-
-    def _check_same_field(self, other: "PrimeFieldMatrix"):
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        self._check_same_field(other)
-        return self._wrap(self.a + other.a)
-
-    def __sub__(self, other):
-        self._check_same_field(other)
-        return self._wrap(self.a - other.a)
-
-    def __neg__(self):
-        return self._wrap(-self.a)
-
-    def __mul__(self, scalar: int):
-        return self._wrap(self.a * (scalar % self.p))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return self._wrap(matmul_mod(self.a, other.a, self.p))
-
-    def __pow__(self, e: int):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = np.eye(self.rows)
-        base = self.a
-        while e:
-            if e & 1:
-                out = matmul_mod(out, base, self.p)
-            base = matmul_mod(base, base, self.p)
-            e >>= 1
-        return self._wrap(out)
-
-    @property
-    def T(self) -> "PrimeFieldMatrix":
-        return self._wrap(self.a.T)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.a)
-
-    # -- reductions ----------------------------------------------------
-    def rref(self) -> tuple["PrimeFieldMatrix", tuple[int, ...]]:
-        r, pivots = rref_mod(self.a, self.p)
-        return self._wrap(r), pivots
-
-    def rank(self) -> int:
-        return rank_mod(self.a, self.p)
-
-    def kernel_basis(self) -> "PrimeFieldMatrix":
-        return self._wrap(kernel_mod(self.a, self.p))
 
 
 class Subquotient:

@@ -24,13 +24,12 @@ only decide what a report shows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvariantError
 from .gmodule import group_cohomology
-from .linalg import FactoredSolve, PrimeFieldMatrix, Subquotient, kernel_mod
+from .linalg import FactoredSolve, Subquotient, kernel_mod, matmul_mod, rank_mod
 from .swan import SwanDoubleComplex, WindowError
 
 
@@ -92,7 +91,7 @@ class PageCell:
         self.sub = sub              # Subquotient in previous-page coords (None on page 1)
         self.lifts = lifts          # per basis element: {column: cochain}
         self.boundary_gens = []     # (cochain, certificate {column: cochain}), d-images of earlier pages
-        self.d_matrix = None        # PrimeFieldMatrix to the (k+r, l-r+1) cell
+        self.d_matrix = None        # int64 matrix to the (k+r, l-r+1) cell
         self.trusted = trusted
 
     def shifted(self, k: int, trusted: bool) -> "PageCell":
@@ -109,13 +108,14 @@ class PageCell:
         """Whether this cell, moved to the column of `other`, equals it."""
         def state(cell):
             sub = () if cell.sub is None else (cell.sub.b, cell.sub.reps)
-            return cell.dim, sub, cell.d_matrix.a, cell.lifts, cell.boundary_gens
+            return cell.dim, sub, cell.d_matrix, cell.lifts, cell.boundary_gens
 
         return _same(state(self.shifted(other.k, other.trusted)), state(other))
 
 
 class Page:
-    def __init__(self, r: int, n: int, k_max: int, r_max: int):
+    def __init__(self, p: int, r: int, n: int, k_max: int, r_max: int):
+        self.p = p
         self.r = r
         self.n = n
         self.k_max = k_max
@@ -163,7 +163,7 @@ class Page:
         if cell is None:
             return 0
         if (cell.k, l) not in self._ranks:
-            self._ranks[(cell.k, l)] = cell.d_matrix.rank()
+            self._ranks[(cell.k, l)] = rank_mod(cell.d_matrix, self.p)
         return self._ranks[(cell.k, l)]
 
     def dims_json(self) -> dict[str, int]:
@@ -203,13 +203,12 @@ class PageTower:
     # -- construction ----------------------------------------------------
     def _build_page_one(self):
         dc = self.dc
-        page = Page(1, self.n, self.k_max, self.r_max)
+        page = Page(self.p, 1, self.n, self.k_max, self.r_max)
         d1 = {}
         for l in range(self.n + 1):
             sub = self.H[l].subquotient
             for parity in (0, 1):
-                mat = sub.coordinates_many(dc.apply_h(parity, l, sub.reps))
-                d1[(parity, l)] = PrimeFieldMatrix(dc.field, mat)
+                d1[(parity, l)] = sub.coordinates_many(dc.apply_h(parity, l, sub.reps))
         for k in range(page.stable + 4):
             for l in range(self.n + 1):
                 sub = self.H[l].subquotient
@@ -221,18 +220,18 @@ class PageTower:
 
     def _turn_page(self, r: int):
         page = self.pages[r]
-        nxt = self.pages[r + 1] = Page(r + 1, self.n, self.k_max, self.r_max)
+        nxt = self.pages[r + 1] = Page(self.p, r + 1, self.n, self.k_max, self.r_max)
         for k in range(nxt.stable + 4):
             for l in range(self.n + 1):
                 cell = page.cell(k, l)
                 src = page.cell(k - r, l + r - 1)  # the source of the d_r into (k, l)
-                incoming = src.d_matrix.a if src else np.zeros((cell.dim, 0), dtype=np.int64)
+                incoming = src.d_matrix if src else np.zeros((cell.dim, 0), dtype=np.int64)
                 # ker d_r in its canonical basis, against the d_r images as they are
-                sub = Subquotient(kernel_mod(cell.d_matrix.a, self.p), incoming, self.p)
+                sub = Subquotient(kernel_mod(cell.d_matrix, self.p), incoming, self.p)
                 new_cell = PageCell(k, l, r + 1, sub.dim, sub, [], k <= nxt.trusted_k)
                 # boundary generators: page r's, plus the d_r images into (k, l)
                 new_cell.boundary_gens = list(cell.boundary_gens)
-                if src is not None and not src.d_matrix.is_zero():
+                if src is not None and src.d_matrix.any():
                     for lift in src.lifts:
                         top = lift.get(k - 1)
                         if top is None:
@@ -255,7 +254,7 @@ class PageTower:
             if tgt_dim and tops:
                 vecs = self.dc.apply_h(k + r, row, np.stack([v for _, v in tops], axis=1))
                 mat[:, [j for j, _ in tops]] = self.project_many(r + 1, k + r + 1, row, vecs)
-            new_cell.d_matrix = PrimeFieldMatrix(self.dc.field, mat)
+            new_cell.d_matrix = mat
 
     def _combine_lifts(self, cell: PageCell, coords: np.ndarray) -> dict[int, np.ndarray]:
         out: dict[int, np.ndarray] = {}
@@ -413,7 +412,7 @@ class PageTower:
             page, prev = self.pages[r], self.pages.get(r - 1)
             for (k, l), cell in page.cells.items():
                 nxt = page.source(k + r, l - r + 1)
-                if nxt is not None and not (nxt.d_matrix @ cell.d_matrix).is_zero():
+                if nxt is not None and matmul_mod(nxt.d_matrix, cell.d_matrix, self.p).any():
                     raise InvariantError("pages", f"d_{r} o d_{r} != 0 at ({k},{l})")
                 if prev is not None and cell.dim != (
                     prev.dim(k, l) - prev.d_rank(k, l) - prev.d_rank(k - r + 1, l + r - 2)
@@ -433,15 +432,6 @@ class PageTower:
             self.pages[r].dim(k, s - k) for k in range(max(0, s - self.n), s + 1)
         )
 
-    def windowed_euler(self, r: int) -> Fraction:
-        """Average alternating sum over one column period, from trusted cells."""
-        page = self.pages[r]
-        k_even = page.trusted_k - (page.trusted_k % 2)
-        k_odd = k_even - 1
-        even = sum((-1) ** l * page.dim(k_even, l) for l in range(self.n + 1))
-        odd = sum((-1) ** l * page.dim(k_odd, l) for l in range(self.n + 1))
-        return Fraction(even - odd, 2)
-
 
 def compute_pages(dc: SwanDoubleComplex, r_max: int | None = None) -> PageTower:
     return PageTower(dc, r_max)
@@ -452,7 +442,7 @@ def check_zero_row(tower: PageTower) -> bool:
     for r in range(2, tower.r_max + 1):
         page = tower.pages[r]
         cells = (page.source(k, r - 1) for k in range(page.trusted_k - r + 1))
-        if any(cell is not None and not cell.d_matrix.is_zero() for cell in cells):
+        if any(cell is not None and cell.d_matrix.any() for cell in cells):
             return False
     return True
 
@@ -463,6 +453,6 @@ def check_odd_page_vanishing(tower: PageTower) -> bool:
         page = tower.pages[r]
         for k in range(tower.n, page.trusted_k + 1):
             for l in range(tower.n + 1):
-                if not page.source(k, l).d_matrix.is_zero():
+                if page.source(k, l).d_matrix.any():
                     return False
     return True

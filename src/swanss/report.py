@@ -33,6 +33,7 @@ from .duality import (
     verify_torus_congruence,
 )
 from .gmodule import CohomologyProfile, chi_t, t_sum
+from .linalg import rank_mod
 from .pages import check_odd_page_vanishing, check_zero_row, compute_pages
 from .swan import SwanDoubleComplex
 
@@ -68,7 +69,8 @@ def pd_space_check(C: EquivariantCochainComplex) -> dict:
     ok = dims[0] == 1 and dims[n] == 1
     for l in range(n + 1):
         mat = C.cohomology_cup_pairing(l, n - l)
-        perfect = mat.rows == mat.cols and (mat.rank() == mat.rows)
+        rows, cols = mat.shape
+        perfect = rows == cols and rank_mod(mat, C.p) == rows
         pairings[f"{l},{n - l}"] = {"shape": list(mat.shape), "perfect": perfect}
         ok = ok and perfect
     return {"is_pd_space": ok, "formal_dimension": n, "pairings": pairings}

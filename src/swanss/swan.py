@@ -64,7 +64,6 @@ class SwanDoubleComplex:
     def __init__(self, base: EquivariantCochainComplex, k_max: int | None = None):
         self.base = base
         self.p = base.p
-        self.field = base.field
         self.n = base.top_degree
         if k_max is None:
             k_max = 2 * self.n + 16

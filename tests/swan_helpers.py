@@ -27,7 +27,7 @@ def tot_differential(dc: SwanDoubleComplex, element: dict) -> dict:
     for (k, l), vec in element.items():
         _add(out, (k + 1, l), dc.apply_h(k, l, vec), dc.p)
         if l + 1 <= dc.n:
-            dv = matmul_mod(dc.base.delta(l).a, np.mod(vec, dc.p), dc.p).astype(np.int64)
+            dv = matmul_mod(dc.base.delta(l), np.mod(vec, dc.p), dc.p).astype(np.int64)
             _add(out, (k, l + 1), ((-1) ** k % dc.p) * dv % dc.p, dc.p)
     return {pos: vec for pos, vec in out.items() if np.any(vec)}
 

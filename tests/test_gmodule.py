@@ -14,7 +14,7 @@ from swanss.gmodule import (
     t_sum,
     t_tail_sum,
 )
-from swanss.linalg import FactoredSolve, PrimeFieldMatrix, rank_mod
+from swanss.linalg import FactoredSolve, matmul_mod, rank_mod
 
 
 def random_invertible(rng, p, n):
@@ -27,13 +27,54 @@ def random_invertible(rng, p, n):
 def conjugate(module: GModule, g: np.ndarray) -> GModule:
     p = module.p
     inv = FactoredSolve(g, p).solve_many(np.eye(g.shape[0], dtype=np.int64))
-    G = PrimeFieldMatrix(p, g)
-    return GModule(p, G @ module.action @ PrimeFieldMatrix(p, inv))
+    return GModule(p, matmul_mod(matmul_mod(g, module.action, p), inv, p))
 
 
 def test_gmodule_rejects_non_actions():
     with pytest.raises(ValueError):
         GModule(3, [[2, 0], [0, 1]])  # order 2, not dividing 3
+
+
+def reference_power(a, e: int, p: int) -> np.ndarray:
+    """a^e mod p by e products of Python integers."""
+    n = len(a)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = [[sum(out[i][k] * int(a[k][j]) for k in range(n)) % p for j in range(n)]
+               for i in range(n)]
+    return np.array(out, dtype=np.int64).reshape(n, n)
+
+
+def test_gmodule_accepts_exactly_the_actions_of_order_dividing_p():
+    # in characteristic p, (A - 1)^p = A^p - 1, so every accepted action
+    # is unipotent without the constructor checking it
+    rng = np.random.default_rng(31)
+    for p in (2, 3, 5, 7):
+        accepted = rejected = 0
+        for trial in range(90):
+            if trial % 3 == 0:  # random entries
+                n = int(rng.integers(1, 4))
+                a = rng.integers(0, p, (n, n))
+            else:  # a hidden module, one entry changed every third time
+                mult = {1: int(rng.integers(0, 2))}
+                d = int(rng.integers(1, p + 1))
+                mult[d] = mult.get(d, 0) + 1
+                module = module_from_multiplicities(p, mult)
+                n = module.dim
+                a = conjugate(module, random_invertible(rng, p, n)).action.copy()
+                if trial % 3 == 2:
+                    i, j = rng.integers(0, n, 2)
+                    a[i, j] = (a[i, j] + rng.integers(1, p)) % p
+            ident = np.eye(n, dtype=np.int64)
+            if np.array_equal(reference_power(a, p, p), ident):
+                accepted += 1
+                assert np.array_equal(GModule(p, a).action, a)
+                assert not reference_power(np.mod(a - ident, p), p, p).any()
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="action does not have order dividing p"):
+                    GModule(p, a)
+        assert accepted >= 30 and rejected >= 10, (p, accepted, rejected)
 
 
 def test_decompose_trivial():
@@ -49,10 +90,10 @@ def test_decompose_v2_plus_v1_rank_sequence():
     m = module_from_multiplicities(3, {2: 1, 1: 1})
     shifted = m.shifted()
     ranks = [3]
-    power = PrimeFieldMatrix.identity(3, 3)
+    power = np.eye(3, dtype=np.int64)
     for _ in range(3):
-        power = power @ shifted
-        ranks.append(power.rank())
+        power = matmul_mod(power, shifted, 3)
+        ranks.append(rank_mod(power, 3))
     assert ranks == [3, 1, 0, 0]
     assert decompose(m).multiplicities == {1: 1, 2: 1}
 
@@ -77,7 +118,7 @@ def test_decompose_generator_independent():
     for p in (3, 5, 7):
         module = module_from_multiplicities(p, {1: 1, 2: 1, p: 1})
         for a in range(2, p):
-            powered = GModule(p, module.action ** a)
+            powered = GModule(p, reference_power(module.action, a, p))
             assert decompose(powered).multiplicities == {1: 1, 2: 1, p: 1}
 
 
@@ -96,6 +137,8 @@ def test_group_cohomology_examples():
     assert group_cohomology(module_from_multiplicities(5, {1: 1}), 7).dim == 1
     assert group_cohomology(module_from_multiplicities(3, {3: 1}), 2).dim == 0
     assert group_cohomology(module_from_multiplicities(3, {2: 1}), 1).dim == 1
+    # on a trivial module N = p = 0
+    assert not module_from_multiplicities(5, {1: 2}).norm_matrix().any()
 
 
 def test_group_cohomology_two_periodicity():
@@ -108,7 +151,7 @@ def test_group_cohomology_two_periodicity():
             a = group_cohomology(module, k)
             b = group_cohomology(module, k + 2)
             assert a.dim == b.dim
-            assert np.array_equal(a.representatives, b.representatives)
+            assert np.array_equal(a.subquotient.reps, b.subquotient.reps)
 
 
 def test_group_cohomology_rejects_negative_degree():
@@ -125,18 +168,19 @@ def test_is_nice():
 
 def test_dual_pairing_identity_on_trivial():
     m = GModule(3, np.eye(2, dtype=np.int64))
-    assert check_dual_pairing(m, m, PrimeFieldMatrix.identity(3, 2))
+    assert check_dual_pairing(m, m, np.eye(2, dtype=np.int64))
+    assert check_dual_pairing(m, m, np.eye(2, dtype=np.int64) + 3)  # entries read mod p
 
 
 def test_dual_pairing_zero_fails():
     m = GModule(3, np.eye(2, dtype=np.int64))
-    assert not check_dual_pairing(m, m, PrimeFieldMatrix(3, np.zeros((2, 2), dtype=np.int64)))
+    assert not check_dual_pairing(m, m, np.zeros((2, 2), dtype=np.int64))
 
 
 def test_dual_pairing_v3_evaluation():
     v3 = module_from_multiplicities(3, {3: 1})
     dual = v3.dual()
-    assert check_dual_pairing(v3, dual, PrimeFieldMatrix.identity(3, 3))
+    assert check_dual_pairing(v3, dual, np.eye(3, dtype=np.int64))
     assert decompose(dual) == decompose(v3)
 
 
@@ -145,16 +189,16 @@ def test_dual_pairing_dimension_mismatch():
         check_dual_pairing(
             GModule(3, np.eye(2, dtype=np.int64)),
             GModule(3, np.eye(3, dtype=np.int64)),
-            PrimeFieldMatrix(3, np.zeros((2, 2), dtype=np.int64)),
+            np.zeros((2, 2), dtype=np.int64),
         )
 
 
 def test_dual_pairing_non_equivariant_fails():
     v2 = module_from_multiplicities(3, {2: 1})
     # a random non-equivariant full-rank pairing
-    pairing = PrimeFieldMatrix(3, [[1, 1], [0, 1]])
-    equivariant = v2.action.T @ pairing @ v2.dual().action == pairing
-    if not equivariant:
+    pairing = np.array([[1, 1], [0, 1]])
+    moved = matmul_mod(matmul_mod(v2.action.T, pairing, 3), v2.dual().action, 3)
+    if not np.array_equal(moved, pairing):
         assert not check_dual_pairing(v2, v2.dual(), pairing)
 
 
