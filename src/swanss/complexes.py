@@ -29,7 +29,8 @@ from operator import add, eq, gt, itemgetter, lt
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import Subquotient, _is_int, check_modulus, kernel_mod, sparse_rank
+from .linalg import (FactoredSolve, _is_int, check_modulus, matmul_mod, reduce_columns,
+                     sparse_rank)
 from .gmodule import CohomologyProfile, GModule
 
 
@@ -322,8 +323,8 @@ class EquivariantCochainComplex:
     The coboundary out of degree l is kept as a face table, `faces[l]`:
     row i lists the indices of the l-faces of the i-th (l+1)-simplex in
     the order of `combinations`, with the fixed signs `_face_signs(l + 1)`,
-    so (delta a)[i] = sum_k sign_k a[faces[l][i, k]].  `delta(l)` builds
-    the dense matrix from it on request.
+    so (delta a)[i] = sum_k sign_k a[faces[l][i, k]].  No dense matrix of
+    delta is ever built: `cohomology` reduces the face tables sparsely.
 
     The action T in degree l sends a cochain a to a(g^{-1}(.)), with the
     orientation sign of the vertex reordering (always +1 after
@@ -374,7 +375,6 @@ class EquivariantCochainComplex:
             self.act_sign.append(sign)
 
         self._check_invariants()
-        self._dense: dict[int, np.ndarray] = {}
         self._cohomology = None
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
@@ -421,35 +421,62 @@ class EquivariantCochainComplex:
             if not (np.array_equal(perm, ident) and np.all(sign == 1 % p)):
                 raise InvariantError("complexes.cochain", f"t^p != 1 on {l}-cochains")
 
-    def delta(self, l: int) -> np.ndarray:
-        """Coboundary out of degree l (zero map above the top degree), built
-        densely from the face table once and kept read-only; the
-        subquotients of `cohomology` keep these matrices anyway."""
-        if l not in self._dense:
-            rows = self.dims[l + 1] if 0 <= l + 1 <= self.top_degree else 0
-            cols = self.dims[l] if 0 <= l <= self.top_degree else 0
-            m = np.zeros((rows, cols), dtype=np.int64)
-            if 0 <= l < self.top_degree:
-                m[np.arange(rows)[:, None], self.faces[l]] = self.face_signs[l] % self.p
-            m.setflags(write=False)
-            self._dense[l] = m
-        return self._dense[l]
-
     def dim(self, l: int) -> int:
         return self.dims[l] if 0 <= l <= self.top_degree else 0
 
     # -- cohomology -----------------------------------------------------
+    def _coboundary_columns(self, l: int) -> list[dict[int, int]]:
+        """delta_l as columns: column j holds the cofaces of l-simplex j,
+        with the signs they give it (all {} in the top degree)."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.dims[l])]
+        if l < self.top_degree:
+            signs = (self.face_signs[l] % self.p).tolist()
+            for i, row in enumerate(self.faces[l].tolist()):
+                for j, sign in zip(row, signs):
+                    cols[j][i] = sign
+        return cols
+
+    def _boundary_columns(self, l: int) -> list[dict[int, int]]:
+        """The boundary out of degree l, the transpose of delta_(l-1), as
+        columns: column i holds the faces of l-simplex i."""
+        if l == 0:
+            return [{} for _ in range(self.dims[0])]
+        signs = (self.face_signs[l - 1] % self.p).tolist()
+        return [dict(zip(row, signs)) for row in self.faces[l - 1].tolist()]
+
     def cohomology(self) -> list["DegreeCohomology"]:
+        """H^l for every l, each read off two sparse reductions with clearing.
+
+        The boundaries are reduced from the top degree down, the
+        coboundaries from degree 0 up, each recording its column
+        operations V (R = D·V, `linalg.sparse_rank`).  In both, a column
+        at a pivot row of the previous map is cleared (`linalg`), and the
+        V columns of the other columns that reduce to zero are cycles
+        (cocycles) whose classes are a basis of H_l (H^l); the reduced
+        columns of delta_(l-1) span B^l.  `CohomologyBasis` holds the
+        rest.
+        """
         if self._cohomology is None:
-            out = []
-            for l in range(self.top_degree + 1):
-                sub = Subquotient(kernel_mod(self.delta(l), self.p), self.delta(l - 1), self.p)
-                act = sub.coordinates_many(self.apply_action(l, sub.reps))
-                out.append(DegreeCohomology(l, sub, GModule(self.p, act)))
+            p, top = self.p, self.top_degree
+            cycles: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
+            pivots: dict[int, tuple] = {}
+            for l in range(top, -1, -1):
+                pivots, cycles[l] = _reduce_with_clearing(self._boundary_columns(l), pivots, p)
+            reduced = []
+            pivots = {}
+            for l in range(top + 1):
+                below = pivots
+                pivots, reps = _reduce_with_clearing(self._coboundary_columns(l), below, p)
+                reduced.append((reps, below))
             if sum((-1) ** l * d for l, d in enumerate(self.dims)) != sum(
-                (-1) ** h.degree * h.dim for h in out
+                (-1) ** l * len(reps) for l, (reps, _) in enumerate(reduced)
             ):
                 raise InvariantError("complexes.cohomology", "Euler-Poincare mismatch")
+            out = []
+            for l, (reps, below) in enumerate(reduced):
+                basis = CohomologyBasis(self, l, reps, below, cycles[l])
+                act = basis.coordinates_many(self.apply_action(l, basis.reps))
+                out.append(DegreeCohomology(l, basis, GModule(p, act)))
             self._cohomology = out
         return self._cohomology
 
@@ -493,10 +520,113 @@ class EquivariantCochainComplex:
         return coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
 
 
+def _reduce_with_clearing(columns: list[dict[int, int]], cleared: dict[int, tuple], p: int):
+    """Reduce `columns` by `sparse_rank`, recording V from the identity,
+    with the columns at the pivot rows of the map reduced before (the keys
+    of `cleared`) set to {}.
+
+    Returns the pivots, {pivot row: (R column, V column)}, and the V
+    columns of the other columns that reduce to zero, in column order.
+    """
+    for i in cleared:
+        columns[i] = {}
+    ops = [{} if j in cleared else {j: 1} for j in range(len(columns))]
+    sparse_rank(columns, p, ops)
+    pivots = {}
+    zero = []
+    for j, col in enumerate(columns):
+        if col:
+            pivots[max(col)] = (col, ops[j])
+        elif j not in cleared:
+            zero.append(ops[j])
+    return pivots, zero
+
+
+def _dense_columns(columns: list[dict[int, int]], n: int) -> np.ndarray:
+    out = np.zeros((n, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        out[list(col), j] = list(col.values())
+    return out
+
+
+class CohomologyBasis:
+    """H^l = Z^l / B^l presented by representative cocycles, from the
+    sparse reductions of `EquivariantCochainComplex.cohomology`.
+
+    - `reps`: the cocycles of the reduction of delta_l, dense, one column
+      per class.  They are a basis of a complement of B^l in Z^l.  A rep
+      V_j ends at row j (V is unit upper triangular), and the reduced
+      columns of delta_(l-1), which span B^l, end at the cleared rows.
+      These last rows are distinct, so the vectors are independent, and
+      they are as many as the columns of delta_l that reduce to zero,
+      dim Z^l (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+      persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
+      J. Appl. Comput. Topol. 2021).
+    - `coordinates*`: by the Kronecker pairing.  A cycle pairs to zero
+      with every coboundary, so <c, v> depends only on the class of a
+      cocycle v.  With the cycles c_1..c_h of the boundary reduction,
+      M = cycles^T·reps is the matrix of the pairing of H_l with H^l,
+      which is perfect over a field, so M must be square and invertible;
+      otherwise `InvariantError` at `complexes.cohomology`.  The
+      coordinates of v are M^-1·cycles^T·v, one product, once delta_l·v = 0
+      has been checked on the face table.
+    - `preimage`: y is reduced by the reduced columns R = delta_(l-1)·V of
+      delta_(l-1), keyed on their pivot rows, and the matching V columns
+      are summed into w.
+    """
+
+    def __init__(self, C: EquivariantCochainComplex, l: int, reps: list[dict[int, int]],
+                 pivots: dict[int, tuple], cycles: list[dict[int, int]]):
+        p = self.p = C.p
+        n = C.dim(l)
+        self.dim = len(reps)
+        self.reps = _dense_columns(reps, n)
+        self._pivots, self._below = pivots, C.dim(l - 1)
+        self._faces = (C.faces[l], C.face_signs[l] % p) if l < C.top_degree else None
+        dual = _dense_columns(cycles, n).T
+        pairing = matmul_mod(dual, self.reps, p)
+        solver = FactoredSolve(pairing, p)
+        if len(cycles) != self.dim or solver.rank < self.dim:
+            raise InvariantError("complexes.cohomology",
+                                 f"the Kronecker pairing of H_{l} with H^{l} is degenerate")
+        self._dual = matmul_mod(solver.transform, dual, p)  # M^-1·cycles^T
+
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of the class of the cocycle v against `reps`."""
+        return self.coordinates_many(np.reshape(v, (-1, 1)))[:, 0]
+
+    def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
+        """Coordinates of the classes of the cocycle columns of `vs`."""
+        vs = np.mod(np.asarray(vs, dtype=np.int64), self.p)
+        if self._faces is not None:
+            faces, signs = self._faces
+            if np.count_nonzero(sum(s * vs[col] for s, col in zip(signs, faces.T)) % self.p):
+                raise ValueError("vector is not a cocycle")
+        return matmul_mod(self._dual, vs, self.p).astype(np.int64)
+
+    def preimage(self, y: np.ndarray) -> np.ndarray | None:
+        """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
+        y = np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p)
+        rows = y.nonzero()[0]
+        rest = [dict(zip(rows.tolist(), y[rows].tolist()))]
+        op: dict[int, int] = {}
+        # each step takes f·R = delta_(l-1)·(f·V) off y and adds -f·V to op
+        reduce_columns(rest, [op], self._pivots, self.p, grow=False)
+        if rest[0]:
+            return None
+        w = np.zeros(self._below, dtype=np.int64)
+        w[list(op)] = [-x % self.p for x in op.values()]
+        return w
+
+    def lift(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)
+        return matmul_mod(self.reps, coords, self.p).astype(np.int64)
+
+
 class DegreeCohomology:
     """H^l of the cochain complex with its induced module structure."""
 
-    def __init__(self, degree: int, subquotient: Subquotient, module: GModule):
+    def __init__(self, degree: int, subquotient: CohomologyBasis, module: GModule):
         self.degree = degree
         self.subquotient = subquotient
         self.module = module

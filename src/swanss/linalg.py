@@ -17,26 +17,30 @@ callers; the reduced row echelon form is unique, so their results are
 canonical.  `FactoredSolve` keeps the float64 transform of the reduction
 and solves any number of right-hand sides with one product.
 
-A `Subquotient` span Z / span B works in the lead coordinates of Z.  Its
-z is a canonical column-echelon basis, so z[lead] = I_k on the rows
-where its columns start, and v in span Z is v = z·v[lead].  B and every
-vector it is asked about are checked to lie in span Z, v[rest] =
-z[rest]·v[lead] on the other rows, with one exact product; everything
-else happens on the k lead rows.  [b | z] = z·[b[lead] | I_k] with z
-injective, so the one `FactoredSolve` of the k-row [b[lead] | I_k] has
-the pivots and the solutions that a factor of the n-row [b | z] would:
-the representatives, the basis of B, the coordinates of classes and the
-preimages under b are all read off it.
+A `Subquotient` span Z / span B (a page cell, a group cohomology) works
+in the lead coordinates of Z.  Its z is a canonical column-echelon basis,
+so z[lead] = I_k on the rows where its columns start, and v in span Z is
+v = z·v[lead].  B and every vector it is asked about are checked to lie
+in span Z, v[rest] = z[rest]·v[lead] on the other rows, with one exact
+product; everything else happens on the k lead rows.
+[b | z] = z·[b[lead] | I_k] with z injective, so the one `FactoredSolve`
+of the k-row [b[lead] | I_k] has the pivots and the solutions that a
+factor of the n-row [b | z] would: the representatives, the basis of B,
+the coordinates of classes and the preimages under b are all read off it.
 
 `kernel_mod` needs one elimination: reducing the columns from the last one
 leaves free exactly the positions where some kernel vector has its first
 nonzero entry, so the kernel basis that is the identity there is already
 the canonical column-echelon basis.
 
-A small sparse elimination (`sparse_rank`) serves the places where dense
-storage would be wasteful (total-complex ranks, Betti numbers of large
-quotient complexes).  It reduces its list of columns in place, so that
-each nonzero column ends with a distinct largest row, its pivot row.
+A small sparse elimination (`sparse_rank`, whose one loop is
+`reduce_columns`) serves the places where dense storage would be
+wasteful: total-complex ranks, Betti numbers of large quotient complexes,
+and the cohomology of a cochain complex, which is read off reductions of
+its face tables (`complexes.CohomologyBasis`).  It reduces its list of
+columns in place, so that each nonzero column ends with a distinct
+largest row, its pivot row, and on request applies every column
+operation to a second list as well (R = D·V).
 Callers ranking consecutive maps of a complex read those rows to clear the
 next map (Chen and Kerber, "Persistent homology computation with a twist",
 EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
@@ -287,8 +291,8 @@ class Subquotient:
     at rows lead[0] < ... < lead[k-1], and z[lead] = I_k: restricting to
     the lead rows maps span Z isomorphically onto F_p^k, and v lies in
     span Z exactly when v[rest] = z[rest]·v[lead] on the other rows, with
-    v = z·v[lead].  `b` is any generating set of B, such as the coboundary
-    whose image B is.  B lies in span Z exactly when
+    v = z·v[lead].  `b` is any generating set of B, such as the page
+    differential whose image B is.  B lies in span Z exactly when
     b[rest] = z[rest]·b[lead], which is checked with one product.  Then
     [b | z] = z·[b[lead] | I_k] with z injective, so the two matrices have
     the same column dependencies: the factor of the k-row matrix has the
@@ -352,7 +356,7 @@ class Subquotient:
         # pivots, in order: the kept columns of b, then the representatives
         self._transform = solver.transform
         self._rank_b = bisect_left(solver.pivots, nb)
-        # b as given is kept by the caller anyway (a coboundary, a page d_r)
+        # b as given is kept by the caller anyway (a page d_r, a module map)
         self._gens, self._b_cols = b, solver._pivot_rows[: self._rank_b]
         self.reps = z[:, solver._pivot_rows[self._rank_b :] - nb]
         self.dim = k - self._rank_b
@@ -404,31 +408,61 @@ class Subquotient:
         return matmul_mod(self.reps, coords, self.p).astype(np.int64)
 
 
-def sparse_rank(columns: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of a matrix given as a list of {row: value} columns.
+def reduce_columns(columns: list[dict[int, int]], ops: list[dict[int, int]] | None,
+                   pivots: dict[int, tuple], p: int, grow: bool = True) -> None:
+    """Reduce every column of `columns` in place by `pivots`, left to right.
 
-    Standard left-to-right reduction keyed on the largest row index of
-    each column; only fill-in actually touched is paid for.  The list is
-    reduced in place: afterwards each nonzero column has a distinct
-    largest row, its pivot row, there are as many of them as the rank, and
-    every other column is {}.  A column that is {} on entry costs nothing,
-    which is what clearing (module docstring) relies on.
+    `pivots` maps a row to (R column, V column or None) for an R column
+    whose largest row is that row.  A column is reduced until it is {} or
+    its largest row has no pivot; with `grow` it then becomes the pivot of
+    that row.  Every subtraction of f times an R column subtracts f times
+    its V column from the column's entry of `ops` too, when both are given.
     """
-    pivots: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
         col = {r: v % p for r, v in col.items() if v % p}
+        op = None if ops is None else ops[j]
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                pivots[low] = col
+                if grow:
+                    pivots[low] = (col, op)
                 break
-            f = (col[low] * pow(piv[low], p - 2, p)) % p
-            for r, v in piv.items():
-                nv = (col.get(r, 0) - f * v) % p
-                if nv:
-                    col[r] = nv
+            r, v = piv
+            f = col[low] * pow(r[low], p - 2, p) % p
+            for i, x in r.items():
+                nx = (col.get(i, 0) - f * x) % p
+                if nx:
+                    col[i] = nx
                 else:
-                    col.pop(r, None)
+                    col.pop(i, None)
+            if op is not None:
+                for i, x in v.items():
+                    nx = (op.get(i, 0) - f * x) % p
+                    if nx:
+                        op[i] = nx
+                    else:
+                        op.pop(i, None)
         columns[j] = col
+
+
+def sparse_rank(columns: list[dict[int, int]], p: int,
+                ops: list[dict[int, int]] | None = None) -> int:
+    """Rank over F_p of a matrix given as a list of {row: value} columns.
+
+    Standard left-to-right reduction keyed on the largest row index of
+    each column (`reduce_columns`); only fill-in actually touched is paid
+    for.  The list is reduced in place: afterwards each nonzero column has
+    a distinct largest row, its pivot row, there are as many of them as
+    the rank, and every other column is {}.  A column that is {} on entry
+    costs nothing, which is what clearing (module docstring) relies on.
+
+    With `ops`, a list of {index: value} columns as long as `columns`,
+    every column operation is applied to `ops` as well.  If ops[j] starts
+    as the unit vector e_j, then afterwards column j is D·ops[j] for the
+    matrix D as given (R = D·V), and the ops of the columns reduced to {}
+    from nonzero are independent vectors of the kernel of D.
+    """
+    pivots: dict[int, tuple] = {}
+    reduce_columns(columns, ops, pivots, p)
     return len(pivots)

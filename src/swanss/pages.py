@@ -1,15 +1,16 @@
 """Pages of the column-filtration spectral sequence of a Swan complex.
 
-A class on page r at (k, l) is presented by coordinates against a
-canonical subquotient chain E_1 -> E_2 -> ... (E_1 is cohomology of the
-column), but every basis class also carries an explicit total-complex
-representative: a staircase x_0, ..., x_{r-1} with x_i in column k+i such
-that the total differential of the sum vanishes in columns k..k+r-1.
-The page differential evaluates the horizontal map on the last staircase
-component; products multiply leading components with the bigraded cochain
-product and project back.  This makes representative choices canonical
-(deterministic solves) while all heavy linear algebra stays at the
-cochain level, done once per row.
+A class on page r at (k, l) is presented by coordinates against a chain
+of subquotients E_1 -> E_2 -> ... (E_1 is the cohomology of the column in
+the representative basis of `complexes.CohomologyBasis`, and each later
+page is a canonical subquotient of the one before), but every basis class
+also carries an explicit total-complex representative: a staircase
+x_0, ..., x_{r-1} with x_i in column k+i such that the total differential
+of the sum vanishes in columns k..k+r-1.  The page differential evaluates
+the horizontal map on the last staircase component; products multiply
+leading components with the bigraded cochain product and project back.
+This makes representative choices deterministic while all heavy linear
+algebra stays at the cochain level, done once per row.
 
 Columns differ only in parity, except that column 0 has no incoming d_1.
 So page r is computed only for columns 0..s_r+3, with s_r = r(r-1)/2
@@ -301,7 +302,8 @@ class PageTower:
                 if np.any(z):
                     raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
                 continue
-            # the subquotient of H^row was factored with b = delta_(row-1)
+            # some w with delta_(row-1)·w = sign·z, from the reduced columns of
+            # delta_(row-1) that H^row keeps (`CohomologyBasis.preimage`)
             w = sub.preimage(np.mod(sign * z, self.p))
             if w is None:
                 raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")

@@ -1,10 +1,22 @@
 """Test helpers for the Swan double complex: formal sums of bigraded
-cochains and a dense reference for the horizontal differential."""
+cochains and dense references for the coboundary and the horizontal
+differential."""
 
 import numpy as np
 
+from swanss.complexes import EquivariantCochainComplex
 from swanss.linalg import matmul_mod
 from swanss.swan import SwanDoubleComplex
+
+
+def dense_delta(C: EquivariantCochainComplex, l: int) -> np.ndarray:
+    """The coboundary out of degree l as a dense matrix with entries in
+    [0, p), built from the face table (the zero map outside 0 <= l < top)."""
+    rows = C.dim(l + 1)
+    m = np.zeros((rows, C.dim(l)), dtype=np.int64)
+    if 0 <= l < C.top_degree:
+        m[np.arange(rows)[:, None], C.faces[l]] = C.face_signs[l] % C.p
+    return m
 
 
 def dense_h(dc: SwanDoubleComplex, k: int, l: int) -> np.ndarray:
@@ -27,7 +39,7 @@ def tot_differential(dc: SwanDoubleComplex, element: dict) -> dict:
     for (k, l), vec in element.items():
         _add(out, (k + 1, l), dc.apply_h(k, l, vec), dc.p)
         if l + 1 <= dc.n:
-            dv = matmul_mod(dc.base.delta(l), np.mod(vec, dc.p), dc.p).astype(np.int64)
+            dv = matmul_mod(dense_delta(dc.base, l), np.mod(vec, dc.p), dc.p).astype(np.int64)
             _add(out, (k, l + 1), ((-1) ** k % dc.p) * dv % dc.p, dc.p)
     return {pos: vec for pos, vec in out.items() if np.any(vec)}
 

@@ -225,6 +225,26 @@ def test_sparse_rank_reduces_its_list_in_place():
         assert cols[j] == {}
 
 
+def test_sparse_rank_records_its_column_operations():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.4)
+        cols = _sparse_columns(a)
+        ops = [{j: 1} for j in range(n)]
+        assert sparse_rank(cols, p, ops) == rank_mod(a, p)
+        r, v = np.zeros((m, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+        for j in range(n):
+            r[list(cols[j]), j] = list(cols[j].values())
+            v[list(ops[j]), j] = list(ops[j].values())
+        # R = A·V with V unit upper triangular: the zero columns of R give ker A
+        assert np.array_equal(np.mod(a @ v, p), r)
+        assert np.array_equal(np.tril(v), np.eye(n, dtype=np.int64))
+        zero = [j for j in range(n) if not cols[j]]
+        assert len(zero) == n - rank_mod(a, p)
+
+
 def test_kernel_takes_one_elimination(monkeypatch):
     calls = []
     eliminate = linalg._eliminate

@@ -2,19 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from swanss import complexes, linalg, pages
-from swanss.complexes import SimplicialGComplex, cochain_complex, validate_and_regularize
-from swanss.corpus import build_sphere_join
+from swanss import linalg, pages
+from swanss.complexes import SimplicialGComplex, cochain_complex
 from swanss.errors import InvariantError
 from swanss.gmodule import group_cohomology
 from swanss.pages import check_odd_page_vanishing, check_zero_row, compute_pages
 from swanss.swan import SwanDoubleComplex, WindowError
 from swanss.synthetic import load_synthetic_page
+from swan_helpers import dense_delta
 
 
 def test_point_single_row_degenerates():
@@ -150,7 +151,7 @@ def test_product_representative_independence(pipelines):
             # add a coboundary
             if cls.l > 0:
                 w = rng.integers(0, p, tower.dc.base.dims[cls.l - 1])
-                vec = np.mod(vec + tower.dc.base.delta(cls.l - 1) @ w, p)
+                vec = np.mod(vec + dense_delta(tower.dc.base, cls.l - 1) @ w, p)
             # add recorded page boundaries
             for gen_vec, _cert in cell.boundary_gens:
                 vec = np.mod(vec + int(rng.integers(0, p)) * gen_vec, p)
@@ -318,38 +319,31 @@ def test_pairing_matrices_equal_products_of_basis_classes(pipelines, name):
                     assert mat.tolist() == direct, (r, k, l, k2)
 
 
-def test_one_factorization_per_cohomology_degree(monkeypatch):
-    C = cochain_complex(validate_and_regularize(build_sphere_join(3, 1, 0)))
-    dc = SwanDoubleComplex(C)
-    cocycle_dims = [C.dims[l] - linalg.rank_mod(C.delta(l), C.p) for l in range(C.top_degree + 1)]
-    calls = []  # (name, matrix argument)
+def test_cohomology_eliminates_only_its_pairings_and_builds_no_dense_delta(pipelines, monkeypatch):
+    # the cohomology reduces the face tables sparsely; its dense eliminations
+    # are the h x h Kronecker pairings, one per degree
+    C = cochain_complex(pipelines("join-5-1-0").R)
+    eliminated = []  # (rows, pivot columns) of every dense elimination
+    eliminate = linalg._eliminate
 
-    def count(owner, attr, name):
-        fn = getattr(owner, attr)
+    def counted(r, p, ncols):
+        eliminated.append((r.shape[0], ncols))
+        return eliminate(r, p, ncols)
 
-        def counted(*args):
-            calls.append((name, args[1] if name == "factor" else args[0]))
-            return fn(*args)
-
-        monkeypatch.setattr(owner, attr, counted)
-
-    count(linalg, "_eliminate", "eliminate")
-    count(linalg, "kernel_mod", "kernel")
-    count(complexes, "kernel_mod", "kernel")  # bound there by name
-    count(linalg, "column_echelon_mod", "echelon")
-    count(linalg.FactoredSolve, "__init__", "factor")
-    C.cohomology()
-    degrees = C.top_degree + 1
-    names = [name for name, _ in calls]
-    assert names.count("kernel") == names.count("factor") == degrees
-    assert names.count("echelon") == 0
-    # degree l is factored on the lead rows of its cocycles: dim Z^l rows, not dims[l]
-    factored_rows = [a.shape[0] for name, a in calls if name == "factor"]
-    assert factored_rows == cocycle_dims != C.dims
-    # the zero map out of the top degree needs no elimination
-    assert names.count("eliminate") <= 2 * degrees
-    # the page tower solves against the factorizations of the cohomology
-    calls.clear()
-    compute_pages(dc)
-    rows = [r.shape[0] for name, r in calls if name == "eliminate"]
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    tracemalloc.start()
+    try:
+        C.cohomology()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h_max = max(C.cohomology_dims())
+    assert len(eliminated) == C.top_degree + 1
+    assert all(rows <= h_max and ncols <= h_max for rows, ncols in eliminated)
+    # everything the cohomology holds at once is smaller than one dense delta
+    assert peak < 8 * max(C.dims[l] * C.dims[l + 1] for l in range(C.top_degree))
+    # the page tower eliminates page-sized matrices only
+    eliminated.clear()
+    compute_pages(SwanDoubleComplex(C))
+    rows = [r for r, _ in eliminated]
     assert rows and max(rows) < min(C.dims)
