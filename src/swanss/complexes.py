@@ -1,11 +1,22 @@
 """Finite ordered simplicial complexes with a Z/p action.
 
-Simplices are strictly increasing vertex tuples.  The pipeline needs the
-action to be *order-compatible*: the generator g is increasing on every
-simplex, so cochain-level actions carry no signs and the front/back-face
-cup product is equivariant.  One barycentric subdivision, ordered
-barycenters-by-dimension, always achieves it, and order compatibility
-implies everything else this module asks of an action:
+Simplices are strictly increasing vertex tuples.  A complex stores each
+dimension d as one int array `rows[d]` of shape (f_d, d + 1), a simplex
+per row, the rows in lexicographic order; every bulk operation here works
+on whole dimensions of these arrays.  A simplex is found by its key
+(`_row_keys`): its row read as a number in base n, the vertex count, or,
+when n^(d+1) does not fit an int64, the big-endian bytes of the row
+compared as a string.  Either way keys sort as the rows do, so one
+`searchsorted` per dimension looks up any number of simplices
+(`SimplicialGComplex._find`).  The per-simplex tuples `simplices[d]` are
+built only when read.
+
+The pipeline needs the action to be *order-compatible*: the generator g
+is increasing on every simplex, so cochain-level actions carry no signs
+and the front/back-face cup product is equivariant.  One barycentric
+subdivision, ordered barycenters-by-dimension, always achieves it, and
+order compatibility implies everything else this module asks of an
+action:
 
 - *regularity*: every power of g is increasing on every simplex, and an
   increasing bijection of a finite chain onto itself is the identity, so
@@ -16,15 +27,18 @@ implies everything else this module asks of an action:
 
 A simplicial orbit quotient also needs distinct orbits of simplices to have
 distinct images; `quotient_complex` checks that by a count and subdivides
-at most once to pass it.
+at most once to pass it.  The subdivision reads its chains off templates:
+the chains of faces ending at a d-simplex are the same chains of vertex
+subsets for every d-simplex, so each dimension takes one lookup of its
+faces per subset size and one gather per chain length.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, groupby, repeat
-from operator import add, eq, gt, itemgetter, lt
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -32,14 +46,6 @@ from .errors import InvariantError
 from .linalg import (FactoredSolve, _is_int, check_modulus, matmul_mod, reduce_columns,
                      sparse_rank)
 from .gmodule import CohomologyProfile, GModule
-
-
-_tail = itemgetter(slice(1, None))
-
-
-def _images(g, simplices):
-    """The vertices g(v) of every simplex, lazily and in order: map(g, s) for each s."""
-    return map(map, repeat(g), simplices)
 
 
 def _perm_sign(seq) -> int:
@@ -53,76 +59,177 @@ def _perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
+_tail = itemgetter(slice(1, None))
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row (last axis) of an int array with entries in [0, n),
+    ordered as the rows are lexicographically: the row read as a number in
+    base n, in an int64 while n^k fits there (k entries per row), and
+    otherwise its big-endian bytes as one void scalar, compared as a byte
+    string, which no vertex count can overflow."""
+    k = rows.shape[-1]
+    if n ** k <= 1 << 63:
+        return rows @ _powers(n, k)
+    r = rows.astype(np.min_scalar_type(n - 1).newbyteorder(">"), order="C")
+    return r.view(np.dtype((np.void, r.itemsize * k))).reshape(r.shape[:-1])
+
+
+@lru_cache(maxsize=64)
+def _powers(n: int, k: int) -> np.ndarray:
+    """n^(k-1), ..., n, 1."""
+    return np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+
+
+@cache
+def _face_positions(d: int) -> np.ndarray:
+    """Row k: the positions of the k-th face of a d-simplex in the order of
+    combinations(s, d), which drops position d - k."""
+    return np.array(list(combinations(range(d + 1), d)), dtype=np.intp).reshape(d + 1, d)
+
+
+def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of a 2-D int array with entries in [0, n), in
+    lexicographic order."""
+    return rows[np.unique(_row_keys(rows, n), return_index=True)[1]]
+
+
+def _sorted_blocks(simplices: list, as_rows: bool, n: int) -> dict[int, np.ndarray] | None:
+    """{size: rows} of the distinct simplices, the rows of each size in
+    lexicographic order, or None if a simplex is not strictly increasing
+    with vertices in [0, n).  With `as_rows` the simplices are the rows of
+    2-D int arrays, checked and sorted as arrays; vertex sequences, the few
+    simplices of an input file, are checked and sorted as tuples, which
+    costs less than the array calls would."""
+    if as_rows:
+        by_size: dict[int, list[np.ndarray]] = {}
+        for b in simplices:
+            if len(b):
+                by_size.setdefault(b.shape[1], []).append(b)
+        blocks = {}
+        for size, bs in by_size.items():
+            r = np.concatenate(bs).astype(np.intp, copy=False)
+            if not (size and (r[:, 1:] > r[:, :-1]).all() and r[:, 0].min() >= 0
+                    and r[:, -1].max() < n):
+                return None
+            blocks[size] = _unique_rows(r, n)
+        return blocks
+    ts = list(map(tuple, map(map, repeat(int), simplices)))
+    if not (all(ts) and all(map(all, map(map, repeat(lt), ts, map(_tail, ts))))
+            and min(map(itemgetter(0), ts), default=0) >= 0
+            and max(map(itemgetter(-1), ts), default=-1) < n):
+        return None
+    # lexicographic, then stably by size: each size comes out sorted
+    ordered = sorted(set(ts))
+    ordered.sort(key=len)
+    return {size: np.array(list(group), dtype=np.intp) for size, group in groupby(ordered, len)}
+
+
 class SimplicialGComplex:
-    """A finite simplicial complex with a vertex permutation of order | p."""
+    """A finite simplicial complex with a vertex permutation of order | p.
+
+    `simplices` holds vertex sequences, or else 2-D int arrays whose rows
+    are simplices; repeats are dropped.  The constructor checks that every
+    simplex is strictly increasing and in range, that the simplices are
+    closed under faces, that the generator is a permutation of order
+    dividing p and that it maps every simplex to a simplex.  Face closure
+    and the action are checked on whole dimensions.  A failing check names
+    the first offending simplex: in the order given for the first check,
+    by dimension, then lexicographically, for the others.
+
+    - `rows[d]`: the d-simplices, lexicographically sorted rows;
+    - `_faces[d]`: the indices of the faces of each d-simplex, in the
+      order of `combinations` (`_face_positions`);
+    - `_image[d]`: the index of g(s) for each d-simplex s, the
+      permutation g induces on the d-simplices.
+    """
 
     def __init__(self, p: int, vertex_count: int, generator, simplices):
         self.p = check_modulus(p)
-        self.vertex_count = int(vertex_count)
-        gen = tuple(int(v) for v in generator)
+        self.vertex_count = n = int(vertex_count)
+        gen = tuple(map(int, generator))
         # lengths first: a huge vertex count must not build its range
-        if len(gen) != self.vertex_count or sorted(gen) != list(range(self.vertex_count)):
+        if len(gen) != n or sorted(gen) != list(range(n)):
             raise ValueError("generator is not a permutation of the vertices")
         self.generator = gen
+        self._g = np.array(gen, dtype=np.intp)
 
         simplices = list(simplices)
+        as_rows = bool(simplices) and isinstance(simplices[0], np.ndarray) and simplices[0].ndim == 2
         try:
-            ts = list(map(tuple, map(map, repeat(int), simplices)))
-            valid = (all(ts) and all(map(all, map(map, repeat(lt), ts, map(_tail, ts))))
-                     and min(map(itemgetter(0), ts), default=0) >= 0
-                     and max(map(itemgetter(-1), ts), default=-1) < self.vertex_count)
+            blocks = _sorted_blocks(simplices, as_rows, n)
         except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+            blocks = None
+        if blocks is None:
             # the first simplex in the given order that fails, with its message
-            for s in simplices:
+            for s in chain.from_iterable(simplices) if as_rows else simplices:
                 t = tuple(int(v) for v in s)
                 if not t or any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
                     raise ValueError(f"simplex {t} is not strictly increasing")
-                if t[0] < 0 or t[-1] >= self.vertex_count:
+                if t[0] < 0 or t[-1] >= n:
                     raise ValueError(f"simplex {t} has out-of-range vertices")
-        # lexicographic, then stably by size: each dimension comes out sorted
-        ordered = sorted(set(ts))
-        ordered.sort(key=len)
-        self.dim = len(ordered[-1]) - 1 if ordered else -1
-        self.simplices: dict[int, list[tuple]] = {d: [] for d in range(self.dim + 1)}
-        for size, group in groupby(ordered, len):
-            self.simplices[size - 1] = list(group)
-        self._index: dict[int, dict[tuple, int]] = {
-            d: dict(zip(S, range(len(S)))) for d, S in self.simplices.items()
-        }
+        self.dim = max(blocks, default=0) - 1
+        self.rows = [blocks.get(d + 1, np.zeros((0, d + 1), dtype=np.intp))
+                     for d in range(self.dim + 1)]
+        self._keys = [_row_keys(r, n) for r in self.rows]
 
         self._validate_closure_and_action()
 
     # -- validation ----------------------------------------------------
     def _validate_closure_and_action(self):
+        self._faces = [np.zeros((len(r), 0), dtype=np.intp) for r in self.rows[:1]]
         for d in range(1, self.dim + 1):
-            lower, top = self._index[d - 1], self.simplices[d]
-            if all(map(lower.__contains__, chain.from_iterable(map(combinations, top, repeat(d))))):
-                continue
-            # name the first missing face in the order s minus s[0], s minus s[1], ...
-            for s in top:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face not in lower:
-                        raise FaceClosureError(s, face)
+            faces = self.rows[d][:, _face_positions(d)]
+            at, found = self._find(d - 1, faces)
+            if not found.all():
+                # the first missing face in the order s minus s[0], s minus s[1], ...,
+                # the last one in the order of combinations
+                s = (~found).any(axis=1).argmax()
+                k = d - (~found[s, ::-1]).argmax()
+                raise FaceClosureError(self.rows[d][s].tolist(), faces[s, k].tolist())
+            self._faces.append(at)
         # order divides p
-        g = self.generator.__getitem__
-        v = list(range(self.vertex_count))
+        ident = np.arange(self.vertex_count)
+        v = ident
         for _ in range(self.p):
-            v = list(map(g, v))
-        if v != list(range(self.vertex_count)):
+            v = self._g[v]
+        if not (v == ident).all():
             raise ValueError("generator order does not divide p")
-        for d in range(self.dim + 1):
-            idx, top = self._index[d], self.simplices[d]
-            found = list(map(idx.__contains__, map(tuple, map(sorted, _images(g, top)))))
-            if not all(found):
-                s = top[found.index(False)]
+        self._image = []
+        for d, rows in enumerate(self.rows):
+            at, found = self._find(d, np.sort(self._g[rows], axis=1))
+            if not found.all():
+                s = tuple(rows[found.argmin()].tolist())
                 raise ValueError(f"generator does not map simplex {s} to a simplex")
+            self._image.append(at)
+
+    # -- lookup ----------------------------------------------------------
+    def _find(self, d: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index among the d-simplices of each simplex given as a row
+        (last axis) of `rows`, vertices in [0, vertex_count), and whether
+        it is one; the index is meaningless where it is not."""
+        keys, query = self._keys[d], _row_keys(rows, self.vertex_count)
+        at = keys.searchsorted(query)
+        if not len(keys):
+            return at, np.zeros(at.shape, dtype=bool)
+        return at, keys.take(at, mode="clip") == query
+
+    def _index_of(self, d: int, rows) -> np.ndarray:
+        """`_find` for rows that must all be d-simplices; KeyError otherwise."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, d + 1)
+        at, found = self._find(d, rows)
+        if not found.all():
+            raise KeyError(tuple(rows[found.argmin()].tolist()))
+        return at
 
     # -- elementary queries ---------------------------------------------
+    @cached_property
+    def simplices(self) -> dict[int, list[tuple]]:
+        """The d-simplices as vertex tuples, per d, built on first use."""
+        return {d: list(map(tuple, r.tolist())) for d, r in enumerate(self.rows)}
+
     def f_vector(self) -> list[int]:
-        return [len(self.simplices[d]) for d in range(self.dim + 1)]
+        return [len(r) for r in self.rows]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * f for d, f in enumerate(self.f_vector()))
@@ -131,7 +238,10 @@ class SimplicialGComplex:
         return sum(self.f_vector())
 
     def index(self, simplex: tuple) -> int:
-        return self._index[len(simplex) - 1][simplex]
+        d = len(simplex) - 1
+        if not 0 <= d <= self.dim or not all(0 <= v < self.vertex_count for v in simplex):
+            raise KeyError(simplex)
+        return int(self._index_of(d, [simplex])[0])
 
     def generator_image_ordered(self, simplex: tuple, power: int = 1):
         s = list(simplex)
@@ -140,13 +250,15 @@ class SimplicialGComplex:
         return s
 
     def is_order_compatible(self) -> bool:
-        """Generator is increasing on every simplex."""
-        g = self.generator.__getitem__
-        for d in range(1, self.dim + 1):
-            imgs = list(map(tuple, _images(g, self.simplices[d])))
-            if not all(map(all, map(map, repeat(lt), imgs, map(_tail, imgs)))):
-                return False
-        return True
+        """Generator is increasing on every simplex.
+
+        Every two consecutive vertices of a simplex span one of its
+        edges, so it is enough that g is increasing on the edges.
+        """
+        if self.dim < 1:
+            return True
+        ends = self._g[self.rows[1]]
+        return bool(np.all(ends[:, 0] < ends[:, 1]))
 
     def is_regular(self) -> bool:
         """Any power fixing a simplex setwise fixes it pointwise.
@@ -154,37 +266,31 @@ class SimplicialGComplex:
         p is prime, so every nontrivial power generates G: a power fixes a
         simplex setwise (pointwise) exactly when g does, and g alone is tested.
         """
-        g = self.generator.__getitem__
+        fixed = self._g == np.arange(self.vertex_count)
         for d in range(1, self.dim + 1):
-            top = self.simplices[d]
-            imgs = list(map(tuple, _images(g, top)))
-            setwise = map(eq, map(tuple, map(sorted, imgs)), top)
-            if any(map(gt, setwise, map(eq, imgs, top))):  # fixed setwise, not pointwise
+            setwise = self._image[d] == np.arange(len(self.rows[d]))
+            if not fixed[self.rows[d][setwise]].all():  # fixed setwise, not pointwise
                 return False
         return True
 
-    def vertex_orbits(self) -> list[int]:
+    def vertex_orbits(self) -> np.ndarray:
         """Orbit id per vertex; ids number the orbits by their least vertex."""
-        orbit_of = [-1] * self.vertex_count
-        count = 0
-        for v in range(self.vertex_count):
-            if orbit_of[v] < 0:
-                w = v
-                while orbit_of[w] < 0:
-                    orbit_of[w] = count
-                    w = self.generator[w]
-                count += 1
-        return orbit_of
+        least = np.arange(self.vertex_count)
+        w = least
+        for _ in range(self.p - 1):  # the orbit of v is v, g v, ..., g^(p-1) v
+            w = self._g[w]
+            least = np.minimum(least, w)
+        return np.unique(least, return_inverse=True)[1].reshape(-1)
 
     def is_free(self) -> bool:
-        return all(self.generator[v] != v for v in range(self.vertex_count))
+        return not np.any(self._g == np.arange(self.vertex_count))
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "vertices": self.vertex_count,
             "generator": list(self.generator),
-            "simplices": [list(s) for d in range(self.dim + 1) for s in self.simplices[d]],
+            "simplices": [s for r in self.rows for s in r.tolist()],
         }
 
     @classmethod
@@ -208,28 +314,60 @@ class FaceClosureError(ValueError):
 # -- barycentric subdivision ------------------------------------------
 
 
+@cache
+def _subdivision_templates(d: int):
+    """The faces of a d-simplex and its chains of faces, by vertex positions.
+
+    A face is a nonempty set of positions, numbered by its bitmask minus 1.
+    Returns [(size, face numbers, positions)] per face size, and
+    {length: face numbers} of the chains f_0 < ... < f_k = the simplex,
+    one chain per row.
+    """
+    faces = []
+    for size in range(1, d + 2):
+        positions = list(combinations(range(d + 1), size))
+        numbers = [sum(1 << i for i in face) - 1 for face in positions]
+        faces.append((size, np.array(numbers, dtype=np.intp),
+                      np.array(positions, dtype=np.intp).reshape(len(positions), size)))
+
+    @cache
+    def ending_at(mask):
+        out = [(mask,)]
+        sub = (mask - 1) & mask
+        while sub:
+            out.extend(c + (mask,) for c in ending_at(sub))
+            sub = (sub - 1) & mask
+        return out
+
+    chains: dict[int, list] = {}
+    for c in ending_at((1 << (d + 1)) - 1):
+        chains.setdefault(len(c), []).append(c)
+    return faces, {k: np.array(cs, dtype=np.intp) - 1 for k, cs in chains.items()}
+
+
 def barycentric_subdivision(K: SimplicialGComplex) -> SimplicialGComplex:
     """Subdivide once; barycenters are ordered by (dimension, lex).
 
     With that ordering any simplicial automorphism acts order-preservingly
     on the subdivision, and a setwise-fixed chain is fixed pointwise.
+    The barycenter of the i-th d-simplex is vertex offset[d] + i.  Every
+    simplex of the subdivision is a chain of faces ending at one simplex
+    s of K, and the chains ending at a d-simplex are the same chains of
+    vertex positions for every d-simplex (`_subdivision_templates`): the
+    barycenters of all faces of all d-simplices are looked up once per
+    face size, and each chain length is one gather of them.
     """
-    order = [s for d in range(K.dim + 1) for s in K.simplices[d]]
-    index = dict(zip(order, range(len(order))))
-    images = map(tuple, map(sorted, _images(K.generator.__getitem__, order)))
-    generator = list(map(index.__getitem__, images))
-
-    # the chains ending at s: (s,) and every chain of a proper face followed by s
-    chains_of: dict[tuple, list[tuple]] = {}
-    all_chains: list[tuple] = []
-    for i, s in enumerate(order):
-        tail = (i,)
-        mine = [tail]
-        for face in chain.from_iterable(map(combinations, repeat(s), range(1, len(s)))):
-            mine.extend(map(add, chains_of[face], repeat(tail)))
-        chains_of[s] = mine
-        all_chains.extend(mine)
-    return SimplicialGComplex(K.p, len(order), generator, all_chains)
+    offset = np.cumsum([0] + K.f_vector())
+    generator = np.concatenate([np.zeros(0, dtype=np.intp)]
+                               + [offset[d] + img for d, img in enumerate(K._image)])
+    blocks = []
+    for d, rows in enumerate(K.rows):
+        faces, chains = _subdivision_templates(d)
+        barycenter = np.empty((len(rows), (1 << (d + 1)) - 1), dtype=np.intp)
+        for size, number, positions in faces:
+            barycenter[:, number] = offset[size - 1] + K._find(size - 1, rows[:, positions])[0]
+        blocks.extend(barycenter[:, c].reshape(-1, c.shape[1]) for c in chains.values())
+    return SimplicialGComplex(K.p, int(offset[-1]), generator.tolist(), blocks)
 
 
 def validate_and_regularize(K: SimplicialGComplex) -> SimplicialGComplex:
@@ -245,34 +383,38 @@ def validate_and_regularize(K: SimplicialGComplex) -> SimplicialGComplex:
 
 def fixed_subcomplex(K: SimplicialGComplex) -> SimplicialGComplex:
     """Full subcomplex on pointwise-fixed simplices, with trivial action."""
-    fixed_vertices = [v for v in range(K.vertex_count) if K.generator[v] == v]
-    relabel = {v: i for i, v in enumerate(fixed_vertices)}
-    simplices = []
-    for d in range(K.dim + 1):
-        for s in K.simplices[d]:
-            if all(v in relabel for v in s):
-                simplices.append(tuple(relabel[v] for v in s))
-    return SimplicialGComplex(
-        K.p, len(fixed_vertices), list(range(len(fixed_vertices))), simplices
-    )
+    fixed = K._g == np.arange(K.vertex_count)
+    relabel = np.cumsum(fixed) - 1  # increasing on the fixed vertices
+    count = int(np.count_nonzero(fixed))
+    blocks = [relabel[r[fixed[r].all(axis=1)]] for r in K.rows]
+    return SimplicialGComplex(K.p, count, range(count), blocks)
 
 
 def _orbit_quotient(K: SimplicialGComplex) -> SimplicialGComplex | None:
     """The complex of orbit images of K, or None if they are not one per orbit."""
     orbit = K.vertex_orbits()
-    fixed = [K.generator[v] == v for v in range(K.vertex_count)]
+    fixed = K._g == np.arange(K.vertex_count)
     # an image that repeats an orbit is shorter than its simplex, so the top
     # dimension holding such a simplex comes out short in the count
-    images = set()
-    for d in range(K.dim + 1):
-        images.update(map(tuple, map(sorted, map(set, _images(orbit.__getitem__, K.simplices[d])))))
-    counts = Counter(map(len, images))
-    for d in range(K.dim + 1):
-        fixed_d = sum(map(all, _images(fixed.__getitem__, K.simplices[d])))
-        if K.p * counts[d + 1] != len(K.simplices[d]) + (K.p - 1) * fixed_d:
+    by_size: dict[int, list[np.ndarray]] = {}
+    for rows in K.rows:
+        image = np.sort(orbit[rows], axis=1)
+        new = np.ones(image.shape, dtype=bool)
+        new[:, 1:] = image[:, 1:] != image[:, :-1]
+        if new.all():
+            by_size.setdefault(image.shape[1], []).append(image)
+            continue
+        sizes = new.sum(axis=1)
+        for size in np.unique(sizes).tolist():
+            mine = sizes == size
+            by_size.setdefault(size, []).append(image[mine][new[mine]].reshape(-1, size))
+    n_orbits = int(orbit.max()) + 1 if len(orbit) else 0
+    images = {size: _unique_rows(np.concatenate(bs), n_orbits) for size, bs in by_size.items()}
+    for d, rows in enumerate(K.rows):
+        fixed_d = int(np.count_nonzero(fixed[rows].all(axis=1)))
+        if K.p * len(images.get(d + 1, ())) != len(rows) + (K.p - 1) * fixed_d:
             return None
-    n_orbits = max(orbit) + 1 if orbit else 0
-    return SimplicialGComplex(K.p, n_orbits, list(range(n_orbits)), images)
+    return SimplicialGComplex(K.p, n_orbits, range(n_orbits), list(images.values()))
 
 
 def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
@@ -349,14 +491,9 @@ class EquivariantCochainComplex:
         self.K = K
         self.p = K.p
         self.top_degree = K.dim
-        self.dims = [len(K.simplices[d]) for d in range(K.dim + 1)]
+        self.dims = K.f_vector()
 
-        self.faces: list[np.ndarray] = []
-        for l in range(self.top_degree):
-            lower = K._index[l]
-            flat = map(lower.__getitem__,
-                       chain.from_iterable(map(combinations, K.simplices[l + 1], repeat(l + 1))))
-            self.faces.append(np.fromiter(flat, dtype=np.intp).reshape(-1, l + 2))
+        self.faces = K._faces[1:]
         self.face_signs = [_face_signs(l + 1) for l in range(self.top_degree)]
 
         # Action stored as signed permutations: (T a)[i] = sign[i] * a[pre[i]]
@@ -365,14 +502,9 @@ class EquivariantCochainComplex:
         self.act_pre: list[np.ndarray] = []
         self.act_sign: list[np.ndarray] = []
         for l in range(self.top_degree + 1):
-            pre = np.zeros(self.dims[l], dtype=np.intp)
-            sign = np.zeros(self.dims[l], dtype=np.int64)
-            for i, s in enumerate(K.simplices[l]):
-                pre_ordered = K.generator_image_ordered(s, inv_power)
-                pre[i] = K._index[l][tuple(sorted(pre_ordered))]
-                sign[i] = _perm_sign(pre_ordered) % self.p
-            self.act_pre.append(pre)
-            self.act_sign.append(sign)
+            images = [K.generator_image_ordered(s, inv_power) for s in K.simplices[l]]
+            self.act_pre.append(K._index_of(l, list(map(sorted, images))))
+            self.act_sign.append(np.array([_perm_sign(s) % self.p for s in images], dtype=np.int64))
 
         self._check_invariants()
         self._cohomology = None
@@ -487,15 +619,9 @@ class EquivariantCochainComplex:
     def _cup_tables(self, l: int, lp: int):
         key = (l, lp)
         if key not in self._cup_indices:
-            tot = l + lp
-            front, back = [], []
-            for s in self.K.simplices[tot]:
-                front.append(self.K._index[l][s[: l + 1]])
-                back.append(self.K._index[lp][s[l:]])
-            self._cup_indices[key] = (
-                np.array(front, dtype=np.intp),
-                np.array(back, dtype=np.intp),
-            )
+            rows = self.K.rows[l + lp]
+            self._cup_indices[key] = (self.K._index_of(l, rows[:, : l + 1]),
+                                      self.K._index_of(lp, rows[:, l:]))
         return self._cup_indices[key]
 
     def cup(self, l: int, alpha: np.ndarray, lp: int, beta: np.ndarray) -> np.ndarray:
@@ -660,10 +786,8 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     ranks = [0] * (K.dim + 2)
     cleared = []
     for d in range(K.dim, 0, -1):
-        lower = K._index[d - 1]
         signs = (_face_signs(d) % p).tolist()
-        cols = [dict(zip(map(lower.__getitem__, combinations(s, d)), signs))
-                for s in K.simplices[d]]
+        cols = [dict(zip(row, signs)) for row in K._faces[d].tolist()]
         for i in cleared:
             cols[i] = {}
         ranks[d] = sparse_rank(cols, p)
@@ -722,11 +846,11 @@ def load_complex_json(text: str) -> SimplicialGComplex:
         if not _is_int(data[field_name]):
             raise ComplexFileError(f"{field_name!r} must be an integer, not {data[field_name]!r}")
     generator, simplices = data["generator"], data["simplices"]
-    if not isinstance(generator, list) or not all(_is_int(v) for v in generator):
+    # JSON decodes to exact types: an integer is an int, never a bool
+    if not isinstance(generator, list) or not set(map(type, generator)) <= {int}:
         raise ComplexFileError("'generator' must be a list of integers")
-    if not isinstance(simplices, list) or not all(
-        isinstance(s, list) and all(_is_int(v) for v in s) for s in simplices
-    ):
+    if (not isinstance(simplices, list) or not set(map(type, simplices)) <= {list}
+            or not set(map(type, chain.from_iterable(simplices))) <= {int}):
         raise ComplexFileError("'simplices' must be a list of lists of integers")
     if not simplices:
         raise ComplexFileError("the complex has no simplices")

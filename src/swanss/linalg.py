@@ -25,8 +25,8 @@ in span Z, v[rest] = z[rest]·v[lead] on the other rows, with one exact
 product; everything else happens on the k lead rows.
 [b | z] = z·[b[lead] | I_k] with z injective, so the one `FactoredSolve`
 of the k-row [b[lead] | I_k] has the pivots and the solutions that a
-factor of the n-row [b | z] would: the representatives, the basis of B,
-the coordinates of classes and the preimages under b are all read off it.
+factor of the n-row [b | z] would: the representatives, the basis of B
+and the coordinates of classes are all read off it.
 
 `kernel_mod` needs one elimination: reducing the columns from the last one
 leaves free exactly the positions where some kernel vector has its first
@@ -309,13 +309,10 @@ class Subquotient:
     - [self.b | reps] is a basis of span Z, so the solution of
       [b | z]·x = v with free variables 0 gives the unique coordinates of
       v against it: those at the representative pivots are the coordinates
-      of the class of v;
-    - for y in im b, that solution uses b's pivot columns only, and its b
-      part is the one FactoredSolve(b) returns, the solution of b·w = y
-      with free variables 0 (`preimage`).
+      of the class of v.
 
-    `coordinates*` and `preimage` check the same way that their vectors
-    lie in span Z before they solve on the lead rows.
+    `coordinates_many` checks the same way that its vectors lie in span Z
+    before it solves on the lead rows.
     """
 
     def __init__(self, z: np.ndarray, b: np.ndarray, p: int):
@@ -323,7 +320,6 @@ class Subquotient:
         n, k = z.shape
         if b.shape[0] != n:
             raise ValueError("ambient dimensions differ")
-        self.ambient_dim = n
         nb = b.shape[1]
         z = np.mod(np.asarray(z, dtype=np.int64), p)
         # (count_nonzero is the cheapest test of a small boolean array)
@@ -379,33 +375,12 @@ class Subquotient:
         """A basis of B: the kept columns of b, mod p."""
         return np.mod(np.asarray(self._gens, dtype=np.int64)[:, self._b_cols], self.p)
 
-    def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of [v] in the canonical representative basis."""
-        return self.coordinates_many(np.reshape(v, (-1, 1)))[:, 0]
-
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the columns of `vs`, as columns."""
         lead = self._lead_rows(vs)
         if lead is None:
             raise ValueError("vector is not in the span of Z")
         return matmul_mod(self._transform[self._rank_b :], lead, self.p).astype(np.int64)
-
-    def preimage(self, y: np.ndarray) -> np.ndarray | None:
-        """The solution w of b·w = y with free variables 0, or None if y is
-        outside im b."""
-        lead = self._lead_rows(np.reshape(y, (-1, 1)))
-        if lead is None:
-            return None
-        sol = matmul_mod(self._transform, lead, self.p)[:, 0]
-        if np.count_nonzero(sol[self._rank_b :]):
-            return None
-        w = np.zeros(self._gens.shape[1], dtype=np.int64)
-        w[self._b_cols] = sol[: self._rank_b]
-        return w
-
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)
-        return matmul_mod(self.reps, coords, self.p).astype(np.int64)
 
 
 def reduce_columns(columns: list[dict[int, int]], ops: list[dict[int, int]] | None,

@@ -17,9 +17,10 @@ def _dense_betti(K, p):
     ranks = [0] * (K.dim + 2)
     for d in range(1, K.dim + 1):
         boundary = np.zeros((len(K.simplices[d - 1]), len(K.simplices[d])), dtype=np.int64)
+        index = {s: i for i, s in enumerate(K.simplices[d - 1])}
         for j, s in enumerate(K.simplices[d]):
             for i in range(len(s)):
-                boundary[K.index(s[:i] + s[i + 1 :]), j] = (-1) ** i
+                boundary[index[s[:i] + s[i + 1 :]], j] = (-1) ** i
         ranks[d] = rank_mod(boundary, p)
     return [len(K.simplices[d]) - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)]
 

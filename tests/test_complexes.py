@@ -5,6 +5,7 @@ import pytest
 
 from swanss.complexes import (
     ComplexFileError,
+    FaceClosureError,
     SimplicialGComplex,
     barycentric_subdivision,
     betti_numbers,
@@ -250,3 +251,83 @@ def test_json_load_and_errors():
 def test_generator_must_be_permutation_of_right_order():
     with pytest.raises(ValueError):
         SimplicialGComplex(3, 2, [1, 0], [(0,), (1,)])  # order 2 does not divide 3
+
+
+# -- constructor and loader errors: each names the first offending simplex ----
+
+
+@pytest.mark.parametrize("n, generator, simplices, error, message", [
+    # in the order given, whichever check it fails
+    (3, [0, 1, 2], [(0,), (2, 1), (5,)], ValueError, "simplex (2, 1) is not strictly increasing"),
+    (3, [0, 1, 2], [(0,), (5,), (2, 1)], ValueError, "simplex (5,) has out-of-range vertices"),
+    (3, [0, 1, 2], [(0,), (1, 1)], ValueError, "simplex (1, 1) is not strictly increasing"),
+    (3, [0, 1, 2], [(0,), ()], ValueError, "simplex () is not strictly increasing"),
+    (3, [0, 1, 2], [(-1,)], ValueError, "simplex (-1,) has out-of-range vertices"),
+    (3, [0, 1, 2], [(0,), (3,)], ValueError, "simplex (3,) has out-of-range vertices"),
+    # simplices given as the rows of 2-D arrays are checked the same way
+    (3, [0, 1, 2], [np.array([[0], [3]])], ValueError, "simplex (3,) has out-of-range vertices"),
+    (3, [0, 1, 2], [np.array([[0], [1]]), np.array([[0, 1], [2, 1]])], ValueError,
+     "simplex (2, 1) is not strictly increasing"),
+    (3, [0, 1, 2], [(0,), (10**30,)], ValueError,
+     "simplex (1000000000000000000000000000000,) has out-of-range vertices"),
+    (3, [0, 1, 2], [(-10**30, 0)], ValueError,
+     "simplex (-1000000000000000000000000000000, 0) has out-of-range vertices"),
+    # face closure: by dimension, then lexicographically; within a simplex
+    # s the faces s minus s[0], s minus s[1], ...
+    (4, [0, 1, 2, 3], [(0,), (1,), (2,), (0, 1), (2, 3), (0, 1, 2)], FaceClosureError,
+     "simplex [2, 3] lacks face [3]"),
+    (4, [0, 1, 2, 3], [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (0, 1, 3), (0, 1, 2)],
+     FaceClosureError, "simplex [0, 1, 2] lacks face [1, 2]"),
+    (3, [0, 1, 2], [(0,), (1,), (2,), (1, 2), (0, 1), (0, 1, 2)], FaceClosureError,
+     "simplex [0, 1, 2] lacks face [0, 2]"),
+    (3, [0, 1, 2], [(0,), (1,), (2,), (1, 2), (0, 2), (0, 1, 2)], FaceClosureError,
+     "simplex [0, 1, 2] lacks face [0, 1]"),
+    # the action: the generator first, then every simplex, by dimension
+    (2, [0, 0], [(0,)], ValueError, "generator is not a permutation of the vertices"),
+    (2, [0, 10**30], [(0,)], ValueError, "generator is not a permutation of the vertices"),
+    (2, [1, 0], [(0,), (1,)], ValueError, "generator order does not divide p"),
+    (3, [1, 2, 0], [(0,), (1,)], ValueError, "generator does not map simplex (1,) to a simplex"),
+    (3, [1, 2, 0], [(0,), (1,), (2,), (0, 1), (1, 2)], ValueError,
+     "generator does not map simplex (1, 2) to a simplex"),
+])
+def test_constructor_names_the_first_offending_simplex(n, generator, simplices, error, message):
+    with pytest.raises(ValueError) as info:
+        SimplicialGComplex(3, n, generator, simplices)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_load_names_the_first_missing_face_with_its_place():
+    text = ('{"p": 2, "vertices": 4, "generator": [0, 1, 2, 3],\n'
+            ' "simplices": [[0], [1], [2], [3],\n'
+            '  [0, 1], [0, 3],\n'
+            '  [0, 1, 3], [0, 1, 2]]}\n')
+    with pytest.raises(ComplexFileError) as info:
+        load_complex_json(text)
+    assert (info.value.line, info.value.column) == (4, 14)
+    assert str(info.value) == "line 4, column 14: simplex [0, 1, 2] lacks face [1, 2]"
+
+
+def test_load_passes_action_errors_through():
+    text = json.dumps({"p": 3, "vertices": 3, "generator": [1, 2, 0],
+                       "simplices": [[0], [1], [2], [0, 1], [1, 2]]})
+    with pytest.raises(ValueError) as info:
+        load_complex_json(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "generator does not map simplex (1, 2) to a simplex"
+
+
+def test_keys_do_not_overflow_at_any_vertex_count():
+    # 601^7 > 2^63: the 6-simplex's keys are byte strings, not base-601 numbers
+    top = (0, 1, 2, 3, 4, 5, 600)
+    K = SimplicialGComplex.from_maximal(3, 601, range(601), [top])
+    assert K.f_vector() == [7, 21, 35, 35, 21, 7, 1]
+    assert K.index(top) == 0 and K.index((5, 600)) == 20
+    assert [K.index(s) for s in K.simplices[3]] == list(range(35))
+    assert betti_numbers(K) == [1, 0, 0, 0, 0, 0, 0]
+    with pytest.raises(KeyError):
+        K.index((0, 599))
+    missing = [s for s in K.to_json()["simplices"] if s != [1, 2, 3, 4, 5, 600]]
+    with pytest.raises(FaceClosureError) as info:
+        SimplicialGComplex(3, 601, range(601), missing)
+    assert str(info.value) == "simplex [0, 1, 2, 3, 4, 5, 600] lacks face [1, 2, 3, 4, 5, 600]"

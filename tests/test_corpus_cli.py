@@ -130,8 +130,12 @@ def test_cli_decompose_reduces_entries_mod_p(tmp_path):
         {"p": 3, "vertices": 1, "generator": [0], "simplices": 5},
         {"p": 3, "vertices": 0, "generator": [], "simplices": []},
         {"p": 3, "vertices": 10**30, "generator": [0], "simplices": [[0]]},
+        {"p": 3, "vertices": 1, "generator": [0], "simplices": [[0], [10**30]]},
+        {"p": 3, "vertices": 1, "generator": [0], "simplices": [[-10**30, 0]]},
+        {"p": 3, "vertices": 2, "generator": [0, 10**30], "simplices": [[0]]},
     ],
-    ids=["float-p", "simplices-not-a-list", "no-vertices", "huge-vertex-count"],
+    ids=["float-p", "simplices-not-a-list", "no-vertices", "huge-vertex-count", "huge-vertex",
+         "huge-negative-vertex", "huge-generator-entry"],
 )
 def test_cli_analyze_malformed_complex(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

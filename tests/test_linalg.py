@@ -19,6 +19,7 @@ from swanss.linalg import (
     rref_mod,
     sparse_rank,
 )
+from subquotient_helpers import coordinates, lift, preimage
 
 
 def test_fieldp_validation():
@@ -152,9 +153,9 @@ def test_subquotient_coordinates_roundtrip():
     sub = Subquotient(z, b, p)
     assert sub.dim == 5 - rank_mod(b, p)
     v = np.mod(z @ rng.integers(0, p, 5), p)
-    coords = sub.coordinates(v)
+    coords = coordinates(sub, v)
     # the lift differs from v by an element of span(B)
-    diff = np.mod(v - sub.lift(coords), p)
+    diff = np.mod(v - lift(sub, coords), p)
     assert rank_mod(np.concatenate([sub.b, diff.reshape(-1, 1)], axis=1), p) == sub.b.shape[1]
 
 
@@ -505,7 +506,7 @@ def test_subquotient_matches_three_elimination_reference(case):
     assert rank_mod(sub.b, p) == rank_mod(np.concatenate([sub.b, b], axis=1), p) == rank_b
     vs = np.mod(z @ rng.integers(0, p, (z.shape[1], 4)), p)
     assert np.array_equal(sub.coordinates_many(vs), ref.coordinates_many(vs))
-    assert np.array_equal(sub.coordinates(vs[:, 0]), ref.coordinates_many(vs[:, :1])[:, 0])
+    assert np.array_equal(coordinates(sub, vs[:, 0]), ref.coordinates_many(vs[:, :1])[:, 0])
     # preimage is the solve against b: in im b, in span Z outside im b, outside span Z
     ys = [np.mod(b @ rng.integers(0, p, b.shape[1]), p), np.zeros(z.shape[0], dtype=np.int64)]
     if sub.dim:
@@ -515,16 +516,16 @@ def test_subquotient_matches_three_elimination_reference(case):
         ys.append(outside)
     solver = FactoredSolve(b, p)
     for y in ys:
-        got, want = sub.preimage(y), solver.solve(y)
+        got, want = preimage(sub, y), solver.solve(y)
         assert (got is None) == (want is None)
         if want is not None:
             assert got.dtype == np.int64 and np.array_equal(got, want)
     if sub.dim:
-        assert sub.preimage(ys[2]) is None
+        assert preimage(sub, ys[2]) is None
     if outside is not None:
-        assert sub.preimage(outside) is None
+        assert preimage(sub, outside) is None
         with pytest.raises(ValueError):
-            sub.coordinates(outside)
+            coordinates(sub, outside)
         # B outside span Z is refused
         bad = np.concatenate([b, outside.reshape(-1, 1)], axis=1)
         with pytest.raises(InvariantError, match="B is not contained in the span of Z") as err:

@@ -122,9 +122,10 @@ def _dense_delta_reference(K, l, p):
     """delta_l by the per-simplex loop: (-1)^j at the face that drops s[j]."""
     rows = len(K.simplices[l + 1]) if l < K.dim else 0
     m = np.zeros((rows, len(K.simplices[l])), dtype=np.int64)
+    index = {s: i for i, s in enumerate(K.simplices[l])}
     for i, s in enumerate(K.simplices[l + 1] if rows else ()):
         for j in range(len(s)):
-            m[i, K._index[l][s[:j] + s[j + 1 :]]] += (-1) ** j
+            m[i, index[s[:j] + s[j + 1 :]]] += (-1) ** j
     return np.mod(m, p)
 
 
