@@ -4,9 +4,8 @@ Simplices are strictly increasing vertex tuples.  A complex stores each
 dimension d as one int array `rows[d]` of shape (f_d, d + 1), a simplex
 per row, the rows in lexicographic order; every bulk operation here works
 on whole dimensions of these arrays.  A simplex is found by its key
-(`_row_keys`): its row read as a number in base n, the vertex count, or,
-when n^(d+1) does not fit an int64, the big-endian bytes of the row
-compared as a string.  Either way keys sort as the rows do, so one
+(`_row_keys`): the big-endian bytes of its row, compared as a string,
+which no vertex count can overflow.  Keys sort as the rows do, so one
 `searchsorted` per dimension looks up any number of simplices
 (`SimplicialGComplex._find`).  The per-simplex tuples `simplices[d]` are
 built only when read.
@@ -36,7 +35,7 @@ faces per subset size and one gather per chain length.
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter, lt
 
@@ -64,21 +63,10 @@ _tail = itemgetter(slice(1, None))
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """One key per row (last axis) of an int array with entries in [0, n),
-    ordered as the rows are lexicographically: the row read as a number in
-    base n, in an int64 while n^k fits there (k entries per row), and
-    otherwise its big-endian bytes as one void scalar, compared as a byte
-    string, which no vertex count can overflow."""
-    k = rows.shape[-1]
-    if n ** k <= 1 << 63:
-        return rows @ _powers(n, k)
-    r = rows.astype(np.min_scalar_type(n - 1).newbyteorder(">"), order="C")
-    return r.view(np.dtype((np.void, r.itemsize * k))).reshape(r.shape[:-1])
-
-
-@lru_cache(maxsize=64)
-def _powers(n: int, k: int) -> np.ndarray:
-    """n^(k-1), ..., n, 1."""
-    return np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
+    ordered as the rows are lexicographically: the row's big-endian bytes
+    as one void scalar, compared as a byte string."""
+    r = rows.astype(np.min_scalar_type(n).newbyteorder(">"), order="C")
+    return r.view(np.dtype((np.void, r.itemsize * r.shape[-1]))).reshape(r.shape[:-1])
 
 
 @cache
@@ -94,26 +82,11 @@ def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[np.unique(_row_keys(rows, n), return_index=True)[1]]
 
 
-def _sorted_blocks(simplices: list, as_rows: bool, n: int) -> dict[int, np.ndarray] | None:
-    """{size: rows} of the distinct simplices, the rows of each size in
-    lexicographic order, or None if a simplex is not strictly increasing
-    with vertices in [0, n).  With `as_rows` the simplices are the rows of
-    2-D int arrays, checked and sorted as arrays; vertex sequences, the few
-    simplices of an input file, are checked and sorted as tuples, which
-    costs less than the array calls would."""
-    if as_rows:
-        by_size: dict[int, list[np.ndarray]] = {}
-        for b in simplices:
-            if len(b):
-                by_size.setdefault(b.shape[1], []).append(b)
-        blocks = {}
-        for size, bs in by_size.items():
-            r = np.concatenate(bs).astype(np.intp, copy=False)
-            if not (size and (r[:, 1:] > r[:, :-1]).all() and r[:, 0].min() >= 0
-                    and r[:, -1].max() < n):
-                return None
-            blocks[size] = _unique_rows(r, n)
-        return blocks
+def _tuple_blocks(simplices: list, n: int) -> dict[int, np.ndarray] | None:
+    """{size: rows} of the distinct vertex sequences in `simplices`, the
+    rows of each size in lexicographic order, or None if one is not
+    strictly increasing with vertices in [0, n).  The few simplices of an
+    input file cost less as tuples than the array calls would."""
     ts = list(map(tuple, map(map, repeat(int), simplices)))
     if not (all(ts) and all(map(all, map(map, repeat(lt), ts, map(_tail, ts))))
             and min(map(itemgetter(0), ts), default=0) >= 0
@@ -123,6 +96,22 @@ def _sorted_blocks(simplices: list, as_rows: bool, n: int) -> dict[int, np.ndarr
     ordered = sorted(set(ts))
     ordered.sort(key=len)
     return {size: np.array(list(group), dtype=np.intp) for size, group in groupby(ordered, len)}
+
+
+def _array_blocks(blocks: list, n: int) -> dict[int, np.ndarray] | None:
+    """`_tuple_blocks` for simplices given as the rows of 2-D int arrays."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for b in blocks:
+        if len(b):
+            by_size.setdefault(b.shape[1], []).append(b)
+    out = {}
+    for size, bs in by_size.items():
+        r = np.concatenate(bs).astype(np.intp, copy=False)
+        if not (size and (r[:, 1:] > r[:, :-1]).all() and r[:, 0].min() >= 0
+                and r[:, -1].max() < n):
+            return None
+        out[size] = _unique_rows(r, n)
+    return out
 
 
 class SimplicialGComplex:
@@ -157,7 +146,7 @@ class SimplicialGComplex:
         simplices = list(simplices)
         as_rows = bool(simplices) and isinstance(simplices[0], np.ndarray) and simplices[0].ndim == 2
         try:
-            blocks = _sorted_blocks(simplices, as_rows, n)
+            blocks = (_array_blocks if as_rows else _tuple_blocks)(simplices, n)
         except (TypeError, ValueError, OverflowError):
             blocks = None
         if blocks is None:
@@ -236,12 +225,6 @@ class SimplicialGComplex:
 
     def size(self) -> int:
         return sum(self.f_vector())
-
-    def index(self, simplex: tuple) -> int:
-        d = len(simplex) - 1
-        if not 0 <= d <= self.dim or not all(0 <= v < self.vertex_count for v in simplex):
-            raise KeyError(simplex)
-        return int(self._index_of(d, [simplex])[0])
 
     def generator_image_ordered(self, simplex: tuple, power: int = 1):
         s = list(simplex)
@@ -744,10 +727,6 @@ class CohomologyBasis:
         w[list(op)] = [-x % self.p for x in op.values()]
         return w
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.mod(np.asarray(coords, dtype=np.int64).reshape(self.dim), self.p)
-        return matmul_mod(self.reps, coords, self.p).astype(np.int64)
-
 
 class DegreeCohomology:
     """H^l of the cochain complex with its induced module structure."""
@@ -846,11 +825,11 @@ def load_complex_json(text: str) -> SimplicialGComplex:
         if not _is_int(data[field_name]):
             raise ComplexFileError(f"{field_name!r} must be an integer, not {data[field_name]!r}")
     generator, simplices = data["generator"], data["simplices"]
-    # JSON decodes to exact types: an integer is an int, never a bool
-    if not isinstance(generator, list) or not set(map(type, generator)) <= {int}:
+    if not isinstance(generator, list) or not all(_is_int(v) for v in generator):
         raise ComplexFileError("'generator' must be a list of integers")
-    if (not isinstance(simplices, list) or not set(map(type, simplices)) <= {list}
-            or not set(map(type, chain.from_iterable(simplices))) <= {int}):
+    if not isinstance(simplices, list) or not all(
+        isinstance(s, list) and all(_is_int(v) for v in s) for s in simplices
+    ):
         raise ComplexFileError("'simplices' must be a list of lists of integers")
     if not simplices:
         raise ComplexFileError("the complex has no simplices")

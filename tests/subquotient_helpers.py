@@ -1,4 +1,5 @@
-"""Single-vector views of `linalg.Subquotient` that only tests use."""
+"""Single-vector views of `linalg.Subquotient` (and, for `lift`,
+`complexes.CohomologyBasis`) that only tests use."""
 
 import numpy as np
 

@@ -28,7 +28,8 @@ def _assert_matches_references(K, order):
     assert again.to_json() == K.to_json() == ref.as_json(K.p, K.vertex_count, K.generator, order)
 
     assert K.f_vector() == ref.f_vector(K)
-    assert all(K.index(s) == i for d in range(K.dim + 1) for i, s in enumerate(K.simplices[d]))
+    assert all(K._index_of(d, K.simplices[d]).tolist() == list(range(len(K.simplices[d])))
+               for d in range(K.dim + 1))
     assert K.is_order_compatible() == ref.is_order_compatible(K)
     assert K.is_regular() == ref.is_regular(K)
     assert K.vertex_orbits().tolist() == ref.vertex_orbits(K)

@@ -25,6 +25,7 @@ from swanss.corpus import (
 from swanss.linalg import rank_mod
 from swanss.report import analyze_complex
 from swan_helpers import dense_delta
+import complex_reference as ref
 
 
 def test_report_counts_subdivisions():
@@ -317,17 +318,27 @@ def test_load_passes_action_errors_through():
     assert str(info.value) == "generator does not map simplex (1, 2) to a simplex"
 
 
-def test_keys_do_not_overflow_at_any_vertex_count():
-    # 601^7 > 2^63: the 6-simplex's keys are byte strings, not base-601 numbers
-    top = (0, 1, 2, 3, 4, 5, 600)
-    K = SimplicialGComplex.from_maximal(3, 601, range(601), [top])
-    assert K.f_vector() == [7, 21, 35, 35, 21, 7, 1]
-    assert K.index(top) == 0 and K.index((5, 600)) == 20
-    assert [K.index(s) for s in K.simplices[3]] == list(range(35))
+def test_wide_vertex_keys_sort_and_find_as_the_rows_do():
+    # 601 vertices take two bytes each: vertex 256 is 0x0100 and sorts after
+    # 255 = 0x00ff only when the bytes are compared big end first
+    g = [v + 300 if v < 300 else v - 300 if v < 600 else v for v in range(601)]
+    s = (0, 1, 255, 256, 257, 299, 600)
+    t = tuple(g[v] for v in s)
+    closed = SimplicialGComplex.from_maximal(2, 601, g, [s, t]).to_json()["simplices"]
+    listed = closed[::-1] + closed[5:9]
+    K = SimplicialGComplex(2, 601, g, listed)
+    assert K.to_json() == ref.as_json(2, 601, g, listed)
+    assert K.f_vector() == [13, 42, 70, 70, 42, 14, 2]
+    for d in range(K.dim + 1):
+        assert K._index_of(d, K.simplices[d]).tolist() == list(range(K.f_vector()[d]))
+    assert not K._find(1, np.array([[255, 300]]))[1].any()
+    assert fixed_subcomplex(K).to_json() == ref.fixed_subcomplex(K)
+    assert barycentric_subdivision(K).to_json() == ref.barycentric_subdivision(K)
+    assert quotient_complex(K).to_json() == ref.quotient_complex(K)
     assert betti_numbers(K) == [1, 0, 0, 0, 0, 0, 0]
-    with pytest.raises(KeyError):
-        K.index((0, 599))
-    missing = [s for s in K.to_json()["simplices"] if s != [1, 2, 3, 4, 5, 600]]
+
+    drop = [list(s[:1] + s[2:]), list(s[:3] + s[4:]), list(t[1:])]
     with pytest.raises(FaceClosureError) as info:
-        SimplicialGComplex(3, 601, range(601), missing)
-    assert str(info.value) == "simplex [0, 1, 2, 3, 4, 5, 600] lacks face [1, 2, 3, 4, 5, 600]"
+        SimplicialGComplex(2, 601, g, [f for f in listed if f not in drop])
+    assert str(info.value) == ("simplex [0, 1, 255, 256, 257, 299, 600] "
+                               "lacks face [0, 255, 256, 257, 299, 600]")
