@@ -20,7 +20,7 @@ from swanss.corpus import build_circle, build_sphere_join, build_suspension_sphe
 # the 3-gon circle with a one-step rotation
 tri = build_circle(3)
 print("3-gon order-compatible?", tri.is_order_compatible())
-print("  edge {0,2} maps to", tri.generator_image_ordered((0, 2)), "(order reversed)")
+print("  edge {0,2} maps to", [tri.generator[v] for v in (0, 2)], "(order reversed)")
 R = validate_and_regularize(tri)
 print("after regularization: f-vector", R.f_vector(),
       "order-compatible", R.is_order_compatible(), "regular", R.is_regular())

@@ -7,8 +7,7 @@ on whole dimensions of these arrays.  A simplex is found by its key
 (`_row_keys`): the big-endian bytes of its row, compared as a string,
 which no vertex count can overflow.  Keys sort as the rows do, so one
 `searchsorted` per dimension looks up any number of simplices
-(`SimplicialGComplex._find`).  The per-simplex tuples `simplices[d]` are
-built only when read.
+(`SimplicialGComplex._find`).
 
 The pipeline needs the action to be *order-compatible*: the generator g
 is increasing on every simplex, so cochain-level actions carry no signs
@@ -35,7 +34,7 @@ faces per subset size and one gather per chain length.
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter, lt
 
@@ -45,17 +44,6 @@ from .errors import InvariantError
 from .linalg import (FactoredSolve, _is_int, check_modulus, matmul_mod, reduce_columns,
                      sparse_rank)
 from .gmodule import CohomologyProfile, GModule
-
-
-def _perm_sign(seq) -> int:
-    """Sign of the permutation sorting `seq` (distinct entries)."""
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 _tail = itemgetter(slice(1, None))
@@ -212,11 +200,6 @@ class SimplicialGComplex:
         return at
 
     # -- elementary queries ---------------------------------------------
-    @cached_property
-    def simplices(self) -> dict[int, list[tuple]]:
-        """The d-simplices as vertex tuples, per d, built on first use."""
-        return {d: list(map(tuple, r.tolist())) for d, r in enumerate(self.rows)}
-
     def f_vector(self) -> list[int]:
         return [len(r) for r in self.rows]
 
@@ -225,12 +208,6 @@ class SimplicialGComplex:
 
     def size(self) -> int:
         return sum(self.f_vector())
-
-    def generator_image_ordered(self, simplex: tuple, power: int = 1):
-        s = list(simplex)
-        for _ in range(power % self.p):
-            s = [self.generator[v] for v in s]
-        return s
 
     def is_order_compatible(self) -> bool:
         """Generator is increasing on every simplex.
@@ -442,6 +419,13 @@ def _face_signs(d: int) -> np.ndarray:
     return (-1) ** (d - np.arange(d + 1))
 
 
+def _boundary_columns(K: SimplicialGComplex, d: int, p: int) -> list[dict[int, int]]:
+    """The boundary out of dimension d as sparse columns over F_p: column i
+    holds the faces of d-simplex i with their signs ({} for a vertex)."""
+    signs = (_face_signs(d) % p).tolist()
+    return [dict(zip(row, signs)) for row in K._faces[d].tolist()]
+
+
 class EquivariantCochainComplex:
     """Cochain complex over F_p with the induced Z/p action per degree.
 
@@ -451,21 +435,27 @@ class EquivariantCochainComplex:
     so (delta a)[i] = sum_k sign_k a[faces[l][i, k]].  No dense matrix of
     delta is ever built: `cohomology` reduces the face tables sparsely.
 
-    The action T in degree l sends a cochain a to a(g^{-1}(.)), with the
-    orientation sign of the vertex reordering (always +1 after
-    regularization, still computed defensively); it is stored as a signed
-    permutation (`act_pre`, `act_sign`).
+    The action T in degree l sends a cochain a to a(g^{-1}(.)), and it
+    carries no signs.  The constructor rejects K unless it is
+    order-compatible: g maps each simplex to a simplex and is increasing
+    on it.  Then so is every power of g, g^{-1} = g^(p-1) among them, so
+    g^{-1} takes the vertices of a simplex, in order, to the vertices of
+    a simplex, in order, and the orientation sign is +1 (Bredon,
+    "Introduction to Compact Transformation Groups", ch. III section 1).
+    T permutes the simplices: (T a)[i] = a[act_pre[l][i]], with
+    act_pre[l] the inverse of g's permutation `K._image[l]` of the
+    l-simplices.
 
     The constructor checks delta o delta = 0, T delta = delta T in every
     degree and T^p = 1, and raises `InvariantError` at `complexes.cochain`
     otherwise.  The first two checks work on the face tables in time
     linear in their size: delta o delta composes two tables, and
     T delta = delta T compares, row by row and sorted by column, the
-    entries of (T delta)[i] (faces[pre1[i]] with signs sign1[i] sign_k)
-    with those of (delta T)[i] (pre0[faces[i]] with signs
-    sign_k sign0[faces[i]]).  This is the only check the Swan double
-    complex relies on: its d_h is T - 1 or the norm N, so [d_h, d_v] = 0
-    and d_h o d_h = 0 follow from these two facts about T (see `swan`).
+    entries of (T delta)[i] (faces[pre1[i]] with signs sign_k) with those
+    of (delta T)[i] (pre0[faces[i]] with signs sign_k).  This is the only
+    check the Swan double complex relies on: its d_h is T - 1 or the norm
+    N, so [d_h, d_v] = 0 and d_h o d_h = 0 follow from these two facts
+    about T (see `swan`).
     """
 
     def __init__(self, K: SimplicialGComplex):
@@ -479,15 +469,7 @@ class EquivariantCochainComplex:
         self.faces = K._faces[1:]
         self.face_signs = [_face_signs(l + 1) for l in range(self.top_degree)]
 
-        # Action stored as signed permutations: (T a)[i] = sign[i] * a[pre[i]]
-        # where pre[i] indexes g^{-1}(sigma_i).
-        inv_power = self.p - 1
-        self.act_pre: list[np.ndarray] = []
-        self.act_sign: list[np.ndarray] = []
-        for l in range(self.top_degree + 1):
-            images = [K.generator_image_ordered(s, inv_power) for s in K.simplices[l]]
-            self.act_pre.append(K._index_of(l, list(map(sorted, images))))
-            self.act_sign.append(np.array([_perm_sign(s) % self.p for s in images], dtype=np.int64))
+        self.act_pre = [np.argsort(image) for image in K._image]  # a permutation's inverse
 
         self._check_invariants()
         self._cohomology = None
@@ -497,12 +479,8 @@ class EquivariantCochainComplex:
     def apply_action(self, l: int, vectors: np.ndarray, power: int = 1) -> np.ndarray:
         """Apply T^power to cochain column vectors in degree l."""
         out = np.asarray(vectors, dtype=np.int64)
-        pre, sign = self.act_pre[l], self.act_sign[l]
         for _ in range(power % self.p):
-            if out.ndim == 1:
-                out = np.mod(sign * out[pre], self.p)
-            else:
-                out = np.mod(sign[:, None] * out[pre, :], self.p)
+            out = np.mod(out[self.act_pre[l]], self.p)
         return out
 
     def _check_invariants(self):
@@ -518,22 +496,18 @@ class EquivariantCochainComplex:
             if np.any(np.add.reduceat(signs.ravel(), np.flatnonzero(first)) % p):
                 raise InvariantError("complexes.cochain", f"delta o delta != 0 out of degree {l}")
         for l in range(self.top_degree):
-            faces, face_sign = self.faces[l], self.face_signs[l] % p
-            pre1, sign1 = self.act_pre[l + 1], self.act_sign[l + 1]
-            pre0, sign0 = self.act_pre[l], self.act_sign[l]
-            t_delta = _sorted_rows(faces[pre1], np.outer(sign1, face_sign) % p)
-            delta_t = _sorted_rows(pre0[faces], face_sign * sign0[faces] % p)
+            faces, pre1, pre0 = self.faces[l], self.act_pre[l + 1], self.act_pre[l]
+            signs = np.broadcast_to(self.face_signs[l] % p, faces.shape)
+            t_delta = _sorted_rows(faces[pre1], signs)
+            delta_t = _sorted_rows(pre0[faces], signs)
             if not all(map(np.array_equal, t_delta, delta_t)):
                 raise InvariantError("complexes.cochain",
                                      f"the action does not commute with delta out of degree {l}")
         for l in range(self.top_degree + 1):
-            ident = np.arange(self.dims[l], dtype=np.intp)
-            perm = ident
-            sign = np.ones(self.dims[l], dtype=np.int64)
+            perm = ident = np.arange(self.dims[l], dtype=np.intp)
             for _ in range(p):
-                sign = np.mod(sign * self.act_sign[l][perm], p)
                 perm = self.act_pre[l][perm]
-            if not (np.array_equal(perm, ident) and np.all(sign == 1 % p)):
+            if not np.array_equal(perm, ident):
                 raise InvariantError("complexes.cochain", f"t^p != 1 on {l}-cochains")
 
     def dim(self, l: int) -> int:
@@ -550,14 +524,6 @@ class EquivariantCochainComplex:
                 for j, sign in zip(row, signs):
                     cols[j][i] = sign
         return cols
-
-    def _boundary_columns(self, l: int) -> list[dict[int, int]]:
-        """The boundary out of degree l, the transpose of delta_(l-1), as
-        columns: column i holds the faces of l-simplex i."""
-        if l == 0:
-            return [{} for _ in range(self.dims[0])]
-        signs = (self.face_signs[l - 1] % self.p).tolist()
-        return [dict(zip(row, signs)) for row in self.faces[l - 1].tolist()]
 
     def cohomology(self) -> list["DegreeCohomology"]:
         """H^l for every l, each read off two sparse reductions with clearing.
@@ -576,7 +542,7 @@ class EquivariantCochainComplex:
             cycles: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
             pivots: dict[int, tuple] = {}
             for l in range(top, -1, -1):
-                pivots, cycles[l] = _reduce_with_clearing(self._boundary_columns(l), pivots, p)
+                pivots, cycles[l] = _reduce_with_clearing(_boundary_columns(self.K, l, p), pivots, p)
             reduced = []
             pivots = {}
             for l in range(top + 1):
@@ -765,8 +731,7 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     ranks = [0] * (K.dim + 2)
     cleared = []
     for d in range(K.dim, 0, -1):
-        signs = (_face_signs(d) % p).tolist()
-        cols = [dict(zip(row, signs)) for row in K._faces[d].tolist()]
+        cols = _boundary_columns(K, d, p)
         for i in cleared:
             cols[i] = {}
         ranks[d] = sparse_rank(cols, p)

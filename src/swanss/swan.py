@@ -24,20 +24,22 @@ The product takes a pair at columns (k, k') to
 
 with u the front/back-face cochain cup product.
 
-The action T on degree-l cochains is a signed permutation,
-(T a)[i] = sign[i] * a[pre[i]] (`act_pre`, `act_sign` of the base
-complex).  With post the inverse of pre, T e_j = sign[post[j]] e_post[j],
-so the sparse columns of d_h are read off it directly:
+The action T on degree-l cochains permutes the simplices and carries no
+signs: the base complex is order-compatible, so g^{-1} = g^(p-1) is
+increasing on every simplex and keeps the order of its vertices
+(`complexes.EquivariantCochainComplex`).  With post = `K._image[l]`, g's
+permutation of the l-simplices and the inverse of `act_pre[l]`,
+T e_j = e_post[j], so the sparse columns of d_h are read off it directly:
 
-    column j of T - 1:  {post[j]: sign[post[j]], j: -1}
-    column j of N:      sum over m < p of T^m e_j, the signed unit vectors
-                        along the orbit of j
+    column j of T - 1:  {post[j]: 1, j: -1}
+    column j of N:      sum over m < p of T^m e_j, the unit vectors along
+                        the orbit of j
 
 with values mod p and zero entries dropped (a fixed cochain j has
 post[j] = j, and its entries add up).  The sparse columns of d_v = delta_l
-are read off the base complex's face table (`faces[l]`, signs
-`face_signs[l]`): column j holds the sign of j in every (l+1)-simplex
-that has j as a face, so no dense coboundary is built for them.
+are the base complex's (`_coboundary_columns`), read off its face table:
+column j holds the sign of j in every (l+1)-simplex that has j as a face,
+so no dense coboundary is built for them.
 
 Nothing here re-checks the double complex.  The base complex checks, in
 its constructor, that T delta = delta T in every degree and that T^p = 1
@@ -112,42 +114,24 @@ class SwanDoubleComplex:
             if kind == "h":
                 self._sparse[key] = self._h_columns(k % 2, l)
             else:
-                self._sparse[key] = self._v_columns(l)
+                self._sparse[key] = self.base._coboundary_columns(l)
         return self._sparse[key]
 
-    def _v_columns(self, l: int) -> list[dict[int, int]]:
-        """Columns of delta_l, read off the face table: column j holds the
-        sign of j in every (l+1)-simplex that has j as a face."""
-        base = self.base
-        if l >= self.n:
-            return [{} for _ in range(base.dim(l))]
-        faces = base.faces[l]
-        # entries (row, column, value) of every face, by column and then by row
-        order = np.argsort(faces.ravel(), kind="stable")
-        rows = (order // faces.shape[1]).tolist()
-        vals = np.tile(base.face_signs[l] % self.p, len(faces))[order].tolist()
-        ends = np.cumsum(np.bincount(faces.ravel(), minlength=base.dim(l))).tolist()
-        return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
-
     def _h_columns(self, parity: int, l: int) -> list[dict[int, int]]:
-        """Columns of T - 1 (parity 0) or N (parity 1), read off the signed permutation."""
-        p, pre, sign = self.p, self.base.act_pre[l], self.base.act_sign[l]
-        n = len(pre)
-        post = np.empty_like(pre)
-        post[pre] = np.arange(n)
-        # each term is one signed unit vector of every column: its rows and values
-        rows, vals = np.arange(n), np.ones(n, dtype=np.int64)
+        """Columns of T - 1 (parity 0) or N (parity 1), read off g's permutation."""
+        p, post = self.p, self.base.K._image[l]
+        # each term is one unit vector of every column, given by its rows, and its sign
+        rows = np.arange(len(post))
         if parity == 0:
-            terms = [(post, sign[post]), (rows, -vals)]
+            terms = [(post, 1), (rows, -1)]
         else:
             terms = []
             for _ in range(p):
-                terms.append((rows, vals))
+                terms.append((rows, 1))
                 rows = post[rows]
-                vals = vals * sign[rows] % p
-        columns: list[dict[int, int]] = [{} for _ in range(n)]
-        for term_rows, term_vals in terms:
-            for col, r, v in zip(columns, term_rows.tolist(), term_vals.tolist()):
+        columns: list[dict[int, int]] = [{} for _ in range(len(post))]
+        for term_rows, v in terms:
+            for col, r in zip(columns, term_rows.tolist()):
                 col[r] = (col.get(r, 0) + v) % p
         return [{r: v for r, v in col.items() if v} for col in columns]
 

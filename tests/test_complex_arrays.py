@@ -1,5 +1,6 @@
-"""The array operations of `swanss.complexes` against the per-simplex tuple
-code they replaced (`complex_reference`), on random G-complexes."""
+"""The array operations of `swanss.complexes`, and the action of the cochain
+complex, against the per-simplex tuple code they replaced
+(`complex_reference`), on random G-complexes."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,17 @@ from swanss import complexes
 from swanss.complexes import (
     SimplicialGComplex,
     barycentric_subdivision,
+    cochain_complex,
     fixed_subcomplex,
     quotient_complex,
     validate_and_regularize,
 )
-from swanss.corpus import build_circle, build_suspension_sphere
+from swanss.corpus import build_circle, build_sphere_join, build_suspension_sphere
 from test_quotient import orbit_closures
 
 
 def _listed(K):
-    return [s for d in range(K.dim + 1) for s in K.simplices[d]]
+    return [s for top in ref.simplices(K).values() for s in top]
 
 
 def _assert_matches_references(K, order):
@@ -28,8 +30,8 @@ def _assert_matches_references(K, order):
     assert again.to_json() == K.to_json() == ref.as_json(K.p, K.vertex_count, K.generator, order)
 
     assert K.f_vector() == ref.f_vector(K)
-    assert all(K._index_of(d, K.simplices[d]).tolist() == list(range(len(K.simplices[d])))
-               for d in range(K.dim + 1))
+    assert all(K._index_of(d, top).tolist() == list(range(len(top)))
+               for d, top in ref.simplices(K).items())
     assert K.is_order_compatible() == ref.is_order_compatible(K)
     assert K.is_regular() == ref.is_regular(K)
     assert K.vertex_orbits().tolist() == ref.vertex_orbits(K)
@@ -40,6 +42,11 @@ def _assert_matches_references(K, order):
     assert Q is None or Q.to_json() == want
     R = validate_and_regularize(K)
     assert quotient_complex(R).to_json() == ref.quotient_complex(R)
+    for L in (R, fixed_subcomplex(R)):
+        # the action on cochains, a permutation of the simplices with every sign +1
+        action = ref.action(L)
+        assert [pre.tolist() for pre in cochain_complex(L).act_pre] == [pre for pre, _ in action]
+        assert all(sign == 1 for _, signs in action for sign in signs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,7 +61,8 @@ def test_array_operations_match_the_tuple_references(K, data):
     build_circle,  # its wraparound edge maps two vertices to one orbit image
     lambda p: validate_and_regularize(build_circle(p)),  # fails the orbit count
     lambda p: validate_and_regularize(build_suspension_sphere(p)),
-], ids=["circle", "regularized-circle", "regularized-suspension"])
+    lambda p: validate_and_regularize(build_sphere_join(p, 1, 0)),  # fixes a circle
+], ids=["circle", "regularized-circle", "regularized-suspension", "regularized-semifree-join"])
 def test_array_operations_match_the_tuple_references_on_the_corpus(build):
     K = build(3)
     listed = _listed(K)

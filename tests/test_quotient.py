@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from complex_reference import simplices
 from swanss import complexes
 from swanss.complexes import (
     SimplicialGComplex,
@@ -54,13 +55,14 @@ def _reference_is_quotient_safe(K: SimplicialGComplex) -> bool:
     """No simplex holds two vertices of one orbit, and equal orbit images
     come from one orbit (its least member is compared)."""
     orbit = _reference_orbits(K)
+    S = simplices(K)
     for d in range(1, K.dim + 1):
-        for s in K.simplices[d]:
+        for s in S[d]:
             if len({orbit[v] for v in s}) != len(s):
                 return False
     for d in range(K.dim + 1):
         image_owner: dict[tuple, tuple] = {}
-        for s in K.simplices[d]:
+        for s in S[d]:
             img = tuple(sorted(orbit[v] for v in s))
             rep = min(_power_image(K, s, j) for j in range(K.p))
             if image_owner.setdefault(img, rep) != rep:
@@ -78,7 +80,7 @@ def _reference_quotient(K: SimplicialGComplex) -> tuple[SimplicialGComplex, int]
         Q, subdivisions = barycentric_subdivision(Q), subdivisions + 1
     orbit = _reference_orbits(Q)
     n_orbits = max(orbit) + 1 if orbit else 0
-    images = {tuple(sorted(orbit[v] for v in s)) for d in range(Q.dim + 1) for s in Q.simplices[d]}
+    images = {tuple(sorted(orbit[v] for v in s)) for top in simplices(Q).values() for s in top}
     return SimplicialGComplex(Q.p, n_orbits, list(range(n_orbits)),
                               sorted(images, key=lambda s: (len(s), s))), subdivisions
 

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import os
 import subprocess
@@ -20,6 +19,7 @@ from swanss.errors import InvariantError
 from swanss.linalg import sparse_rank
 from swanss.corpus import build_circle, build_suspension_sphere
 from swanss.swan import SwanDoubleComplex, WindowError
+from complex_reference import simplices
 from swan_helpers import dense_delta, dense_h, tot_differential, tot_product
 
 
@@ -88,7 +88,7 @@ def _suspended_circle(p):
     """The suspension of the free circle: the action is semifree, the poles are fixed."""
     circle = build_circle(p)
     m = circle.vertex_count
-    tri = [e + (pole,) for e in circle.simplices[1] for pole in (m, m + 1)]
+    tri = [e + (pole,) for e in simplices(circle)[1] for pole in (m, m + 1)]
     return SimplicialGComplex.from_maximal(p, m + 2, list(circle.generator) + [m, m + 1], tri)
 
 
@@ -120,10 +120,11 @@ def test_h_columns_equal_the_dense_reference(p, build):
 
 def _dense_delta_reference(K, l, p):
     """delta_l by the per-simplex loop: (-1)^j at the face that drops s[j]."""
-    rows = len(K.simplices[l + 1]) if l < K.dim else 0
-    m = np.zeros((rows, len(K.simplices[l])), dtype=np.int64)
-    index = {s: i for i, s in enumerate(K.simplices[l])}
-    for i, s in enumerate(K.simplices[l + 1] if rows else ()):
+    S = simplices(K)
+    rows = len(S[l + 1]) if l < K.dim else 0
+    m = np.zeros((rows, len(S[l])), dtype=np.int64)
+    index = {s: i for i, s in enumerate(S[l])}
+    for i, s in enumerate(S[l + 1] if rows else ()):
         for j in range(len(s)):
             m[i, index[s[:j] + s[j + 1 :]]] += (-1) ** j
     return np.mod(m, p)
@@ -141,15 +142,6 @@ def test_v_columns_equal_the_dense_reference(p, build):
             columns = dc._sparse_columns("v", k, l)
             assert all(v % p for col in columns for v in col.values())
             assert np.array_equal(_dense(columns, ref.shape[0]), ref)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_h_columns_follow_the_signs_of_the_permutation(p):
-    # regularized complexes have every sign +1; random signs exercise the column formula
-    C = copy.copy(cochain_complex(validate_and_regularize(_suspended_circle(p))))
-    rng = np.random.default_rng(p)
-    C.act_sign = [rng.integers(1, p, C.dim(l)) for l in range(C.top_degree + 1)]
-    _assert_h_matches_dense_reference(SwanDoubleComplex(C))
 
 
 def test_product_unit_law(pipelines):
@@ -267,6 +259,14 @@ def test_disagreeing_periods_raise(monkeypatch):
     assert info.value.stage == "swan.tot_dims"
 
 
+def _under_optimization(script):
+    """The standard output of `script` run by `python -O` on this checkout's swanss."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return proc.stdout or proc.stderr
+
+
 def test_disagreeing_periods_raise_under_optimization():
     script = (
         "import itertools\n"
@@ -281,35 +281,40 @@ def test_disagreeing_periods_raise_under_optimization():
         "except InvariantError:\n"
         "    print('raised')\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout == "raised\n", proc.stderr
+    assert _under_optimization(script) == "raised\n"
 
 
+# Faults in the action are injected through `_image`, g's permutation of the
+# simplices of each dimension, from which the cochain complex reads T.
 def _rotated_triangle():
-    return validate_and_regularize(build_circle(3))
+    """The regularized triangle, a hexagon: vertices 0, 1, 2 and the
+    barycenters 3, 4, 5 of the edges {0,1}, {0,2}, {1,2}, g rotating both
+    triples."""
+    R = validate_and_regularize(build_circle(3))
+    assert R.is_regular() and R.is_order_compatible()
+    return R
 
 
 def test_action_not_commuting_with_delta_raises(monkeypatch):
     # T is the identity on edges but rotates the vertices, so T delta != delta T
-    # while t^p = 1 still holds
+    # while t^p = 1 still holds; edges fixed setwise, not pointwise, are not regular
     R = _rotated_triangle()
-    assert R.is_regular() and R.is_order_compatible()
+    R._image[1] = np.arange(len(R.rows[1]))
     monkeypatch.setattr(SimplicialGComplex, "is_regular", lambda self: True)
-    image = SimplicialGComplex.generator_image_ordered
-    monkeypatch.setattr(SimplicialGComplex, "generator_image_ordered",
-                        lambda self, s, power=1: s if len(s) == 2 else image(self, s, power))
     with pytest.raises(InvariantError) as info:
         cochain_complex(R)
     assert info.value.stage == "complexes.cochain"
     assert "commute" in info.value.invariant
 
 
-def test_action_of_order_not_dividing_p_raises(monkeypatch):
-    # every sign -1 commutes with delta, but then t^3 = -1 on every degree
+def test_action_of_order_not_dividing_p_raises():
+    # the reflection of the hexagon that swaps vertices 1 and 2, so 3 and 4,
+    # with the matching edges: a simplicial automorphism, so it commutes with
+    # delta, but of order 2, so t^3 = t != 1
     R = _rotated_triangle()
-    monkeypatch.setattr(complexes, "_perm_sign", lambda seq: -1)
+    R._image[0] = np.array([0, 2, 1, 4, 3, 5])
+    R._image[1] = R._index_of(1, np.sort(R._image[0][R.rows[1]], axis=1))
+    assert R.is_regular()
     with pytest.raises(InvariantError) as info:
         cochain_complex(R)
     assert info.value.stage == "complexes.cochain"
@@ -341,25 +346,35 @@ def test_delta_squared_nonzero_raises_under_optimization():
         "except InvariantError as exc:\n"
         "    print(exc)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout == "complexes.cochain: delta o delta != 0 out of degree 0\n", proc.stderr
+    assert _under_optimization(script) == "complexes.cochain: delta o delta != 0 out of degree 0\n"
 
 
-def test_action_of_order_not_dividing_p_raises_under_optimization():
+def _cochain_error_under_optimization(fault):
+    """What `cochain_complex` raises, under `python -O`, on the regularized
+    triangle R after the statements `fault` broke its action."""
     script = (
+        "import numpy as np\n"
         "from swanss import complexes\n"
         "from swanss.corpus import build_circle\n"
         "from swanss.errors import InvariantError\n"
         "R = complexes.validate_and_regularize(build_circle(3))\n"
-        "complexes._perm_sign = lambda seq: -1\n"
+        + fault +
         "try:\n"
         "    complexes.cochain_complex(R)\n"
         "except InvariantError as exc:\n"
-        "    print(exc.stage)\n"
+        "    print(exc)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout == "complexes.cochain\n", proc.stderr
+    return _under_optimization(script)
+
+
+def test_action_not_commuting_with_delta_raises_under_optimization():
+    fault = ("complexes.SimplicialGComplex.is_regular = lambda self: True\n"
+             "R._image[1] = np.arange(len(R.rows[1]))\n")
+    assert _cochain_error_under_optimization(fault) == (
+        "complexes.cochain: the action does not commute with delta out of degree 0\n")
+
+
+def test_action_of_order_not_dividing_p_raises_under_optimization():
+    fault = ("R._image[0] = np.array([0, 2, 1, 4, 3, 5])\n"
+             "R._image[1] = R._index_of(1, np.sort(R._image[0][R.rows[1]], axis=1))\n")
+    assert _cochain_error_under_optimization(fault) == "complexes.cochain: t^p != 1 on 0-cochains\n"
