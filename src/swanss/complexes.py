@@ -41,8 +41,8 @@ from operator import itemgetter, lt
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import (FactoredSolve, _is_int, check_modulus, matmul_mod, reduce_columns,
-                     sparse_rank)
+from .linalg import (Csc, FactoredSolve, SparseReduction, _is_int, check_modulus,
+                     csc_from_entries, matmul_mod, sparse_rank)
 from .gmodule import CohomologyProfile, GModule
 
 
@@ -419,11 +419,13 @@ def _face_signs(d: int) -> np.ndarray:
     return (-1) ** (d - np.arange(d + 1))
 
 
-def _boundary_columns(K: SimplicialGComplex, d: int, p: int) -> list[dict[int, int]]:
-    """The boundary out of dimension d as sparse columns over F_p: column i
-    holds the faces of d-simplex i with their signs ({} for a vertex)."""
-    signs = (_face_signs(d) % p).tolist()
-    return [dict(zip(row, signs)) for row in K._faces[d].tolist()]
+def _boundary(K: SimplicialGComplex, d: int, p: int) -> Csc:
+    """The boundary out of dimension d over F_p: column i holds the faces of
+    d-simplex i, whose indices increase, with their signs (none for a
+    vertex).  `K._faces[d]` is its row array as it is."""
+    faces = K._faces[d]
+    n, width = faces.shape
+    return Csc(np.arange(n + 1) * width, faces.ravel(), np.resize(_face_signs(d) % p, faces.size))
 
 
 class EquivariantCochainComplex:
@@ -472,6 +474,7 @@ class EquivariantCochainComplex:
         self.act_pre = [np.argsort(image) for image in K._image]  # a permutation's inverse
 
         self._check_invariants()
+        self._coboundaries: dict[int, Csc] = {}
         self._cohomology = None
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
@@ -514,16 +517,18 @@ class EquivariantCochainComplex:
         return self.dims[l] if 0 <= l <= self.top_degree else 0
 
     # -- cohomology -----------------------------------------------------
-    def _coboundary_columns(self, l: int) -> list[dict[int, int]]:
-        """delta_l as columns: column j holds the cofaces of l-simplex j,
-        with the signs they give it (all {} in the top degree)."""
-        cols: list[dict[int, int]] = [{} for _ in range(self.dims[l])]
-        if l < self.top_degree:
-            signs = (self.face_signs[l] % self.p).tolist()
-            for i, row in enumerate(self.faces[l].tolist()):
-                for j, sign in zip(row, signs):
-                    cols[j][i] = sign
-        return cols
+    def _coboundary(self, l: int) -> Csc:
+        """delta_l: column j holds the cofaces of l-simplex j, with the signs
+        they give it (none in the top degree), read off the face table."""
+        if l not in self._coboundaries:
+            if l < self.top_degree:
+                faces, signs = self.faces[l], self.face_signs[l] % self.p
+            else:
+                faces, signs = np.zeros((0, l + 2), dtype=np.intp), np.zeros(0, dtype=np.int64)
+            cofaces = np.repeat(np.arange(len(faces)), faces.shape[1])
+            self._coboundaries[l] = csc_from_entries(
+                faces.ravel(), cofaces, np.resize(signs, faces.size), self.dims[l])
+        return self._coboundaries[l]
 
     def cohomology(self) -> list["DegreeCohomology"]:
         """H^l for every l, each read off two sparse reductions with clearing.
@@ -540,15 +545,17 @@ class EquivariantCochainComplex:
         if self._cohomology is None:
             p, top = self.p, self.top_degree
             cycles: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
-            pivots: dict[int, tuple] = {}
+            cleared = None
             for l in range(top, -1, -1):
-                pivots, cycles[l] = _reduce_with_clearing(_boundary_columns(self.K, l, p), pivots, p)
+                red = sparse_rank(_boundary(self.K, l, p), p, cleared, record=True)
+                cycles[l], cleared = red.kernel, red.pivot_rows
             reduced = []
-            pivots = {}
+            below = None
             for l in range(top + 1):
-                below = pivots
-                pivots, reps = _reduce_with_clearing(self._coboundary_columns(l), below, p)
-                reduced.append((reps, below))
+                cleared = None if below is None else below.pivot_rows
+                red = sparse_rank(self._coboundary(l), p, cleared, record=True)
+                reduced.append((red.kernel, below))
+                below = red
             if sum((-1) ** l * d for l, d in enumerate(self.dims)) != sum(
                 (-1) ** l * len(reps) for l, (reps, _) in enumerate(reduced)
             ):
@@ -595,28 +602,6 @@ class EquivariantCochainComplex:
         return coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
 
 
-def _reduce_with_clearing(columns: list[dict[int, int]], cleared: dict[int, tuple], p: int):
-    """Reduce `columns` by `sparse_rank`, recording V from the identity,
-    with the columns at the pivot rows of the map reduced before (the keys
-    of `cleared`) set to {}.
-
-    Returns the pivots, {pivot row: (R column, V column)}, and the V
-    columns of the other columns that reduce to zero, in column order.
-    """
-    for i in cleared:
-        columns[i] = {}
-    ops = [{} if j in cleared else {j: 1} for j in range(len(columns))]
-    sparse_rank(columns, p, ops)
-    pivots = {}
-    zero = []
-    for j, col in enumerate(columns):
-        if col:
-            pivots[max(col)] = (col, ops[j])
-        elif j not in cleared:
-            zero.append(ops[j])
-    return pivots, zero
-
-
 def _dense_columns(columns: list[dict[int, int]], n: int) -> np.ndarray:
     out = np.zeros((n, len(columns)), dtype=np.int64)
     for j, col in enumerate(columns):
@@ -646,17 +631,18 @@ class CohomologyBasis:
       coordinates of v are M^-1·cycles^T·v, one product, once delta_l·v = 0
       has been checked on the face table.
     - `preimage`: y is reduced by the reduced columns R = delta_(l-1)·V of
-      delta_(l-1), keyed on their pivot rows, and the matching V columns
-      are summed into w.
+      delta_(l-1), keyed on their pivot rows (the `linalg.SparseReduction`
+      of delta_(l-1), which builds an apparent pivot the first time y
+      reaches its row), and the matching V columns are summed into w.
     """
 
     def __init__(self, C: EquivariantCochainComplex, l: int, reps: list[dict[int, int]],
-                 pivots: dict[int, tuple], cycles: list[dict[int, int]]):
+                 below: SparseReduction | None, cycles: list[dict[int, int]]):
         p = self.p = C.p
         n = C.dim(l)
         self.dim = len(reps)
         self.reps = _dense_columns(reps, n)
-        self._pivots, self._below = pivots, C.dim(l - 1)
+        self._below, self._below_dim = below, C.dim(l - 1)
         self._faces = (C.faces[l], C.face_signs[l] % p) if l < C.top_degree else None
         dual = _dense_columns(cycles, n).T
         pairing = matmul_mod(dual, self.reps, p)
@@ -683,13 +669,14 @@ class CohomologyBasis:
         """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
         y = np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p)
         rows = y.nonzero()[0]
-        rest = [dict(zip(rows.tolist(), y[rows].tolist()))]
+        rest = dict(zip(rows.tolist(), y[rows].tolist()))
         op: dict[int, int] = {}
         # each step takes f·R = delta_(l-1)·(f·V) off y and adds -f·V to op
-        reduce_columns(rest, [op], self._pivots, self.p, grow=False)
-        if rest[0]:
+        if self._below is not None:
+            self._below.reduce(rest, op)
+        if rest:
             return None
-        w = np.zeros(self._below, dtype=np.int64)
+        w = np.zeros(self._below_dim, dtype=np.int64)
         w[list(op)] = [-x % self.p for x in op.values()]
         return w
 
@@ -722,20 +709,19 @@ def cohomology_gmodules(C: EquivariantCochainComplex) -> CohomologyProfile:
 def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     """F_p Betti numbers via sparse boundary reduction.
 
+    `p` is K's own prime when None, and otherwise any prime at most
+    `linalg.MAX_PRIME` (`ValueError` for anything else, 0 and 1 included).
     Used for large quotient complexes where dense matrices would be
     wasteful; field coefficients make homology and cohomology dims agree.
     """
-    p = p or K.p
+    p = K.p if p is None else check_modulus(p)
     # ranks[d] is the rank of the boundary out of dimension d; clearing
     # (see `linalg`) needs the boundary above reduced first
     ranks = [0] * (K.dim + 2)
-    cleared = []
+    cleared = None
     for d in range(K.dim, 0, -1):
-        cols = _boundary_columns(K, d, p)
-        for i in cleared:
-            cols[i] = {}
-        ranks[d] = sparse_rank(cols, p)
-        cleared = [max(c) for c in cols if c]
+        red = sparse_rank(_boundary(K, d, p), p, cleared)
+        ranks[d], cleared = red.rank, red.pivot_rows
     f = K.f_vector()
     return [f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)]
 

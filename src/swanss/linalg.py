@@ -33,26 +33,54 @@ leaves free exactly the positions where some kernel vector has its first
 nonzero entry, so the kernel basis that is the identity there is already
 the canonical column-echelon basis.
 
-A small sparse elimination (`sparse_rank`, whose one loop is
-`reduce_columns`) serves the places where dense storage would be
+Sparse elimination serves the places where dense storage would be
 wasteful: total-complex ranks, Betti numbers of large quotient complexes,
 and the cohomology of a cochain complex, which is read off reductions of
-its face tables (`complexes.CohomologyBasis`).  It reduces its list of
-columns in place, so that each nonzero column ends with a distinct
-largest row, its pivot row, and on request applies every column
-operation to a second list as well (R = D·V).
-Callers ranking consecutive maps of a complex read those rows to clear the
-next map (Chen and Kerber, "Persistent homology computation with a twist",
-EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
-A reduced column of d_s is a combination of columns of d_s, so d_(s+1)
-maps it to zero; its last nonzero entry is at its pivot row i, so column i
-of d_(s+1) is a combination of the columns before it.  Setting that column
-to {} skips its reduction and leaves the rank as it is.
+its face tables (`complexes.CohomologyBasis`).  A sparse matrix is a
+`Csc`, numpy arrays of column pointers, rows and values, built from face
+tables and permutations without a Python loop.  `sparse_rank` reduces it
+left to right: each column in turn loses multiples of the reduced columns
+before it until it is zero or its lowest row is the lowest row of no
+earlier column, its pivot row.  On request it records every column
+operation as well (R = D·V, V unit upper triangular).
+Callers ranking consecutive maps of a complex read the pivot rows to clear
+the next map (Chen and Kerber, "Persistent homology computation with a
+twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
+2014).  A reduced column of d_s is a combination of columns of d_s, so
+d_(s+1) maps it to zero; its last nonzero entry is at its pivot row i, so
+column i of d_(s+1) is a combination of the columns before it.  Taking
+that column as zero skips its reduction and leaves the rank as it is.
+
+Most columns need no work.  Call column j *apparent* when it is the
+leftmost column with an entry in its own lowest row r.  An apparent column
+is final: it is a pivot with R_j = D_j and V_j = e_j.  A reduced column
+i < j, and every state of it during its reduction, is D_i minus multiples
+of reduced columns before it, so by induction it lies in the span of the
+columns D_0..D_i, all of which are zero at row r.  So no column before j
+ever has r as its lowest row: there is no pivot at r when column j comes,
+and no column before j looks row r up.  The columns after j that reach row
+r are reduced by D_j as in the plain reduction.  One numpy pass finds
+every apparent column: the lowest row of each column (the last of its
+increasing rows, a segmented max) and the leftmost column of each row, as
+the first entry of that row in column order (`np.minimum.at`).  The pass
+does not skip the columns taken as zero by clearing.  That could only make
+it find fewer apparent columns, and it finds none fewer: such a column is
+a combination of the columns before it, so it holds the first entry of no
+row.  The apparent columns become pivots at once; they are the apparent
+pairs of Bauer ("Ripser", J. Appl. Comput. Topol. 2021), here without a
+filtration.  Only the other columns go through the one Python loop,
+`SparseReduction.reduce`, as {row: value} dicts.  A matrix of fewer than
+APPARENT_MIN entries skips the pass, whose fixed numpy cost is then larger
+than the loop it saves; every column goes through the loop, and an
+apparent one becomes a pivot there unchanged.  An apparent pivot is built
+as a dict, R_j from its CSC slice and V_j = e_j, only when a column, or
+`complexes.CohomologyBasis.preimage`, is reduced against it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +93,9 @@ MAX_PRIME = 251
 PANEL = 32
 # float64 represents every integer below this exactly.
 _EXACT_LIMIT = 2**53
+# Fewest entries for which `sparse_rank` looks for apparent columns: below
+# it the numpy pass costs more than the columns it spares the Python loop.
+APPARENT_MIN = 256
 
 
 def is_prime(p: int) -> bool:
@@ -383,26 +414,78 @@ class Subquotient:
         return matmul_mod(self._transform[self._rank_b :], lead, self.p).astype(np.int64)
 
 
-def reduce_columns(columns: list[dict[int, int]], ops: list[dict[int, int]] | None,
-                   pivots: dict[int, tuple], p: int, grow: bool = True) -> None:
-    """Reduce every column of `columns` in place by `pivots`, left to right.
+class Csc(NamedTuple):
+    """A sparse matrix over F_p as CSC arrays: column j has the values
+    values[indptr[j]:indptr[j + 1]], all in [1, p), at the rows
+    rows[indptr[j]:indptr[j + 1]], which increase."""
 
-    `pivots` maps a row to (R column, V column or None) for an R column
-    whose largest row is that row.  A column is reduced until it is {} or
-    its largest row has no pivot; with `grow` it then becomes the pivot of
-    that row.  Every subtraction of f times an R column subtracts f times
-    its V column from the column's entry of `ops` too, when both are given.
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def csc_from_entries(cols: np.ndarray, rows: np.ndarray, values: np.ndarray, ncols: int) -> Csc:
+    """The `Csc` of the entries (cols[i], rows[i], values[i]), given with
+    increasing rows within each column; one stable argsort by column."""
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(ncols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+    return Csc(indptr, rows[order], values[order])
+
+
+class SparseReduction:
+    """The left-to-right reduction of one `Csc` matrix D over F_p, as
+    `sparse_rank` leaves it.
+
+    - `rank` and `pivot_rows`, the lowest rows of the reduced nonzero
+      columns, which clear the next map (module docstring);
+    - `kernel`, with `record`: the V columns, {index: value}, of the
+      columns outside `cleared` that reduce to zero, in column order.  Each
+      is in the kernel of D, and they are independent;
+    - `pivot(row)`: the pivot (R column, V column or None) at a row, built
+      from D's arrays the first time an apparent one is asked for;
+    - `reduce`: the one reduction loop.
     """
-    for j, col in enumerate(columns):
-        col = {r: v % p for r, v in col.items() if v % p}
-        op = None if ops is None else ops[j]
+
+    def __init__(self, matrix: Csc, p: int, record: bool):
+        self.matrix, self.p, self.record = matrix, p, record
+        self.rank = 0
+        self.pivot_rows = np.zeros(0, dtype=np.intp)
+        self.kernel: list[dict[int, int]] = []
+        self._built: dict[int, tuple] = {}
+        self._apparent: dict[int, int] = {}
+
+    def column(self, j: int) -> dict[int, int]:
+        """Column j of D as {row: value}."""
+        indptr, rows, values = self.matrix
+        a, b = int(indptr[j]), int(indptr[j + 1])
+        return dict(zip(rows[a:b].tolist(), values[a:b].tolist()))
+
+    def pivot(self, row: int) -> tuple | None:
+        """(R column, V column or None) of the pivot at `row`, or None."""
+        piv = self._built.get(row)
+        if piv is None:
+            j = self._apparent.get(row)
+            if j is not None:
+                piv = self._built[row] = (self.column(j), {j: 1} if self.record else None)
+        return piv
+
+    def reduce(self, col: dict[int, int], op: dict[int, int] | None,
+               grow: bool = False) -> dict[int, int]:
+        """Reduce `col` in place by the pivots until it is {} or its lowest
+        row has no pivot, and return it; with `grow` it then becomes the
+        pivot of that row.  Every subtraction of f times an R column
+        subtracts f times its V column from `op` too, when both are given."""
+        p, built, apparent = self.p, self._built, self._apparent
         while col:
             low = max(col)
-            piv = pivots.get(low)
+            piv = built.get(low)
             if piv is None:
-                if grow:
-                    pivots[low] = (col, op)
-                break
+                if low not in apparent:
+                    if grow:
+                        built[low] = (col, op)
+                    break
+                piv = self.pivot(low)
             r, v = piv
             f = col[low] * pow(r[low], p - 2, p) % p
             for i, x in r.items():
@@ -411,33 +494,62 @@ def reduce_columns(columns: list[dict[int, int]], ops: list[dict[int, int]] | No
                     col[i] = nx
                 else:
                     col.pop(i, None)
-            if op is not None:
+            if op is not None and v is not None:
                 for i, x in v.items():
                     nx = (op.get(i, 0) - f * x) % p
                     if nx:
                         op[i] = nx
                     else:
                         op.pop(i, None)
-        columns[j] = col
+        return col
 
 
-def sparse_rank(columns: list[dict[int, int]], p: int,
-                ops: list[dict[int, int]] | None = None) -> int:
-    """Rank over F_p of a matrix given as a list of {row: value} columns.
+def sparse_rank(matrix: Csc, p: int, cleared: np.ndarray | None = None,
+                record: bool = False) -> SparseReduction:
+    """Reduce the `Csc` matrix D over F_p left to right and return the
+    reduction, whose `rank` is the rank of D.
 
-    Standard left-to-right reduction keyed on the largest row index of
-    each column (`reduce_columns`); only fill-in actually touched is paid
-    for.  The list is reduced in place: afterwards each nonzero column has
-    a distinct largest row, its pivot row, there are as many of them as
-    the rank, and every other column is {}.  A column that is {} on entry
-    costs nothing, which is what clearing (module docstring) relies on.
-
-    With `ops`, a list of {index: value} columns as long as `columns`,
-    every column operation is applied to `ops` as well.  If ops[j] starts
-    as the unit vector e_j, then afterwards column j is D·ops[j] for the
-    matrix D as given (R = D·V), and the ops of the columns reduced to {}
-    from nonzero are independent vectors of the kernel of D.
+    The columns indexed by `cleared` are taken as zero (clearing, module
+    docstring).  On a matrix of at least APPARENT_MIN entries one numpy
+    pass finds the apparent columns, which become pivots as they are;
+    only the other columns are reduced, as dicts, by
+    `SparseReduction.reduce`.  With `record` the column
+    operations are recorded too (R = D·V, V_j = e_j at the start), and
+    `kernel` holds the V columns of the columns reduced to zero, cleared
+    ones aside.
     """
-    pivots: dict[int, tuple] = {}
-    reduce_columns(columns, ops, pivots, p)
-    return len(pivots)
+    red = SparseReduction(matrix, p, record)
+    indptr, rows, values = matrix
+    nnz = len(rows)
+    todo = np.ones(len(indptr) - 1, dtype=bool)
+    if cleared is not None:
+        todo[cleared] = False
+    apparent_rows = np.zeros(0, dtype=np.intp)
+    if nnz >= APPARENT_MIN:
+        live = (todo & (indptr[1:] > indptr[:-1])).nonzero()[0]
+        # the lowest row of each live column (its rows increase); the column
+        # is apparent when the first entry of D in that row is its own
+        low = rows[indptr[live + 1] - 1]
+        first = np.full(int(rows.max(initial=-1)) + 1, nnz)
+        np.minimum.at(first, rows, np.arange(nnz))
+        apparent = first[low] >= indptr[live]
+        apparent_rows = low[apparent]
+        red._apparent = dict(zip(apparent_rows.tolist(), live[apparent].tolist()))
+        todo[live[apparent]] = False
+        column = red.column
+    else:  # every column is read, and slices of lists cost less than of arrays
+        ptr, row_list, value_list = indptr.tolist(), rows.tolist(), values.tolist()
+
+        def column(j: int) -> dict[int, int]:
+            return dict(zip(row_list[ptr[j] : ptr[j + 1]], value_list[ptr[j] : ptr[j + 1]]))
+    grown = []
+    for j in todo.nonzero()[0].tolist():
+        op = {j: 1} if record else None
+        col = red.reduce(column(j), op, grow=True)
+        if col:
+            grown.append(max(col))
+        elif record:  # reduced to zero, or empty from the start
+            red.kernel.append(op)
+    red.rank = len(red._apparent) + len(grown)
+    red.pivot_rows = np.concatenate([apparent_rows, np.array(grown, dtype=np.intp)])
+    return red

@@ -29,17 +29,22 @@ signs: the base complex is order-compatible, so g^{-1} = g^(p-1) is
 increasing on every simplex and keeps the order of its vertices
 (`complexes.EquivariantCochainComplex`).  With post = `K._image[l]`, g's
 permutation of the l-simplices and the inverse of `act_pre[l]`,
-T e_j = e_post[j], so the sparse columns of d_h are read off it directly:
+T e_j = e_post[j], so d_h is read off it directly:
 
-    column j of T - 1:  {post[j]: 1, j: -1}
-    column j of N:      sum over m < p of T^m e_j, the unit vectors along
-                        the orbit of j
+    column j of T - 1:  1 at post[j], -1 at j
+    column j of N:      1 along the orbit of j, the rows post^m[j], m < p
 
-with values mod p and zero entries dropped (a fixed cochain j has
-post[j] = j, and its entries add up).  The sparse columns of d_v = delta_l
-are the base complex's (`_coboundary_columns`), read off its face table:
-column j holds the sign of j in every (l+1)-simplex that has j as a face,
-so no dense coboundary is built for them.
+with values mod p.  A fixed cochain j (post[j] = j) has an empty column in
+both, since its entries add up to 0 or to p; any other orbit has p
+distinct members.  d_v = (-1)^k delta_l is the base complex's sparse
+coboundary (`_coboundary`), read off its face table.  Each map is a
+`linalg.Csc`, kept per (parity of k, l) as the column block (k, l) of d:
+its rows are those of block (k, l + 1) of Tot^(s+1), where d_v lands,
+then those of block (k + 1, l), where d_h lands.  These two blocks are
+next to each other in Tot^(s+1) (blocks by increasing k), so
+`total_differential` puts the column blocks of d_s side by side, each
+shifted down by the rows of the blocks before it, and builds no column
+by itself.
 
 Nothing here re-checks the double complex.  The base complex checks, in
 its constructor, that T delta = delta T in every degree and that T^p = 1
@@ -55,7 +60,7 @@ import numpy as np
 
 from .complexes import EquivariantCochainComplex
 from .errors import InvariantError
-from .linalg import sparse_rank
+from .linalg import Csc, csc_from_entries, sparse_rank
 
 
 class WindowError(ValueError):
@@ -74,7 +79,7 @@ class SwanDoubleComplex:
                 f"window K_max={k_max} too small; need at least {2 * (self.n + 8)}"
             )
         self.k_max = k_max
-        self._sparse: dict[tuple[str, int, int], list[dict[int, int]]] = {}
+        self._blocks: dict[tuple[int, int], Csc] = {}
         self._tot_dims_cache: list[int] | None = None
 
     # -- dimensions -----------------------------------------------------
@@ -107,58 +112,45 @@ class SwanDoubleComplex:
     def _tot_blocks(self, s: int) -> list[tuple[int, int]]:
         return [(k, s - k) for k in range(max(0, s - self.n), s + 1)]
 
-    def _sparse_columns(self, kind: str, k: int, l: int) -> list[dict[int, int]]:
-        """Columns of d_h out of column k (kind "h") or of d_v (kind "v") in row l."""
-        key = (kind, k % 2 if kind == "h" else 0, l)
-        if key not in self._sparse:
-            if kind == "h":
-                self._sparse[key] = self._h_columns(k % 2, l)
+    def _column_block(self, k: int, l: int) -> Csc:
+        """The columns of d out of block (k, l) (module docstring): the rows
+        of (-1)^k delta_l, then those of d_h, T - 1 (k even) or N (k odd)."""
+        key = (k % 2, l)
+        if key not in self._blocks:
+            p, post = self.p, self.base.K._image[l]
+            js = np.arange(len(post))
+            moved = js[post != js]
+            if k % 2 == 0:
+                h_rows = np.sort(np.stack([moved, post[moved]]), axis=0)
+                h_values = np.where(h_rows == moved, p - 1, 1)
             else:
-                self._sparse[key] = self.base._coboundary_columns(l)
-        return self._sparse[key]
+                orbit = [moved]
+                for _ in range(p - 1):
+                    orbit.append(post[orbit[-1]])
+                h_rows = np.sort(np.stack(orbit), axis=0)
+                h_values = np.ones_like(h_rows)
+            indptr, v_rows, v_values = self.base._coboundary(l)
+            v_cols = np.repeat(js, np.diff(indptr))
+            h_cols = np.repeat(moved, len(h_rows))
+            self._blocks[key] = csc_from_entries(
+                np.concatenate([v_cols, h_cols]),
+                np.concatenate([v_rows, h_rows.T.ravel() + self.base.dim(l + 1)]),
+                np.concatenate([v_values * (-1) ** k % p, h_values.T.ravel()]),
+                len(post))
+        return self._blocks[key]
 
-    def _h_columns(self, parity: int, l: int) -> list[dict[int, int]]:
-        """Columns of T - 1 (parity 0) or N (parity 1), read off g's permutation."""
-        p, post = self.p, self.base.K._image[l]
-        # each term is one unit vector of every column, given by its rows, and its sign
-        rows = np.arange(len(post))
-        if parity == 0:
-            terms = [(post, 1), (rows, -1)]
-        else:
-            terms = []
-            for _ in range(p):
-                terms.append((rows, 1))
-                rows = post[rows]
-        columns: list[dict[int, int]] = [{} for _ in range(len(post))]
-        for term_rows, v in terms:
-            for col, r in zip(columns, term_rows.tolist()):
-                col[r] = (col.get(r, 0) + v) % p
-        return [{r: v for r, v in col.items() if v} for col in columns]
-
-    def total_differential_columns(self, s: int, cleared=()) -> list[dict[int, int]]:
-        """Sparse columns of d: Tot^s -> Tot^(s+1); the columns whose
-        indices are in `cleared` come back as {} without being built."""
-        offset, at = {}, 0
-        for k, l in self._tot_blocks(s + 1):
-            offset[(k, l)] = at
-            at += self.cell_dim(k, l)
-        skip = set(cleared)
-        columns, at = [], 0
+    def total_differential(self, s: int) -> Csc:
+        """d: Tot^s -> Tot^(s+1), its column blocks side by side."""
+        indptr, rows, values = [np.zeros(1, dtype=np.intp)], [], []
+        nnz = row_at = 0
         for k, l in self._tot_blocks(s):
-            # d_h lands in block (k + 1, l) and d_v in (k, l + 1), which exists for l < n
-            h_off, hcols = offset[(k + 1, l)], self._sparse_columns("h", k, l)
-            v_off, vcols = offset.get((k, l + 1)), self._sparse_columns("v", k, l)
-            sgn = (-1) ** k % self.p
-            for j in range(self.cell_dim(k, l)):
-                if at + j in skip:
-                    columns.append({})
-                    continue
-                col = {h_off + r: v for r, v in hcols[j].items()}
-                if v_off is not None:
-                    col.update({v_off + r: sgn * v % self.p for r, v in vcols[j].items()})
-                columns.append(col)
-            at += self.cell_dim(k, l)
-        return columns
+            ip, r, v = self._column_block(k, l)
+            indptr.append(ip[1:] + nnz)
+            rows.append(r + row_at)
+            values.append(v)
+            nnz += len(r)
+            row_at += self.base.dim(l + 1)  # past block (k, l + 1)
+        return Csc(*map(np.concatenate, (indptr, rows, values)))
 
     def total_cohomology_dims(self) -> list[int]:
         """dim H^s of the total complex for 0 <= s <= K_max - 2."""
@@ -166,11 +158,11 @@ class SwanDoubleComplex:
             n = self.n
             # clearing: a pivot row of reduced d_(s-1) is a column of d_s that
             # reduces to zero (linalg module docstring), so it is never reduced
-            ranks, cleared = [], []
+            ranks, cleared = [], None
             for s in range(n + 4):
-                columns = self.total_differential_columns(s, cleared)
-                ranks.append(sparse_rank(columns, self.p))
-                cleared = [max(c) for c in columns if c]
+                red = sparse_rank(self.total_differential(s), self.p, cleared)
+                ranks.append(red.rank)
+                cleared = red.pivot_rows
             if ranks[n : n + 2] != ranks[n + 2 :]:
                 raise InvariantError("swan.tot_dims", f"ranks {ranks} of d: no period 2 from {n}")
 

@@ -1,14 +1,19 @@
 """Clearing against plain ranks: on random G-complexes, Betti numbers and
 Swan total dims computed with clearing equal those from ranking every map
-in full."""
+in full, and the cleared columns of each Swan map reduce to zero in its
+full reduction."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from complex_reference import simplices
 from swanss.complexes import betti_numbers, cochain_complex, quotient_complex, validate_and_regularize
+from swanss.corpus import build_circle
 from swanss.linalg import rank_mod, sparse_rank
 from swanss.swan import SwanDoubleComplex
+from sparse_reference import dense_of
+from swan_helpers import dense_delta, dense_h
 from test_quotient import orbit_closures
 from test_swan import _direct_total_dims
 
@@ -43,14 +48,44 @@ def test_total_dims_equal_a_rank_at_every_degree(K):
     assert dc.total_cohomology_dims() == _direct_total_dims(dc)
 
 
+def _dense_total_differential(dc, s):
+    """d: Tot^s -> Tot^(s+1) assembled from the dense (-1)^k delta_l and d_h."""
+    sources, targets = dc._tot_blocks(s), dc._tot_blocks(s + 1)
+    col_at = np.cumsum([0] + [dc.cell_dim(*b) for b in sources])
+    row_at = dict(zip(targets, np.cumsum([0] + [dc.cell_dim(*b) for b in targets])))
+    out = np.zeros((dc.tot_dim(s + 1), dc.tot_dim(s)), dtype=np.int64)
+    for (k, l), c0, c1 in zip(sources, col_at, col_at[1:]):
+        if (k, l + 1) in row_at:
+            r0 = row_at[(k, l + 1)]
+            out[r0 : r0 + dc.cell_dim(k, l + 1), c0:c1] = (-1) ** k * dense_delta(dc.base, l) % dc.p
+        r0 = row_at[(k + 1, l)]
+        out[r0 : r0 + dc.cell_dim(k + 1, l), c0:c1] = dense_h(dc, k, l)
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(orbit_closures())
 def test_cleared_columns_come_back_empty(K):
+    # the columns of d_s at the pivot rows of the reduced d_(s-1) reduce to
+    # zero when d_s is reduced in full, so clearing them keeps every pivot
     dc = SwanDoubleComplex(cochain_complex(validate_and_regularize(K)))
-    cleared = set()
+    cleared = np.zeros(0, dtype=np.intp)
     for s in range(dc.n + 4):
-        full = dc.total_differential_columns(s)
-        columns = dc.total_differential_columns(s, cleared)
-        assert columns == [{} if i in cleared else col for i, col in enumerate(full)]
-        sparse_rank(columns, dc.p)
-        cleared = {max(col) for col in columns if col}
+        matrix = dc.total_differential(s)
+        dense = dense_of(matrix, dc.tot_dim(s + 1))
+        assert np.array_equal(dense, _dense_total_differential(dc, s))
+        full = sparse_rank(matrix, dc.p, record=True)
+        assert set(cleared.tolist()) <= {max(op) for op in full.kernel}
+        red = sparse_rank(matrix, dc.p, cleared)
+        assert red.rank == full.rank == rank_mod(dense, dc.p)
+        rows = sorted(full.pivot_rows.tolist())
+        assert sorted(red.pivot_rows.tolist()) == rows
+        assert [red.pivot(i)[0] for i in rows] == [full.pivot(i)[0] for i in rows]
+        cleared = red.pivot_rows
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_betti_numbers_refuse_a_modulus_that_is_not_prime(p):
+    K = build_circle(3)
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        betti_numbers(K, p)

@@ -94,18 +94,17 @@ reduce = complexes.sparse_rank
 
 
 def broken(mode):
-    def sparse_rank(columns, p, ops=None):
-        given = [bool(col) for col in columns]
-        rank = reduce(columns, p, ops)
+    def sparse_rank(matrix, p, cleared=None, record=False):
+        red = reduce(matrix, p, cleared, record)
         if mode == "pairing":
-            for op in ops:  # every recorded cycle and cocycle becomes 0
+            for op in red.kernel:  # every recorded cycle and cocycle becomes 0
                 op.clear()
-        else:  # a column reduced to zero comes back as a copy of a pivot column
-            zero = [j for j, col in enumerate(columns) if given[j] and not col]
-            pivot = [col for col in columns if col]
-            if zero and pivot:
-                columns[zero[0]] = dict(pivot[0])
-        return rank
+        else:  # the first column reduced to zero from nonzero is lost from the kernel
+            indptr = matrix.indptr
+            given = [op for op in red.kernel if indptr[max(op) + 1] > indptr[max(op)]]
+            if given and red.rank:
+                red.kernel.remove(given[0])
+        return red
     return sparse_rank
 
 

@@ -176,10 +176,10 @@ def test_cli_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     import itertools
 
     from swanss import swan
+    from test_swan import _drifting
 
     # total-complex ranks that never repeat break the period check
-    calls = itertools.count()
-    monkeypatch.setattr(swan, "sparse_rank", lambda columns, p: next(calls))
+    monkeypatch.setattr(swan, "sparse_rank", _drifting(swan.sparse_rank, itertools.count()))
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(build_circle(3).to_json()))
     assert main(["analyze", str(path)]) == 3

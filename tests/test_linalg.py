@@ -19,6 +19,7 @@ from swanss.linalg import (
     rref_mod,
     sparse_rank,
 )
+from sparse_reference import csc_of
 from subquotient_helpers import coordinates, lift, preimage
 
 
@@ -188,17 +189,17 @@ def test_sparse_rank_matches_dense():
     for _ in range(40):
         p = int(rng.choice([2, 3, 5]))
         a = rng.integers(0, p, (rng.integers(1, 10), rng.integers(1, 10)))
-        cols = []
-        for j in range(a.shape[1]):
-            cols.append({i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]})
-        assert sparse_rank(cols, p) == rank_mod(a, p)
+        assert sparse_rank(csc_of(a, p), p).rank == rank_mod(a, p)
 
 
-def _sparse_columns(a):
-    return [{i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]} for j in range(a.shape[1])]
+def _reduced(red, n):
+    """{column: (R column, V column)} of every pivot of the reduction `red`
+    (V ends at its own column) and {column: V column} of its kernel."""
+    pivots = [red.pivot(row) for row in red.pivot_rows.tolist()]
+    return {max(v): (r, v) for r, v in pivots}, {max(v): v for v in red.kernel}
 
 
-def test_sparse_rank_reduces_its_list_in_place():
+def test_sparse_rank_reduces_to_distinct_pivot_rows():
     rng = np.random.default_rng(59)
     for _ in range(60):
         p = int(rng.choice([2, 3, 5, 7]))
@@ -208,22 +209,24 @@ def test_sparse_rank_reduces_its_list_in_place():
         j = int(rng.integers(1, n))
         a[:, j] = np.mod(a[:, :j] @ rng.integers(0, p, j), p)
         rank = rank_mod(a, p)
-        cols = _sparse_columns(a)
-        assert sparse_rank(cols, p) == rank
-        lows = [max(c) for c in cols if c]
+        red = sparse_rank(csc_of(a, p), p, record=True)
+        assert red.rank == rank
+        lows = red.pivot_rows.tolist()
         assert len(lows) == len(set(lows)) == rank
-        assert all(v % p for c in cols for v in c.values())
-        # the reduced columns span what the input columns span
-        reduced = np.zeros_like(a)
-        for k, c in enumerate(cols):
-            for i, v in c.items():
-                reduced[i, k] = v
+        pivots, kernel = _reduced(red, n)
+        assert set(pivots) | set(kernel) == set(range(n)) and j in kernel
+        # each R column is nonzero, ends at its pivot row, and they span
+        # what the input columns span
+        reduced = np.zeros((m, rank), dtype=np.int64)
+        for k, row in enumerate(lows):
+            r, _ = red.pivot(row)
+            assert max(r) == row and all(v % p for v in r.values())
+            reduced[list(r), k] = list(r.values())
         assert rank_mod(reduced, p) == rank_mod(np.concatenate([a, reduced], axis=1), p) == rank
-        # blanking a column in the span of the earlier ones keeps the rank
-        cols = _sparse_columns(a)
-        cols[j] = {}
-        assert sparse_rank(cols, p) == rank
-        assert cols[j] == {}
+        # clearing a column in the span of the earlier ones keeps the rank
+        red = sparse_rank(csc_of(a, p), p, np.array([j]), record=True)
+        assert red.rank == rank
+        assert j not in _reduced(red, n)[1] and len(red.kernel) == n - rank - 1
 
 
 def test_sparse_rank_records_its_column_operations():
@@ -232,18 +235,19 @@ def test_sparse_rank_records_its_column_operations():
         p = int(rng.choice([2, 3, 5, 7]))
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
         a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.4)
-        cols = _sparse_columns(a)
-        ops = [{j: 1} for j in range(n)]
-        assert sparse_rank(cols, p, ops) == rank_mod(a, p)
+        red = sparse_rank(csc_of(a, p), p, record=True)
+        assert red.rank == rank_mod(a, p)
+        pivots, kernel = _reduced(red, n)
         r, v = np.zeros((m, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            r[list(cols[j]), j] = list(cols[j].values())
-            v[list(ops[j]), j] = list(ops[j].values())
+        for j, (rj, vj) in pivots.items():
+            r[list(rj), j] = list(rj.values())
+            v[list(vj), j] = list(vj.values())
+        for j, vj in kernel.items():
+            v[list(vj), j] = list(vj.values())
         # R = A·V with V unit upper triangular: the zero columns of R give ker A
         assert np.array_equal(np.mod(a @ v, p), r)
         assert np.array_equal(np.tril(v), np.eye(n, dtype=np.int64))
-        zero = [j for j in range(n) if not cols[j]]
-        assert len(zero) == n - rank_mod(a, p)
+        assert len(kernel) == n - rank_mod(a, p)
 
 
 def test_kernel_takes_one_elimination(monkeypatch):

@@ -20,6 +20,7 @@ from swanss.linalg import sparse_rank
 from swanss.corpus import build_circle, build_suspension_sphere
 from swanss.swan import SwanDoubleComplex, WindowError
 from complex_reference import simplices
+from sparse_reference import dense_of
 from swan_helpers import dense_delta, dense_h, tot_differential, tot_product
 
 
@@ -80,8 +81,8 @@ def test_semifree_join_localization(pipelines):
 def test_column_periodicity(pipelines):
     dc = pipelines("circle-3").D
     for l in range(dc.n + 1):
-        assert dc._sparse_columns("h", 0, l) == dc._sparse_columns("h", 2, l)
-        assert dc._sparse_columns("h", 1, l) == dc._sparse_columns("h", 17, l)
+        assert dc._column_block(0, l) is dc._column_block(2, l)
+        assert dc._column_block(1, l) is dc._column_block(17, l)
 
 
 def _suspended_circle(p):
@@ -92,21 +93,18 @@ def _suspended_circle(p):
     return SimplicialGComplex.from_maximal(p, m + 2, list(circle.generator) + [m, m + 1], tri)
 
 
-def _dense(columns, rows):
-    out = np.zeros((rows, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            out[r, j] = v
-    return out
+def _dense_block(dc, k, l):
+    """The column block (k, l) of d, dense: the rows of d_v, then of d_h."""
+    block = dc._column_block(k, l)
+    assert np.all((0 < block.values) & (block.values < dc.p))
+    return dense_of(block, dc.base.dim(l + 1) + dc.base.dim(l))
 
 
 def _assert_h_matches_dense_reference(dc):
     for l in range(dc.n + 1):
         for parity in (0, 1):
-            columns = dc._sparse_columns("h", parity, l)
-            assert all(v % dc.p for col in columns for v in col.values())
             ref = dense_h(dc, parity, l)
-            assert np.array_equal(_dense(columns, dc.base.dim(l)), ref)
+            assert np.array_equal(_dense_block(dc, parity, l)[dc.base.dim(l + 1):], ref)
             eye = np.eye(dc.base.dim(l), dtype=np.int64)
             assert np.array_equal(dc.apply_h(parity, l, eye), ref)
 
@@ -138,10 +136,10 @@ def test_v_columns_equal_the_dense_reference(p, build):
     for l in range(dc.n + 1):
         ref = _dense_delta_reference(K, l, p)
         assert np.array_equal(dense_delta(dc.base, l), ref)
+        assert np.array_equal(dense_of(dc.base._coboundary(l), ref.shape[0]), ref)
         for k in (0, 3):
-            columns = dc._sparse_columns("v", k, l)
-            assert all(v % p for col in columns for v in col.values())
-            assert np.array_equal(_dense(columns, ref.shape[0]), ref)
+            top = _dense_block(dc, k, l)[: ref.shape[0]]
+            assert np.array_equal(top, (-1) ** k * ref % p)
 
 
 def test_product_unit_law(pipelines):
@@ -218,7 +216,7 @@ def test_trusted_limit():
 def _direct_total_dims(dc):
     """dim H^s from a sparse rank of d at every degree of the reported window."""
     limit = dc.trusted_total_limit
-    ranks = [sparse_rank(dc.total_differential_columns(s), dc.p) for s in range(limit + 1)]
+    ranks = [sparse_rank(dc.total_differential(s), dc.p).rank for s in range(limit + 1)]
     return [dc.tot_dim(s) - (ranks[s - 1] if s else 0) - ranks[s] for s in range(limit + 1)]
 
 
@@ -244,15 +242,24 @@ def test_total_dims_when_ranks_alternate(p, top):
     simplices = [s for size in range(1, top + 2) for s in itertools.combinations(range(p), size)]
     K = validate_and_regularize(SimplicialGComplex(p, p, rotate, simplices))
     dc = SwanDoubleComplex(cochain_complex(K))
-    ranks = [sparse_rank(dc.total_differential_columns(s), p) for s in (dc.n, dc.n + 1)]
+    ranks = [sparse_rank(dc.total_differential(s), p).rank for s in (dc.n, dc.n + 1)]
     assert ranks[0] != ranks[1]
     assert dc.total_cohomology_dims() == _direct_total_dims(dc)
+
+
+def _drifting(reduce, ranks):
+    """`reduce` with the rank of every reduction replaced by next(ranks)."""
+    def sparse_rank(*args, **kwargs):
+        red = reduce(*args, **kwargs)
+        red.rank = next(ranks)
+        return red
+    return sparse_rank
 
 
 def test_disagreeing_periods_raise(monkeypatch):
     # a rank that changes with every call cannot repeat with period 2
     calls = itertools.count()
-    monkeypatch.setattr(swan, "sparse_rank", lambda columns, p: next(calls))
+    monkeypatch.setattr(swan, "sparse_rank", _drifting(swan.sparse_rank, calls))
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
     with pytest.raises(InvariantError) as info:
         SwanDoubleComplex(cochain_complex(pt)).total_cohomology_dims()
@@ -273,8 +280,12 @@ def test_disagreeing_periods_raise_under_optimization():
         "from swanss import swan\n"
         "from swanss.complexes import SimplicialGComplex, cochain_complex\n"
         "from swanss.errors import InvariantError\n"
-        "calls = itertools.count()\n"
-        "swan.sparse_rank = lambda columns, p: next(calls)\n"
+        "calls, reduce = itertools.count(), swan.sparse_rank\n"
+        "def sparse_rank(*args):\n"
+        "    red = reduce(*args)\n"
+        "    red.rank = next(calls)\n"
+        "    return red\n"
+        "swan.sparse_rank = sparse_rank\n"
         "dc = swan.SwanDoubleComplex(cochain_complex(SimplicialGComplex(3, 1, [0], [(0,)])))\n"
         "try:\n"
         "    dc.total_cohomology_dims()\n"
