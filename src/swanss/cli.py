@@ -28,7 +28,7 @@ from .duality import (
 from .errors import InvariantError
 from .gmodule import GModule, decompose
 from .pages import check_odd_page_vanishing, compute_pages
-from .report import analyze_complex, canonical_json, fixed_circle_count
+from .report import analyze_complex, canonical_json, fixed_circle_count, fixed_profile
 from .swan import SwanDoubleComplex
 from .synthetic import MAX_EXTENT, load_synthetic_page
 
@@ -168,18 +168,13 @@ def _profiles_from_complex(path: str):
         fixed_subcomplex,
         validate_and_regularize,
     )
-    from .gmodule import CohomologyProfile
 
     K, _ = _load_complex(path)
     R = validate_and_regularize(K)
     C = cochain_complex(R)
     profile = cohomology_gmodules(C)
     FX = fixed_subcomplex(R)
-    if FX.vertex_count:
-        f_profile = cohomology_gmodules(cochain_complex(FX))
-    else:
-        f_profile = CohomologyProfile(K.p, [])
-    return K, R, C, profile, FX, f_profile
+    return K, R, C, profile, FX, fixed_profile(FX)
 
 
 def cmd_verify(args) -> int:

@@ -479,12 +479,9 @@ class EquivariantCochainComplex:
         self._cup_indices: dict[tuple[int, int], tuple] = {}
 
     # -- the action as an operator ----------------------------------------
-    def apply_action(self, l: int, vectors: np.ndarray, power: int = 1) -> np.ndarray:
-        """Apply T^power to cochain column vectors in degree l."""
-        out = np.asarray(vectors, dtype=np.int64)
-        for _ in range(power % self.p):
-            out = np.mod(out[self.act_pre[l]], self.p)
-        return out
+    def apply_action(self, l: int, vectors: np.ndarray) -> np.ndarray:
+        """Apply T to cochain column vectors in degree l."""
+        return np.mod(np.asarray(vectors, dtype=np.int64)[self.act_pre[l]], self.p)
 
     def _check_invariants(self):
         p = self.p

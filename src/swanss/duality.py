@@ -12,9 +12,22 @@ least one even (strong).  The checkers find the least workable N in the
 trusted window and report every degenerate pairing with its coordinates.
 `duality_flags` decides all three from one scan of a page at N = 0:
 raising N only drops cells and pairs from the check, so the least N is
-read off the violations found there.  Pairing statuses are memoized on
-the page term, so the propagation audit reuses what the scan classified,
-and the audits read the flags of `duality_report`.
+read off the violations found there.  The audits read the flags of
+`duality_report`.
+
+A pairing status is memoized on the term under `class_key(k, l, k', l')`,
+so the flags and the propagation audit classify each class of pairs
+once.  On a synthetic term the key is the pair itself.  On a computed
+page it is (reduce(k), l, reduce(k'), l'), naming the cells that serve
+the two factors (`pages.Page.reduce`), and it decides the status.  The
+two dims and the pairing matrix are read off those cells (the matrix is
+memoized on the same key by `PageTower.pairing_matrix`).  So is the
+target dim: with s = s_r the page's `stable` column, reduce(k+k')
+follows from reduce(k) and reduce(k').  If both are below s, they are
+k and k' themselves.  Otherwise k+k' >= s, and from s on reduce(m) =
+s + (m - s) mod 2 keeps only the parity of m, which reduce(k) and
+reduce(k') both keep.  A negative column holds a zero cell, and the
+status of a pair with a zero cell is decided before the target is read.
 
 All theorem validators are hypothesis-gated: a failed hypothesis yields
 "not-applicable", never "fail".
@@ -42,28 +55,28 @@ class ComputedTerm:
         self.n = tower.n
         self.field_char = tower.p
         self.trusted_k = tower.pages[r].trusted_k
-        self.has_products = True
         self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
 
     def dim(self, k: int, l: int) -> int:
-        if k < 0 or l < 0 or l > self.n:
-            return 0
         return self.tower.pages[self.r].dim(k, l)
 
     def d_rank(self, k: int, l: int) -> int:
         return self.tower.pages[self.r].d_rank(k, l)
 
     def d_is_zero(self, k: int, l: int) -> bool:
-        cell = self.tower.pages[self.r].source(k, l)
-        return cell is None or not cell.d_matrix.any()
+        return self.tower.pages[self.r].d_is_zero(k, l)
+
+    def class_key(self, k: int, l: int, k2: int, l2: int) -> tuple[int, int, int, int]:
+        """The served cells of a pair: every pair with this key has its status."""
+        reduce = self.tower.pages[self.r].reduce
+        return reduce(k), l, reduce(k2), l2
 
     def pairing_matrix(self, k, l, k2, l2):
-        mat = self.tower.pairing_matrix(self.r, k, l, k2, l2)
-        return None if mat is None else mat.tolist()
+        return self.tower.pairing_matrix(self.r, k, l, k2, l2)
 
 
-def tower_terms(tower: PageTower, first: int = 2) -> dict[int, ComputedTerm]:
-    return {r: ComputedTerm(tower, r) for r in range(first, tower.r_max + 1)}
+def tower_terms(tower: PageTower) -> dict[int, ComputedTerm]:
+    return {r: ComputedTerm(tower, r) for r in range(2, tower.r_max + 1)}
 
 
 # -- pairing evaluation ----------------------------------------------------
@@ -145,9 +158,10 @@ def _column_pairs(variant: str, N: int, w: int):
 
 
 def _status(term, k: int, l: int, k2: int, l2: int) -> str | None:
-    """`_pairing_status`, memoized on the term: the flags and the audit
-    ask for overlapping pairs."""
-    key = (k, l, k2, l2)
+    """`_pairing_status`, memoized on the term under the pair's class key
+    (see the module docstring): the flags and the audit ask for
+    overlapping classes."""
+    key = term.class_key(k, l, k2, l2)
     if key not in term.statuses:
         term.statuses[key] = _pairing_status(term, k, l, k2, l2)
     return term.statuses[key]

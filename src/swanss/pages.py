@@ -6,8 +6,10 @@ the representative basis of `complexes.CohomologyBasis`, and each later
 page is a canonical subquotient of the one before), but every basis class
 also carries an explicit total-complex representative: a staircase
 x_0, ..., x_{r-1} with x_i in column k+i such that the total differential
-of the sum vanishes in columns k..k+r-1.  The page differential evaluates
-the horizontal map on the last staircase component; products multiply
+of the sum vanishes in columns k..k+r-1.  A cell keys x_i by i, its
+offset from the cell's own column, and the certificates of its boundary
+generators by their offsets too.  The page differential evaluates the
+horizontal map on the last staircase component; products multiply
 leading components with the bigraded cochain product and project back.
 This makes representative choices deterministic while all heavy linear
 algebra stays at the cochain level, done once per row.
@@ -16,10 +18,11 @@ Columns differ only in parity, except that column 0 has no incoming d_1.
 So page r is computed only for columns 0..s_r+3, with s_r = r(r-1)/2
 the first column whose cell cannot see column 0 (derived in
 `stable_start`).  The cells at s_r, s_r+1 are checked against those at
-s_r+2, s_r+3, and every later column is served by a shift of two: the
-same subquotient and differential, with the columns of the staircases
-moved.  K_max, the trusted bound k <= K_max - 2r and the reported range
-only decide what a report shows.
+s_r+2, s_r+3, and every later column is served by the cell of its parity
+among s_r, s_r+1 (`Page.source`): with staircases keyed by offset, that
+cell is the served one as it stands, so every page cell is stored once
+and no column is ever copied.  K_max, the trusted bound k <= K_max - 2r
+and the reported range only decide what a report shows.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ def stable_start(r: int) -> int:
     return r * (r - 1) // 2
 
 
-def _shift(cochains: dict[int, np.ndarray], by: int) -> dict[int, np.ndarray]:
-    return {col + by: vec for col, vec in cochains.items()}
-
-
 def _same(x, y) -> bool:
     """Equality of nested lists, tuples and dicts of arrays."""
     if isinstance(x, dict):
@@ -82,36 +81,26 @@ class PageClass:
 
 
 class PageCell:
-    __slots__ = ("k", "l", "r", "dim", "sub", "lifts", "boundary_gens", "d_matrix", "trusted")
+    """One cell of a page.  It knows nothing of its column: its staircases
+    and certificates are keyed by offset from it, so the same cell serves
+    every column of its parity from s_r on."""
 
-    def __init__(self, k, l, r, dim, sub, lifts, trusted):
-        self.k = k
-        self.l = l
-        self.r = r
+    __slots__ = ("dim", "sub", "lifts", "boundary_gens", "d_matrix")
+
+    def __init__(self, dim, sub, lifts):
         self.dim = dim
         self.sub = sub              # Subquotient in previous-page coords (None on page 1)
-        self.lifts = lifts          # per basis element: {column: cochain}
-        self.boundary_gens = []     # (cochain, certificate {column: cochain}), d-images of earlier pages
-        self.d_matrix = None        # int64 matrix to the (k+r, l-r+1) cell
-        self.trusted = trusted
-
-    def shifted(self, k: int, trusted: bool) -> "PageCell":
-        """This cell moved to column k: the same subquotient and d_r, with
-        the columns of its staircases and certificates moved."""
-        by = k - self.k
-        cell = PageCell(k, self.l, self.r, self.dim, self.sub,
-                        [_shift(lift, by) for lift in self.lifts], trusted)
-        cell.boundary_gens = [(vec, _shift(cert, by)) for vec, cert in self.boundary_gens]
-        cell.d_matrix = self.d_matrix
-        return cell
+        self.lifts = lifts          # per basis element: {offset: cochain}
+        self.boundary_gens = []     # (cochain, certificate {offset: cochain}), d-images of earlier pages
+        self.d_matrix = None        # int64 matrix to the cell r columns right, r-1 rows down
 
     def repeats(self, other: "PageCell") -> bool:
-        """Whether this cell, moved to the column of `other`, equals it."""
+        """Whether this cell, computed at another column, equals `other`."""
         def state(cell):
             sub = () if cell.sub is None else (cell.sub.b, cell.sub.reps)
             return cell.dim, sub, cell.d_matrix, cell.lifts, cell.boundary_gens
 
-        return _same(state(self.shifted(other.k, other.trusted)), state(other))
+        return _same(state(self), state(other))
 
 
 class Page:
@@ -125,7 +114,6 @@ class Page:
         self.k_reported = k_max + stable_start(r_max + 1) - stable_start(r)
         self.stable = stable_start(r)
         self.cells: dict[tuple[int, int], PageCell] = {}  # columns 0..stable+3
-        self._dims: dict[tuple[int, int], int] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
     @property
@@ -138,34 +126,27 @@ class Page:
         return k if k < s + 2 else s + (k - s) % 2
 
     def source(self, k: int, l: int) -> PageCell | None:
-        """The computed cell that serves (k, l): equal to it up to the
-        columns of its staircases.  None outside the page."""
+        """The computed cell that serves (k, l); None outside the page."""
         if k < 0 or not 0 <= l <= self.n:
             return None
         return self.cells[(self.reduce(k), l)]
 
-    def cell(self, k: int, l: int) -> PageCell | None:
-        """The cell at (k, l), computed or served by shifting its source."""
-        cell = self.source(k, l)
-        if cell is None or cell.k == k:
-            return cell
-        return cell.shifted(k, k <= self.trusted_k)
-
     def dim(self, k: int, l: int) -> int:
-        # memoized: the duality checks ask for millions of dims
-        dim = self._dims.get((k, l))
-        if dim is None:
-            cell = self.source(k, l)
-            dim = self._dims[(k, l)] = cell.dim if cell else 0
-        return dim
+        cell = self.source(k, l)
+        return cell.dim if cell else 0
 
     def d_rank(self, k: int, l: int) -> int:
         cell = self.source(k, l)
         if cell is None:
             return 0
-        if (cell.k, l) not in self._ranks:
-            self._ranks[(cell.k, l)] = rank_mod(cell.d_matrix, self.p)
-        return self._ranks[(cell.k, l)]
+        key = (self.reduce(k), l)
+        if key not in self._ranks:
+            self._ranks[key] = rank_mod(cell.d_matrix, self.p)
+        return self._ranks[key]
+
+    def d_is_zero(self, k: int, l: int) -> bool:
+        cell = self.source(k, l)
+        return cell is None or not cell.d_matrix.any()
 
     def dims_json(self) -> dict[str, int]:
         return {
@@ -213,8 +194,8 @@ class PageTower:
         for k in range(page.stable + 4):
             for l in range(self.n + 1):
                 sub = self.H[l].subquotient
-                lifts = [{k: sub.reps[:, j].copy()} for j in range(sub.dim)]
-                cell = PageCell(k, l, 1, sub.dim, None, lifts, k <= page.trusted_k)
+                lifts = [{0: sub.reps[:, j].copy()} for j in range(sub.dim)]
+                cell = PageCell(sub.dim, None, lifts)
                 cell.d_matrix = d1[(k % 2, l)]
                 page.cells[(k, l)] = cell
         self.pages[1] = page
@@ -224,22 +205,23 @@ class PageTower:
         nxt = self.pages[r + 1] = Page(self.p, r + 1, self.n, self.k_max, self.r_max)
         for k in range(nxt.stable + 4):
             for l in range(self.n + 1):
-                cell = page.cell(k, l)
-                src = page.cell(k - r, l + r - 1)  # the source of the d_r into (k, l)
+                cell = page.source(k, l)
+                src = page.source(k - r, l + r - 1)  # the source of the d_r into (k, l)
                 incoming = src.d_matrix if src else np.zeros((cell.dim, 0), dtype=np.int64)
                 # ker d_r in its canonical basis, against the d_r images as they are
                 sub = Subquotient(kernel_mod(cell.d_matrix, self.p), incoming, self.p)
-                new_cell = PageCell(k, l, r + 1, sub.dim, sub, [], k <= nxt.trusted_k)
-                # boundary generators: page r's, plus the d_r images into (k, l)
+                new_cell = PageCell(sub.dim, sub, [])
+                # boundary generators: page r's, plus the d_r images into (k, l),
+                # whose certificates start r columns left of it
                 new_cell.boundary_gens = list(cell.boundary_gens)
                 if src is not None and src.d_matrix.any():
                     for lift in src.lifts:
-                        top = lift.get(k - 1)
+                        top = lift.get(r - 1)
                         if top is None:
                             continue
                         vec = self.dc.apply_h(k - 1, l, top)
                         if np.any(vec):
-                            new_cell.boundary_gens.append((vec, lift))
+                            new_cell.boundary_gens.append((vec, {c - r: v for c, v in lift.items()}))
                 # representative staircases
                 new_cell.lifts = [self._combine_lifts(cell, sub.reps[:, j]) for j in range(sub.dim)]
                 self._extend_lifts(page, k, l, r, new_cell.lifts)
@@ -251,7 +233,7 @@ class PageTower:
             tgt = nxt.source(k + r + 1, row)
             tgt_dim = tgt.dim if tgt else 0
             mat = np.zeros((tgt_dim, new_cell.dim), dtype=np.int64)
-            tops = [(j, lift[k + r]) for j, lift in enumerate(new_cell.lifts) if k + r in lift]
+            tops = [(j, lift[r]) for j, lift in enumerate(new_cell.lifts) if r in lift]
             if tgt_dim and tops:
                 vecs = self.dc.apply_h(k + r, row, np.stack([v for _, v in tops], axis=1))
                 mat[:, [j for j, _ in tops]] = self.project_many(r + 1, k + r + 1, row, vecs)
@@ -271,19 +253,20 @@ class PageTower:
         return out
 
     def _extend_lifts(self, page: Page, k: int, l: int, r: int, lifts: list[dict]):
-        """Make the total differential of each staircase vanish in column k+r."""
+        """Make the total differential of each staircase vanish in column k+r,
+        offset r of the staircase."""
         col = k + r
         row = l - r + 1
         if row < 0:
             return
         sub = self.H[row].subquotient
-        gens = page.cell(col, row).boundary_gens
+        gens = page.source(col, row).boundary_gens
         if gens:
             gmat = sub.coordinates_many(np.stack([vec for vec, _ in gens], axis=1))
             solver = FactoredSolve(gmat, self.p)
         sign = (-1) ** (col + 1) % self.p
         for lift in lifts:
-            top = lift.get(col - 1)
+            top = lift.get(r - 1)
             z = self.dc.apply_h(col - 1, row, top) if top is not None else np.zeros(
                 self.dc.base.dim(row), dtype=np.int64)
             # the class of z must die against the recorded boundaries
@@ -296,8 +279,9 @@ class PageTower:
                 if not b:
                     continue
                 z = np.mod(z - b * gens[m][0], self.p)
-                for ccol, cvec in gens[m][1].items():
-                    lift[ccol] = np.mod(lift.get(ccol, 0) - b * cvec, self.p)
+                # a certificate is keyed from column col, r past the staircase
+                for c, cvec in gens[m][1].items():
+                    lift[c + r] = np.mod(lift.get(c + r, 0) - b * cvec, self.p)
             if row == 0:
                 if np.any(z):
                     raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
@@ -307,7 +291,7 @@ class PageTower:
             w = sub.preimage(np.mod(sign * z, self.p))
             if w is None:
                 raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")
-            lift[col] = w
+            lift[r] = w
 
     # -- projections --------------------------------------------------------
     def project(self, r: int, k: int, l: int, cochain: np.ndarray) -> np.ndarray:
@@ -336,8 +320,7 @@ class PageTower:
         out = np.zeros(self.dc.base.dim(cls.l), dtype=np.int64)
         for i, c in enumerate(np.asarray(cls.coords, dtype=np.int64)):
             if c % self.p:
-                # the leading component of a served cell is that of its source
-                out = np.mod(out + int(c) * cell.lifts[i][cell.k], self.p)
+                out = np.mod(out + int(c) * cell.lifts[i][0], self.p)
         return out
 
     # -- products -------------------------------------------------------------
@@ -387,7 +370,7 @@ class PageTower:
         ]
         # the leading staircase components of the basis classes, multiplied
         cups = [
-            self.dc.product(k, l, a.lifts[i][a.k], k2, row - l, b.lifts[j][b.k])
+            self.dc.product(k, l, a.lifts[i][0], k2, row - l, b.lifts[j][0])
             for l, a, b in splits for i in range(a.dim) for j in range(b.dim)
         ]
         coords = self.project_many(r, k + k2, row, np.stack(cups, axis=1))[0]
@@ -443,8 +426,7 @@ def check_zero_row(tower: PageTower) -> bool:
     """True iff every differential into row 0 vanishes in the trusted region."""
     for r in range(2, tower.r_max + 1):
         page = tower.pages[r]
-        cells = (page.source(k, r - 1) for k in range(page.trusted_k - r + 1))
-        if any(cell is not None and cell.d_matrix.any() for cell in cells):
+        if not all(page.d_is_zero(k, r - 1) for k in range(page.trusted_k - r + 1)):
             return False
     return True
 
@@ -455,6 +437,6 @@ def check_odd_page_vanishing(tower: PageTower) -> bool:
         page = tower.pages[r]
         for k in range(tower.n, page.trusted_k + 1):
             for l in range(tower.n + 1):
-                if page.source(k, l).d_matrix.any():
+                if not page.d_is_zero(k, l):
                     return False
     return True

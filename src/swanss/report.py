@@ -76,6 +76,12 @@ def pd_space_check(C: EquivariantCochainComplex) -> dict:
     return {"is_pd_space": ok, "formal_dimension": n, "pairings": pairings}
 
 
+def fixed_profile(FX: SimplicialGComplex) -> CohomologyProfile:
+    """The profile of a fixed set: G acts trivially on it, so every degree
+    is its Betti number of trivial summands."""
+    return CohomologyProfile.from_multiplicities(FX.p, [{1: b} for b in betti_numbers(FX)])
+
+
 def fixed_circle_count(betti_f: list[int]) -> int | None:
     """Number of circles if the fixed set is a disjoint union of circles."""
     if not betti_f or betti_f[0] == 0:
@@ -107,12 +113,8 @@ def analyze_complex(
 
     FX = fixed_subcomplex(R)
     fixed_empty = FX.vertex_count == 0
-    if fixed_empty:
-        f_profile = CohomologyProfile(K.p, [])
-        fixed_betti: list[int] = []
-    else:
-        f_profile = cohomology_gmodules(cochain_complex(FX))
-        fixed_betti = f_profile.betti
+    f_profile = fixed_profile(FX)
+    fixed_betti = f_profile.betti
 
     Q = quotient_complex(R)
     quotient_betti = betti_numbers(Q)

@@ -76,11 +76,10 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
 
 
 def matrix_rank_over(rows, char: int) -> int:
-    if not rows or not rows[0]:
-        return 0
+    """Rank of a list of rows, or of an integer array, over F_char (Q for 0)."""
     if char == 0:
         return fraction_rank(rows)
-    return rank_mod(np.array([[int(x) % char for x in r] for r in rows], dtype=np.int64), char)
+    return rank_mod(np.asarray(rows, dtype=np.int64), char)
 
 
 _CELL_RE = re.compile(r"^\s*(-?\d+)\s*,\s*(-?\d+)\s*$")
@@ -98,7 +97,6 @@ class SyntheticTerm:
         self._dims = dims
         self._diffs = diffs
         self._products = products
-        self.has_products = bool(products)
         self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
 
     def dim(self, k: int, l: int) -> int:
@@ -114,6 +112,9 @@ class SyntheticTerm:
 
     def d_is_zero(self, k: int, l: int) -> bool:
         return self.d_rank(k, l) == 0
+
+    def class_key(self, k: int, l: int, k2: int, l2: int) -> tuple[int, int, int, int]:
+        return k, l, k2, l2
 
     def pairing_matrix(self, k: int, l: int, k2: int, l2: int):
         """Pairing into the (necessarily 1-dim) target; None if unavailable."""

@@ -25,7 +25,11 @@ def dense_h(dc: SwanDoubleComplex, k: int, l: int) -> np.ndarray:
     eye = np.eye(dc.base.dim(l), dtype=np.int64)
     if k % 2 == 0:
         return np.mod(dc.base.apply_action(l, eye) - eye, dc.p)
-    return np.mod(sum(dc.base.apply_action(l, eye, power=m) for m in range(dc.p)), dc.p)
+    total, power = eye, eye
+    for _ in range(dc.p - 1):
+        power = dc.base.apply_action(l, power)
+        total = total + power
+    return np.mod(total, dc.p)
 
 
 def _add(out: dict, pos, vec, p: int):

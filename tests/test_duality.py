@@ -40,6 +40,7 @@ from swanss.complexes import (
 )
 from swanss.gmodule import CohomologyProfile
 from swanss.pages import check_odd_page_vanishing, check_zero_row
+from swanss.report import fixed_profile
 from swanss.synthetic import load_synthetic_page
 
 
@@ -165,6 +166,15 @@ def _profiles(pipe):
     else:
         f_profile = CohomologyProfile(pipe.K.p, [])
     return profile, f_profile
+
+
+@pytest.mark.parametrize("name", ["circle-trivial-3", "join-3-1-0", "join-5-1-0", "suspension-3"])
+def test_fixed_profile_from_betti_numbers(pipelines, name):
+    # G acts trivially on the fixed set, so its Betti numbers give the
+    # profile the equivariant cochain complex of FX gives
+    FX = fixed_subcomplex(pipelines(name).R)
+    assert FX.vertex_count
+    assert fixed_profile(FX).to_json() == _profiles(pipelines(name))[1].to_json()
 
 
 def test_theorem_zp_semifree_join(pipelines):
@@ -524,6 +534,48 @@ def test_report_and_audit_classify_each_pair_once(pipelines, monkeypatch):
         audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
         assert audit["checked"] > 0 and audit["violations"] == []
         assert calls and len(calls) == len(set(calls)), name
+
+
+@pytest.mark.parametrize("name", ["circle-3", "join-3-1-0", "suspension-3"])
+def test_flags_of_computed_pages_match_reference(pipelines, name, monkeypatch):
+    # the reference classifies every pair afresh, with no memo: the
+    # served-class key must never stand a pair in for one of another status
+    tower = pipelines(name).tower
+    terms = tower_terms(tower)
+    for r, term in terms.items():
+        flags = duality_flags(term, tower.n)
+        for variant, got in flags.items():
+            want = _reference_check_duality(term, tower.n, variant)
+            assert got.to_json() == want.to_json(), (name, r, variant)
+            assert got.violations == want.violations, (name, r, variant)
+    # and the propagation audit reads the same statuses as without the memo
+    flags = duality_report(terms, tower.n)
+    audit = pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
+    monkeypatch.setattr(duality, "_status", _pairing_status)
+    fresh = tower_terms(tower)
+    assert audit == pd_propagation_audit(fresh, tower.n, check_zero_row(tower),
+                                         duality_report(fresh, tower.n))
+
+
+def test_statuses_are_classified_once_per_served_class(pipelines, monkeypatch):
+    tower = pipelines("join-3-1-0").tower
+    terms = tower_terms(tower)
+    by_id = {id(term): term for term in terms.values()}
+    calls = _count_statuses(monkeypatch)
+    asked = set()
+    real = duality._status
+
+    def recorded(term, *pair):
+        asked.add((id(term), *pair))
+        return real(term, *pair)
+
+    monkeypatch.setattr(duality, "_status", recorded)
+    flags = duality_report(terms, tower.n)
+    pd_propagation_audit(terms, tower.n, check_zero_row(tower), flags)
+    keys = [(i, *by_id[i].class_key(*pair)) for i, *pair in calls]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(i, *by_id[i].class_key(*pair)) for i, *pair in asked}
+    assert len(calls) < len(asked)
 
 
 def test_audits_read_the_given_flags(pipelines, monkeypatch):

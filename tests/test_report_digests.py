@@ -34,6 +34,8 @@ REPORTS = {
                    "075d305454858027e52b718c290b07373050546ee7b2bbdb67ab3d680f83f2d9"),
     "join-5-1-1": (lambda: build_sphere_join(5, 1, 1), None, None,
                    "936a2bf41ff7a840c6e448d4eee34128284a154c137ce58be0b26cdca4fde6a4"),
+    "join-5-1-0": (lambda: build_sphere_join(5, 1, 0), None, None,
+                   "9af0302803ffc88a198689b6257672fcc125a6261d755c7ff314372865e8109a"),
     "join-3-1-0 k_max=30 r_max=3": (
         lambda: build_sphere_join(3, 1, 0), 30, 3,
         "6379df463414ce36158853c0af724937af72e6da0480befbf61d0ae1a12e26a8",
