@@ -619,7 +619,7 @@ class CohomologyBasis:
       dim Z^l (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
       persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
       J. Appl. Comput. Topol. 2021).
-    - `coordinates*`: by the Kronecker pairing.  A cycle pairs to zero
+    - `coordinates_many`: by the Kronecker pairing.  A cycle pairs to zero
       with every coboundary, so <c, v> depends only on the class of a
       cocycle v.  With the cycles c_1..c_h of the boundary reduction,
       M = cycles^T·reps is the matrix of the pairing of H_l with H^l,
@@ -648,10 +648,6 @@ class CohomologyBasis:
             raise InvariantError("complexes.cohomology",
                                  f"the Kronecker pairing of H_{l} with H^{l} is degenerate")
         self._dual = matmul_mod(solver.transform, dual, p)  # M^-1·cycles^T
-
-    def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the class of the cocycle v against `reps`."""
-        return self.coordinates_many(np.reshape(v, (-1, 1)))[:, 0]
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the cocycle columns of `vs`."""

@@ -6,20 +6,21 @@ the representative basis of `complexes.CohomologyBasis`, and each later
 page is a canonical subquotient of the one before), but every basis class
 also carries an explicit total-complex representative: a staircase
 x_0, ..., x_{r-1} with x_i in column k+i such that the total differential
-of the sum vanishes in columns k..k+r-1.  A cell keys x_i by i, its
-offset from the cell's own column, and the certificates of its boundary
-generators by their offsets too.  The page differential evaluates the
-horizontal map on the last staircase component; products multiply
-leading components with the bigraded cochain product and project back.
-This makes representative choices deterministic while all heavy linear
-algebra stays at the cochain level, done once per row.
+of the sum vanishes in columns k..k+r-1.  A cell holds its staircases
+as the columns of one matrix, laid out by offset from the cell's own
+column, and the certificates of its boundary generators as another
+(`PageCell`).  The page differential evaluates the horizontal map on the
+last staircase block; products multiply leading blocks with the bigraded
+cochain product and project back.  This makes representative choices
+deterministic while all heavy linear algebra stays at the cochain level,
+done once per row.
 
 Columns differ only in parity, except that column 0 has no incoming d_1.
 So page r is computed only for columns 0..s_r+3, with s_r = r(r-1)/2
 the first column whose cell cannot see column 0 (derived in
 `stable_start`).  The cells at s_r, s_r+1 are checked against those at
 s_r+2, s_r+3, and every later column is served by the cell of its parity
-among s_r, s_r+1 (`Page.source`): with staircases keyed by offset, that
+among s_r, s_r+1 (`Page.source`): with staircases laid out by offset, that
 cell is the served one as it stands, so every page cell is stored once
 and no column is ever copied.  K_max, the trusted bound k <= K_max - 2r
 and the reported range only decide what a report shows.
@@ -58,13 +59,9 @@ def stable_start(r: int) -> int:
     return r * (r - 1) // 2
 
 
-def _same(x, y) -> bool:
-    """Equality of nested lists, tuples and dicts of arrays."""
-    if isinstance(x, dict):
-        return isinstance(y, dict) and x.keys() == y.keys() and all(_same(x[c], y[c]) for c in x)
-    if isinstance(x, (list, tuple)):
-        return isinstance(y, (list, tuple)) and len(x) == len(y) and all(map(_same, x, y))
-    return np.array_equal(x, y)
+def _last_block(lifts: np.ndarray, height: int) -> np.ndarray:
+    """The last block, of the given height, of staircase columns."""
+    return lifts[lifts.shape[0] - height :]
 
 
 @dataclass
@@ -81,26 +78,40 @@ class PageClass:
 
 
 class PageCell:
-    """One cell of a page.  It knows nothing of its column: its staircases
-    and certificates are keyed by offset from it, so the same cell serves
-    every column of its parity from s_r on."""
+    """One cell of a page r at (k, l), its cochains in three int64 matrices.
 
-    __slots__ = ("dim", "sub", "lifts", "boundary_gens", "d_matrix")
+    - `lifts`: the staircases of the basis classes, as columns.  Each is a
+      cochain of Tot^(k+l) over columns k..k+r-1: block o, of height
+      base.dim(l - o), holds x_o, with x_0 on top.
+    - `gens`: the boundary generators, the d-images of earlier pages, as
+      columns of degree-l cochains.
+    - `certs`: their certificates, in the same column order.  The d_q image
+      of a staircase from column k - q has that staircase as certificate,
+      padded with zero blocks on top to cover offsets -(r-1)..-1: block c,
+      of height base.dim(l - 1 - c), lies in column k + c.
 
-    def __init__(self, dim, sub, lifts):
+    Laid out by offset, the cell knows nothing of its column, so the same
+    cell serves every column of its parity from s_r on.
+    """
+
+    __slots__ = ("dim", "sub", "lifts", "gens", "certs", "d_matrix")
+
+    def __init__(self, dim, sub, lifts, gens, certs):
         self.dim = dim
         self.sub = sub              # Subquotient in previous-page coords (None on page 1)
-        self.lifts = lifts          # per basis element: {offset: cochain}
-        self.boundary_gens = []     # (cochain, certificate {offset: cochain}), d-images of earlier pages
+        self.lifts = lifts
+        self.gens = gens
+        self.certs = certs
         self.d_matrix = None        # int64 matrix to the cell r columns right, r-1 rows down
 
     def repeats(self, other: "PageCell") -> bool:
         """Whether this cell, computed at another column, equals `other`."""
-        def state(cell):
+        def state(cell):  # all int64: equal shapes and bytes mean equal arrays
             sub = () if cell.sub is None else (cell.sub.b, cell.sub.reps)
-            return cell.dim, sub, cell.d_matrix, cell.lifts, cell.boundary_gens
+            arrays = (cell.d_matrix, cell.lifts, cell.gens, cell.certs) + sub
+            return [(a.shape, a.tobytes()) for a in arrays]
 
-        return _same(state(self), state(other))
+        return state(self) == state(other)
 
 
 class Page:
@@ -194,8 +205,8 @@ class PageTower:
         for k in range(page.stable + 4):
             for l in range(self.n + 1):
                 sub = self.H[l].subquotient
-                lifts = [{0: sub.reps[:, j].copy()} for j in range(sub.dim)]
-                cell = PageCell(sub.dim, None, lifts)
+                no_gens = np.zeros((dc.base.dim(l), 0), dtype=np.int64)
+                cell = PageCell(sub.dim, None, sub.reps, no_gens, np.zeros((0, 0), dtype=np.int64))
                 cell.d_matrix = d1[(k % 2, l)]
                 page.cells[(k, l)] = cell
         self.pages[1] = page
@@ -203,6 +214,7 @@ class PageTower:
     def _turn_page(self, r: int):
         page = self.pages[r]
         nxt = self.pages[r + 1] = Page(self.p, r + 1, self.n, self.k_max, self.r_max)
+        dim = self.dc.base.dim
         for k in range(nxt.stable + 4):
             for l in range(self.n + 1):
                 cell = page.source(k, l)
@@ -210,88 +222,73 @@ class PageTower:
                 incoming = src.d_matrix if src else np.zeros((cell.dim, 0), dtype=np.int64)
                 # ker d_r in its canonical basis, against the d_r images as they are
                 sub = Subquotient(kernel_mod(cell.d_matrix, self.p), incoming, self.p)
-                new_cell = PageCell(sub.dim, sub, [])
-                # boundary generators: page r's, plus the d_r images into (k, l),
-                # whose certificates start r columns left of it
-                new_cell.boundary_gens = list(cell.boundary_gens)
+                # boundary generators: page r's, their certificates padded to
+                # offset -r, plus the d_r images into (k, l), whose
+                # certificates are the staircases r columns left of it
+                gens = cell.gens
+                certs = np.vstack([np.zeros((dim(l + r - 1), gens.shape[1]), dtype=np.int64),
+                                   cell.certs])
                 if src is not None and src.d_matrix.any():
-                    for lift in src.lifts:
-                        top = lift.get(r - 1)
-                        if top is None:
-                            continue
-                        vec = self.dc.apply_h(k - 1, l, top)
-                        if np.any(vec):
-                            new_cell.boundary_gens.append((vec, {c - r: v for c, v in lift.items()}))
-                # representative staircases
-                new_cell.lifts = [self._combine_lifts(cell, sub.reps[:, j]) for j in range(sub.dim)]
-                self._extend_lifts(page, k, l, r, new_cell.lifts)
-                nxt.cells[(k, l)] = new_cell
+                    vecs = self.dc.apply_h(k - 1, l, _last_block(src.lifts, dim(l)))
+                    new = vecs.any(axis=0)
+                    gens = np.hstack([gens, vecs[:, new]])
+                    certs = np.hstack([certs, src.lifts[:, new]])
+                # representative staircases; with nothing killed and nothing
+                # incoming, ker d_r is everything and sub.reps is I
+                lifts = cell.lifts
+                if sub.dim != cell.dim:
+                    lifts = matmul_mod(lifts, sub.reps, self.p).astype(np.int64)
+                lifts = self._extend_lifts(page, k, l, r, lifts)
+                nxt.cells[(k, l)] = PageCell(sub.dim, sub, lifts, gens, certs)
 
-        # differentials d_{r+1}, once every subquotient of page r+1 exists
+        # differentials d_{r+1}, once every subquotient of page r+1 exists:
+        # h of block r, in column k + r
         for (k, l), new_cell in nxt.cells.items():
             row = l - r
             tgt = nxt.source(k + r + 1, row)
-            tgt_dim = tgt.dim if tgt else 0
-            mat = np.zeros((tgt_dim, new_cell.dim), dtype=np.int64)
-            tops = [(j, lift[r]) for j, lift in enumerate(new_cell.lifts) if r in lift]
-            if tgt_dim and tops:
-                vecs = self.dc.apply_h(k + r, row, np.stack([v for _, v in tops], axis=1))
-                mat[:, [j for j, _ in tops]] = self.project_many(r + 1, k + r + 1, row, vecs)
+            mat = np.zeros((tgt.dim if tgt else 0, new_cell.dim), dtype=np.int64)
+            if mat.size:
+                vecs = self.dc.apply_h(k + r, row, _last_block(new_cell.lifts, dim(row)))
+                mat = self.project_many(r + 1, k + r + 1, row, vecs)
             new_cell.d_matrix = mat
 
-    def _combine_lifts(self, cell: PageCell, coords: np.ndarray) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for i, c in enumerate(coords):
-            c = int(c) % self.p
-            if not c:
-                continue
-            for col, vec in cell.lifts[i].items():
-                if col in out:
-                    out[col] = np.mod(out[col] + c * vec, self.p)
-                else:
-                    out[col] = np.mod(c * vec, self.p)
-        return out
-
-    def _extend_lifts(self, page: Page, k: int, l: int, r: int, lifts: list[dict]):
-        """Make the total differential of each staircase vanish in column k+r,
-        offset r of the staircase."""
+    def _extend_lifts(self, page: Page, k: int, l: int, r: int, lifts: np.ndarray) -> np.ndarray:
+        """The staircases `lifts` of a cell at (k, l), blocks 0..r-1, made to
+        have total differential zero in column k+r too: corrected by
+        certificates and given block r."""
+        dim, p = self.dc.base.dim, self.p
         col = k + r
         row = l - r + 1
-        if row < 0:
-            return
+        if row < 0 or not lifts.shape[1]:  # block r has height dim(l - r) = 0, or no columns
+            return np.vstack([lifts, np.zeros((dim(l - r), lifts.shape[1]), dtype=np.int64)])
         sub = self.H[row].subquotient
-        gens = page.source(col, row).boundary_gens
-        if gens:
-            gmat = sub.coordinates_many(np.stack([vec for vec, _ in gens], axis=1))
-            solver = FactoredSolve(gmat, self.p)
-        sign = (-1) ** (col + 1) % self.p
-        for lift in lifts:
-            top = lift.get(r - 1)
-            z = self.dc.apply_h(col - 1, row, top) if top is not None else np.zeros(
-                self.dc.base.dim(row), dtype=np.int64)
-            # the class of z must die against the recorded boundaries
-            coords = sub.coordinates(z)
-            beta = solver.solve(coords) if gens else (None if np.any(coords) else ())
-            if beta is None:
-                raise InvariantError("pages", f"a class at ({col},{row}) survives its boundaries")
-            for m, b in enumerate(beta):
-                b = int(b) % self.p
-                if not b:
-                    continue
-                z = np.mod(z - b * gens[m][0], self.p)
-                # a certificate is keyed from column col, r past the staircase
-                for c, cvec in gens[m][1].items():
-                    lift[c + r] = np.mod(lift.get(c + r, 0) - b * cvec, self.p)
-            if row == 0:
-                if np.any(z):
-                    raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
-                continue
-            # some w with delta_(row-1)·w = sign·z, from the reduced columns of
-            # delta_(row-1) that H^row keeps (`CohomologyBasis.preimage`)
-            w = sub.preimage(np.mod(sign * z, self.p))
-            if w is None:
-                raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")
-            lift[r] = w
+        cell = page.source(col, row)
+        z = self.dc.apply_h(col - 1, row, _last_block(lifts, dim(row)))
+        # the classes of z must die against the recorded boundaries
+        coords = sub.coordinates_many(z)
+        if cell.gens.shape[1]:
+            beta = FactoredSolve(sub.coordinates_many(cell.gens), p).solve_many(coords)
+        else:
+            beta = None if coords.any() else np.zeros((0, lifts.shape[1]), dtype=np.int64)
+        if beta is None:
+            raise InvariantError("pages", f"a class at ({col},{row}) survives its boundaries")
+        if beta.any():
+            z = np.mod(z - matmul_mod(cell.gens, beta, p), p).astype(np.int64)
+            # certificate offsets -(r-1)..-1 from col are staircase blocks 1..r-1
+            top = dim(l)
+            rest = np.mod(lifts[top:] - matmul_mod(cell.certs, beta, p), p).astype(np.int64)
+            lifts = np.vstack([lifts[:top], rest])
+        if row == 0:
+            if z.any():
+                raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
+            return lifts  # block r has height dim(-1) = 0
+        # some w with delta_(row-1)·w = sign·z, from the reduced columns of
+        # delta_(row-1) that H^row keeps (`CohomologyBasis.preimage`)
+        sign = (-1) ** (col + 1) % p
+        ws = [sub.preimage(np.mod(sign * v, p)) for v in z.T]
+        if any(w is None for w in ws):
+            raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")
+        return np.vstack([lifts, np.stack(ws, axis=1)])
 
     # -- projections --------------------------------------------------------
     def project(self, r: int, k: int, l: int, cochain: np.ndarray) -> np.ndarray:
@@ -317,11 +314,8 @@ class PageTower:
         cell = self.pages[cls.r].source(cls.k, cls.l)
         if cell is None:
             raise WindowError(f"cell ({cls.k},{cls.l}) is outside page {cls.r}")
-        out = np.zeros(self.dc.base.dim(cls.l), dtype=np.int64)
-        for i, c in enumerate(np.asarray(cls.coords, dtype=np.int64)):
-            if c % self.p:
-                out = np.mod(out + int(c) * cell.lifts[i][0], self.p)
-        return out
+        coords = np.mod(np.asarray(cls.coords, dtype=np.int64), self.p)
+        return matmul_mod(cell.lifts[: self.dc.base.dim(cls.l)], coords, self.p).astype(np.int64)
 
     # -- products -------------------------------------------------------------
     def product(self, r: int, a: PageClass, b: PageClass) -> PageClass:
@@ -368,9 +362,10 @@ class PageTower:
             (l, page.source(k, l), page.source(k2, row - l))
             for l in range(max(0, row - self.n), min(row, self.n) + 1)
         ]
-        # the leading staircase components of the basis classes, multiplied
+        # the leading staircase blocks of the basis classes, multiplied
+        dim = self.dc.base.dim
         cups = [
-            self.dc.product(k, l, a.lifts[i][0], k2, row - l, b.lifts[j][0])
+            self.dc.product(k, l, a.lifts[: dim(l), i], k2, row - l, b.lifts[: dim(row - l), j])
             for l, a, b in splits for i in range(a.dim) for j in range(b.dim)
         ]
         coords = self.project_many(r, k + k2, row, np.stack(cups, axis=1))[0]

@@ -9,6 +9,7 @@ from swanss.corpus import (
 )
 from swanss.pages import compute_pages
 from swanss.swan import SwanDoubleComplex
+from swan_helpers import certificate_complex
 
 
 class Pipeline:
@@ -57,6 +58,7 @@ _BUILDERS = {
     "join-5-1-0": lambda: build_sphere_join(5, 1, 0),
     "suspension-3": lambda: build_suspension_sphere(3),
     "suspension-5": lambda: build_suspension_sphere(5),
+    "certificates-3": certificate_complex,
 }
 
 _CACHE: dict[str, Pipeline] = {}

@@ -4,9 +4,23 @@ differential."""
 
 import numpy as np
 
-from swanss.complexes import EquivariantCochainComplex
+from swanss.complexes import EquivariantCochainComplex, SimplicialGComplex
 from swanss.linalg import matmul_mod
 from swanss.swan import SwanDoubleComplex
+
+
+def certificate_complex() -> SimplicialGComplex:
+    """A free Z/3-action on 9 vertices, g(v) = 3*(v // 3) + (v + 1) % 3,
+    on the orbits of three tetrahedra: f-vector [9, 33, 33, 9], with
+    H^1 = V_3 and H^2 = V_2.  Its page tower extends staircases by
+    certificate corrections, which the corpus inputs never need."""
+    g = [3 * (v // 3) + (v + 1) % 3 for v in range(9)]
+    tetrahedra = set()
+    for t in [(0, 1, 6, 7), (0, 3, 5, 7), (0, 5, 7, 8)]:
+        for _ in range(3):
+            tetrahedra.add(tuple(sorted(t)))
+            t = tuple(g[v] for v in t)
+    return SimplicialGComplex.from_maximal(3, 9, g, sorted(tetrahedra))
 
 
 def dense_delta(C: EquivariantCochainComplex, l: int) -> np.ndarray:

@@ -311,7 +311,7 @@ def test_criterion_9_product_laws(pipelines):
             if l > 0:
                 w = rng.integers(0, p, dc.base.dims[l - 1])
                 va = np.mod(va + dense_delta(dc.base, l - 1) @ w, p)
-            for gen_vec, _cert in page.source(k, l).boundary_gens:
+            for gen_vec in page.source(k, l).gens.T:
                 va = np.mod(va + int(rng.integers(0, p)) * gen_vec, p)
             w2 = dc.product(k, l, va, k2, l2, tower.leading_vector(b))
             assert np.array_equal(

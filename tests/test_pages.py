@@ -153,7 +153,7 @@ def test_product_representative_independence(pipelines):
                 w = rng.integers(0, p, tower.dc.base.dims[cls.l - 1])
                 vec = np.mod(vec + dense_delta(tower.dc.base, cls.l - 1) @ w, p)
             # add recorded page boundaries
-            for gen_vec, _cert in cell.boundary_gens:
+            for gen_vec in cell.gens.T:
                 vec = np.mod(vec + int(rng.integers(0, p)) * gen_vec, p)
             return vec
 
@@ -220,10 +220,37 @@ def test_served_columns_equal_computed_ones(pipelines, monkeypatch, name):
                 if (k, l) not in direct.cells:
                     continue
                 served, computed = page.source(k, l), direct.cells[(k, l)]
-                assert len(served.lifts) == len(computed.lifts)
-                for a, b in zip(served.lifts, computed.lifts):
-                    assert a.keys() == b.keys()
-                    assert all(np.array_equal(a[c], b[c]) for c in a)
+                assert np.array_equal(served.lifts, computed.lifts)
+
+
+def _apply(matrix, x: np.ndarray, nrows: int) -> np.ndarray:
+    """A `Csc` matrix times the columns of x, over the integers."""
+    cols = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    out = np.zeros((nrows, x.shape[1]), dtype=np.int64)
+    np.add.at(out, matrix.rows, matrix.values[:, None] * x[cols])
+    return out
+
+
+@pytest.mark.parametrize("name", ["certificates-3", "join-3-1-0", "suspension-5"])
+def test_staircases_are_cocycles_through_their_columns(pipelines, name):
+    # each staircase of a computed cell at (k, l) of page r, placed in
+    # Tot^(k+l), has total differential zero in columns k..k+r-1
+    tower = pipelines(name).tower
+    dc, dim = tower.dc, tower.dc.base.dim
+
+    def start(s, k):  # the first row of column k in Tot^s
+        return sum(dim(s - c) for c in range(max(0, s - tower.n), k))
+
+    checked = 0
+    for r, page in tower.pages.items():
+        for (k, l), cell in page.cells.items():
+            s = k + l
+            x = np.zeros((dc.tot_dim(s), cell.dim), dtype=np.int64)
+            x[start(s, k) : start(s, k) + len(cell.lifts)] = cell.lifts
+            dx = _apply(dc.total_differential(s), x, dc.tot_dim(s + 1)) % tower.p
+            assert not dx[start(s + 1, k) : start(s + 1, k + r)].any(), (r, k, l)
+            checked += cell.dim > 0
+    assert checked
 
 
 def test_period_checked_from_too_early_a_column_raises(pipelines, monkeypatch):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from swanss.corpus import (
@@ -13,7 +14,9 @@ from swanss.corpus import (
     build_suspension_sphere,
     build_trivial_circle,
 )
+from swanss.linalg import FactoredSolve
 from swanss.report import analyze_complex, canonical_json
+from swan_helpers import certificate_complex
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -36,6 +39,9 @@ REPORTS = {
                    "936a2bf41ff7a840c6e448d4eee34128284a154c137ce58be0b26cdca4fde6a4"),
     "join-5-1-0": (lambda: build_sphere_join(5, 1, 0), None, None,
                    "9af0302803ffc88a198689b6257672fcc125a6261d755c7ff314372865e8109a"),
+    # the one pinned input whose staircases need certificate corrections
+    "certificates-3": (certificate_complex, None, None,
+                       "83472927b5c1cff581b80ef49d43c705b49b97275a84d1618fe363f8130fdbcf"),
     "join-3-1-0 k_max=30 r_max=3": (
         lambda: build_sphere_join(3, 1, 0), 30, 3,
         "6379df463414ce36158853c0af724937af72e6da0480befbf61d0ae1a12e26a8",
@@ -53,6 +59,30 @@ def _sha256(text: str) -> str:
 def test_report_digest(name):
     build, k_max, r_max, digest = REPORTS[name]
     assert _sha256(canonical_json(analyze_complex(build(), k_max, r_max))) == digest
+
+
+def test_certificate_corrections(monkeypatch):
+    # count the staircases that take a nonzero correction (beta != 0);
+    # skipping the correction makes this input raise InvariantError
+    corrected = []
+    solve_many = FactoredSolve.solve_many
+
+    def counting(self, b):
+        x = solve_many(self, b)
+        if x is not None:
+            corrected.append(int(np.count_nonzero(x.any(axis=0))))
+        return x
+
+    monkeypatch.setattr(FactoredSolve, "solve_many", counting)
+    K = certificate_complex()
+    report = analyze_complex(K)
+    assert sum(corrected) == 7
+    assert K.f_vector() == [9, 33, 33, 9]
+    assert report["profile"]["decompositions"] == [{"1": 1}, {"3": 1}, {"2": 1}, {}]
+    # the action is free: H*_G(K) is H*(K/G), zero past its dimension
+    betti, tot = report["quotient"]["betti"], report["swan"]["tot_dims"]
+    assert report["complex"]["free"]
+    assert tot == betti + [0] * (len(tot) - len(betti))
 
 
 def _corpus_run(*flags: str) -> str:
