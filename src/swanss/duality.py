@@ -28,6 +28,9 @@ k and k' themselves.  Otherwise k+k' >= s, and from s on reduce(m) =
 s + (m - s) mod 2 keeps only the parity of m, which reduce(k) and
 reduce(k') both keep.  A negative column holds a zero cell, and the
 status of a pair with a zero cell is decided before the target is read.
+The pages past the one a tower converged at are served by its cells,
+reduced by its `stable` column (`pages.ConvergedPage`), so their keys name
+the same cells and `tower_terms` gives all of them one memo.
 
 All theorem validators are hypothesis-gated: a failed hypothesis yields
 "not-applicable", never "fail".
@@ -49,13 +52,14 @@ from .synthetic import matrix_rank_over
 class ComputedTerm:
     """Adapter presenting one page of a computed tower to the checkers."""
 
-    def __init__(self, tower: PageTower, r: int):
+    def __init__(self, tower: PageTower, r: int, statuses: dict | None = None):
         self.tower = tower
         self.r = r
         self.n = tower.n
         self.field_char = tower.p
         self.trusted_k = tower.pages[r].trusted_k
-        self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
+        # filled by `duality._status`; shared by the pages one page serves
+        self.statuses: dict[tuple, str | None] = {} if statuses is None else statuses
 
     def dim(self, k: int, l: int) -> int:
         return self.tower.pages[self.r].dim(k, l)
@@ -76,7 +80,11 @@ class ComputedTerm:
 
 
 def tower_terms(tower: PageTower) -> dict[int, ComputedTerm]:
-    return {r: ComputedTerm(tower, r) for r in range(2, tower.r_max + 1)}
+    """The terms of pages 2..r_max; those a converged page serves share its
+    status memo (module docstring)."""
+    memos: dict[int, dict] = {}
+    return {r: ComputedTerm(tower, r, memos.setdefault(tower.pages[r].served.r, {}))
+            for r in range(2, tower.r_max + 1)}
 
 
 # -- pairing evaluation ----------------------------------------------------

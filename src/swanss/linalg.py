@@ -383,8 +383,8 @@ class Subquotient:
         # pivots, in order: the kept columns of b, then the representatives
         self._transform = solver.transform
         self._rank_b = bisect_left(solver.pivots, nb)
-        # b as given is kept by the caller anyway (a page d_r, a module map)
-        self._gens, self._b_cols = b, solver._pivot_rows[: self._rank_b]
+        # the kept columns of b, a basis of B
+        self.b = np.mod(np.asarray(b, dtype=np.int64)[:, solver._pivot_rows[: self._rank_b]], p)
         self.reps = z[:, solver._pivot_rows[self._rank_b :] - nb]
         self.dim = k - self._rank_b
 
@@ -400,11 +400,6 @@ class Subquotient:
         if np.count_nonzero(matmul_mod(self._z_rest, lead, self.p) != rest):
             return None
         return lead
-
-    @property
-    def b(self) -> np.ndarray:
-        """A basis of B: the kept columns of b, mod p."""
-        return np.mod(np.asarray(self._gens, dtype=np.int64)[:, self._b_cols], self.p)
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the columns of `vs`, as columns."""

@@ -24,6 +24,36 @@ among s_r, s_r+1 (`Page.source`): with staircases laid out by offset, that
 cell is the served one as it stands, so every page cell is stored once
 and no column is ever copied.  K_max, the trusted bound k <= K_max - 2r
 and the reported range only decide what a report shows.
+
+The tower stops where it converges.  A d_r out of (k, l) lands in row
+l - r + 1 and one into (k, l) leaves row l + r - 1, so from r = n + 2 on
+every d_r is zero and E_(n+2) = E_inf, whose antidiagonal k + l = s adds
+up to dim H^s(Tot): the column filtration is finite in every total degree.
+Each page is a subquotient of the one before,
+
+    dim E_(r+1)^(k,l) = dim E_r^(k,l) - rank d_r into (k,l) - rank d_r out of it,
+
+so the dims fall termwise from page to page down to E_inf.  Suppose that
+after page r is built, its antidiagonals add up to dim H^s(Tot) for every
+s >= 0.  Termwise dim E_r >= dim E_inf with equal sums on every
+antidiagonal gives dim E_r = dim E_inf termwise, so each d_r' with
+r' >= r would remove dimension that E_inf still has unless it is zero:
+every later differential vanishes.  Two periods make this a finite check:
+for s >= s_r + n every column of the antidiagonal is >= s_r, where page r
+repeats with period 2, and for s >= n + 1 the total dims repeat
+(`swan`), so s = 0..s_r + n + 1 decide every s (s_r >= 1 for r >= 2).
+With d_r zero, the page r + 1 that `_turn_page` builds is page r in the
+same basis: ker d_r is everything in its canonical basis I and nothing
+comes in, so `sub.reps` is I, its coordinates are the identity, no
+boundary generator is added, and `_extend_lifts` changes the staircases
+only in their blocks past x_0.  The leading blocks, the projections and
+so the pairing matrices are page r's, and by induction those of every
+later page.  So `PageTower` stops at the first such page r < r_max:
+pages r+1..r_max are `ConvergedPage`s, which keep their own r, trusted
+bound and reported range, store no cell, and serve page r's cells with
+d = 0.  The test trusts the total dims, so the tower raises
+`InvariantError` unless every computed d_r of page r is zero, and every
+computed page still passes the period, ker/im and E_2 checks.
 """
 
 from __future__ import annotations
@@ -131,6 +161,12 @@ class Page:
     def trusted_k(self) -> int:
         return self.k_max - 2 * self.r
 
+    @property
+    def served(self) -> "Page":
+        """The page whose cells serve this one (a property: an attribute
+        naming the page itself would keep it alive in a reference cycle)."""
+        return self
+
     def reduce(self, k: int) -> int:
         """The column, k itself or one of the first period, whose cell serves k."""
         s = self.stable
@@ -160,12 +196,39 @@ class Page:
         return cell is None or not cell.d_matrix.any()
 
     def dims_json(self) -> dict[str, int]:
+        """The nonzero dims up to column k_reported, read off the computed
+        cells: the columns below s + 2 as themselves, later ones by parity."""
+        cells = self.served.cells
+        columns = [[cells[(k, l)].dim for l in range(self.n + 1)] for k in range(self.stable + 2)]
         return {
-            f"{k},{l}": self.dim(k, l)
+            f"{k},{l}": dim
             for k in range(self.k_reported + 1)
-            for l in range(self.n + 1)
-            if self.dim(k, l)
+            for l, dim in enumerate(columns[self.reduce(k)])
+            if dim
         }
+
+
+class ConvergedPage(Page):
+    """A page past the one its tower converged at (module docstring): E_r
+    is that page as it stands and d_r = 0.  It stores no cell."""
+
+    def __init__(self, served: Page, r: int, r_max: int):
+        super().__init__(served.p, r, served.n, served.k_max, r_max)
+        self._served = served
+        self.stable = served.stable
+
+    @property
+    def served(self) -> Page:
+        return self._served
+
+    def source(self, k: int, l: int) -> PageCell | None:
+        return self.served.source(k, l)
+
+    def d_rank(self, k: int, l: int) -> int:
+        return 0
+
+    def d_is_zero(self, k: int, l: int) -> bool:
+        return True
 
 
 class PageTower:
@@ -190,7 +253,11 @@ class PageTower:
         self._check_period(self.pages[1])
         for r in range(1, r_max):
             self._turn_page(r)
-            self._check_period(self.pages[r + 1])
+            page = self.pages[r + 1]
+            self._check_period(page)
+            if page.r < r_max and self._converged(page):
+                self._serve_from(page)
+                break
         self._consistency_checks()
 
     # -- construction ----------------------------------------------------
@@ -252,6 +319,20 @@ class PageTower:
                 mat = self.project_many(r + 1, k + r + 1, row, vecs)
             new_cell.d_matrix = mat
 
+    def _converged(self, page: Page) -> bool:
+        """Whether every antidiagonal of `page` adds up to the total
+        cohomology of its degree; s = 0..s_r + n + 1 decide (module docstring)."""
+        return all(self.antidiagonal_sum(page.r, s) == self.dc.total_cohomology_dim(s)
+                   for s in range(page.stable + self.n + 2))
+
+    def _serve_from(self, page: Page):
+        """Serve every later page from the converged `page`, whose d_r must vanish."""
+        for (k, l), cell in page.cells.items():
+            if cell.d_matrix.any():
+                raise InvariantError("pages", f"E_{page.r} has converged, but d_{page.r} != 0 at ({k},{l})")
+        for r in range(page.r + 1, self.r_max + 1):
+            self.pages[r] = ConvergedPage(page, r, self.r_max)
+
     def _extend_lifts(self, page: Page, k: int, l: int, r: int, lifts: np.ndarray) -> np.ndarray:
         """The staircases `lifts` of a cell at (k, l), blocks 0..r-1, made to
         have total differential zero in column k+r too: corrected by
@@ -302,7 +383,8 @@ class PageTower:
     def project_many(self, r: int, k: int, l: int, cochains: np.ndarray) -> np.ndarray:
         """Page-r coordinates of the classes of the cocycle columns at (k, l)."""
         coords = self.H[l].subquotient.coordinates_many(cochains)
-        for q in range(2, r + 1):
+        # past the page the tower converged at, the coordinates stay as they are
+        for q in range(2, self.pages[r].served.r + 1):
             cell = self.pages[q].source(k, l)
             if cell is None:
                 raise WindowError(f"cell ({k},{l}) is outside page {q}")
@@ -340,7 +422,7 @@ class PageTower:
     def pairing_matrix(self, r: int, k: int, l: int, k2: int, l2: int) -> np.ndarray | None:
         """Matrix of the product pairing into (k+k2, l+l2); None unless the
         target is one-dimensional."""
-        page = self.pages[r]
+        page = self.pages[r].served
         if page.dim(k + k2, l + l2) != 1:
             return None
         da, db = page.dim(k, l), page.dim(k2, l2)
@@ -349,7 +431,7 @@ class PageTower:
         if k + k2 > self.k_max:
             raise WindowError(f"product column {k + k2} exceeds window {self.k_max}")
         # a pairing depends on its columns only through the cells serving them
-        key = (r, page.reduce(k), page.reduce(k2), l + l2)
+        key = (page.r, page.reduce(k), page.reduce(k2), l + l2)
         if key not in self._pairings:
             self._pairings[key] = self._pairings_into(*key)
         return self._pairings[key][l]

@@ -9,11 +9,12 @@ d = d_h + (-1)^k d_v.
 Every matrix depends on its column only through the column's parity, so
 the complex repeats with period 2 away from column 0.  For s >= n every
 block of d: Tot^s -> Tot^(s+1) lies in a column >= 0, and d at s + 2 is
-the same matrix as d at s.  `total_cohomology_dims` ranks d only for
+the same matrix as d at s.  The total cohomology ranks d only for
 s = 0..n+3, checks that degrees n, n+1 give the ranks of n+2, n+3, and
-takes every later rank from the degree of the same parity.  Each rank
-clears d_s with the pivot rows of the reduced d_(s-1), as `linalg`
-describes.  K_max only bounds what is reported: H^s for s <= K_max - 2,
+takes every later rank from the degree of the same parity, so
+`total_cohomology_dim` serves every degree s.  Each rank clears d_s with
+the pivot rows of the reduced d_(s-1), as `linalg` describes.  K_max only
+bounds what is reported: H^s for s <= K_max - 2 (`total_cohomology_dims`),
 and products into columns <= K_max.
 
 The product takes a pair at columns (k, k') to
@@ -80,6 +81,7 @@ class SwanDoubleComplex:
             )
         self.k_max = k_max
         self._blocks: dict[tuple[int, int], Csc] = {}
+        self._ranks: list[int] | None = None  # of d at s = 0..n+3
         self._tot_dims_cache: list[int] | None = None
 
     # -- dimensions -----------------------------------------------------
@@ -152,26 +154,33 @@ class SwanDoubleComplex:
             row_at += self.base.dim(l + 1)  # past block (k, l + 1)
         return Csc(*map(np.concatenate, (indptr, rows, values)))
 
-    def total_cohomology_dims(self) -> list[int]:
-        """dim H^s of the total complex for 0 <= s <= K_max - 2."""
-        if self._tot_dims_cache is None:
+    def _d_rank(self, s: int) -> int:
+        """The rank of d: Tot^s -> Tot^(s+1), for any s, from the ranks at
+        s = 0..n+3 (module docstring)."""
+        if self._ranks is None:
             n = self.n
             # clearing: a pivot row of reduced d_(s-1) is a column of d_s that
             # reduces to zero (linalg module docstring), so it is never reduced
             ranks, cleared = [], None
-            for s in range(n + 4):
-                red = sparse_rank(self.total_differential(s), self.p, cleared)
+            for degree in range(n + 4):
+                red = sparse_rank(self.total_differential(degree), self.p, cleared)
                 ranks.append(red.rank)
                 cleared = red.pivot_rows
             if ranks[n : n + 2] != ranks[n + 2 :]:
                 raise InvariantError("swan.tot_dims", f"ranks {ranks} of d: no period 2 from {n}")
+            self._ranks = ranks
+        n, ranks = self.n, self._ranks
+        return 0 if s < 0 else ranks[n + (s - n) % 2] if s >= n else ranks[s]
 
-            def rank(s: int) -> int:
-                return 0 if s < 0 else ranks[n + (s - n) % 2] if s >= n else ranks[s]
+    def total_cohomology_dim(self, s: int) -> int:
+        """dim H^s of the total complex, for any s >= 0."""
+        return self.tot_dim(s) - self._d_rank(s - 1) - self._d_rank(s)
 
-            limit = self.trusted_total_limit
-            dims = [self.tot_dim(s) - rank(s - 1) - rank(s) for s in range(limit + 1)]
-            self._tot_dims_cache = dims
+    def total_cohomology_dims(self) -> list[int]:
+        """dim H^s of the total complex for 0 <= s <= K_max - 2."""
+        if self._tot_dims_cache is None:
+            self._tot_dims_cache = [self.total_cohomology_dim(s)
+                                    for s in range(self.trusted_total_limit + 1)]
         return self._tot_dims_cache
 
     # -- products -----------------------------------------------------------

@@ -23,6 +23,18 @@ def certificate_complex() -> SimplicialGComplex:
     return SimplicialGComplex.from_maximal(3, 9, g, sorted(tetrahedra))
 
 
+def page_three_complex() -> SimplicialGComplex:
+    """A free Z/3-action on 6 vertices (two orbits) and 18 simplices:
+    f-vector [6, 9, 3], with the cohomology of a circle, H^0 = H^1 = V_1.  Its
+    top degree is 2, so r_max = 4, but d_2 already kills every class past
+    column 1 and the tower converges at page 3."""
+    return SimplicialGComplex(3, 6, [4, 0, 3, 5, 1, 2], [
+        [0], [1], [2], [3], [4], [5],
+        [0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 4], [1, 5], [3, 4], [4, 5],
+        [0, 1, 2], [0, 3, 4], [1, 4, 5],
+    ])
+
+
 def dense_delta(C: EquivariantCochainComplex, l: int) -> np.ndarray:
     """The coboundary out of degree l as a dense matrix with entries in
     [0, p), built from the face table (the zero map outside 0 <= l < top)."""

@@ -520,14 +520,14 @@ def test_subquotient_matches_three_elimination_reference(case):
         ys.append(outside)
     solver = FactoredSolve(b, p)
     for y in ys:
-        got, want = preimage(sub, y), solver.solve(y)
+        got, want = preimage(sub, b, y), solver.solve(y)
         assert (got is None) == (want is None)
         if want is not None:
             assert got.dtype == np.int64 and np.array_equal(got, want)
     if sub.dim:
-        assert preimage(sub, ys[2]) is None
+        assert preimage(sub, b, ys[2]) is None
     if outside is not None:
-        assert preimage(sub, outside) is None
+        assert preimage(sub, b, outside) is None
         with pytest.raises(ValueError):
             coordinates(sub, outside)
         # B outside span Z is refused

@@ -209,7 +209,8 @@ def test_served_columns_equal_computed_ones(pipelines, monkeypatch, name):
     wide = compute_pages(tower.dc)
     for r in range(1, tower.r_max + 1):
         page, direct = tower.pages[r], wide.pages[r]
-        assert len(direct.cells) == len(page.cells) + 8 * (tower.n + 1)
+        if page.served is page:  # pages past convergence store no cell
+            assert len(direct.cells) == len(page.cells) + 8 * (tower.n + 1)
         assert page.dims_json() == direct.dims_json()
         for k in range(page.trusted_k + 1):
             for l in range(tower.n + 1):

@@ -16,7 +16,7 @@ from swanss.corpus import (
 )
 from swanss.linalg import FactoredSolve
 from swanss.report import analyze_complex, canonical_json
-from swan_helpers import certificate_complex
+from swan_helpers import certificate_complex, page_three_complex
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -42,6 +42,9 @@ REPORTS = {
     # the one pinned input whose staircases need certificate corrections
     "certificates-3": (certificate_complex, None, None,
                        "83472927b5c1cff581b80ef49d43c705b49b97275a84d1618fe363f8130fdbcf"),
+    # the tower converges at page 3, below r_max = 4
+    "page-three-3": (page_three_complex, None, None,
+                     "895d54982e5c85b85c6ba8d637e40a13a042a3044dba673b0863afe924d8ecff"),
     "join-3-1-0 k_max=30 r_max=3": (
         lambda: build_sphere_join(3, 1, 0), 30, 3,
         "6379df463414ce36158853c0af724937af72e6da0480befbf61d0ae1a12e26a8",
