@@ -45,6 +45,7 @@ from .duality import (
     mod4_audit,
     pd_propagation_audit,
     tower_terms,
+    verify_betti_chi,
     verify_bryan,
     verify_chi_t,
     verify_sokolov,

@@ -571,6 +571,13 @@ def verify_torus_congruence(
     return verdict
 
 
+def verify_betti_chi(betti: list[int], n: int) -> CongruenceVerdict:
+    """Even-dimensional duality space: total Betti sum = chi mod 4."""
+    hyps = [Hypothesis("even formal dimension", n % 2 == 0, f"n={n}")]
+    chi = sum((-1) ** i * b for i, b in enumerate(betti))
+    return _gate("even-dimension Betti/chi congruence", hyps, sum(betti), chi, 4)
+
+
 def verify_bryan(
     f_surface_profile: CohomologyProfile, fixed_point_count: int
 ) -> CongruenceVerdict:
@@ -587,10 +594,3 @@ def verify_bryan(
     expected = 2 + group_cohomology(h1_module, 1).dim if h1_module is not None else None
     return _gate("surface fixed-point count", hyps, fixed_point_count,
                  expected if expected is not None else -1, 0, relation="eq")
-
-
-def check_betti_chi_mod4(betti: list[int]) -> bool:
-    """For an even-dimensional duality space: total Betti sum = chi mod 4."""
-    total = sum(betti)
-    chi = sum((-1) ** i * b for i, b in enumerate(betti))
-    return (total - chi) % 4 == 0

@@ -9,13 +9,15 @@ is an integer far below 2^53 (the word-size approach of Dumas, Giorgi and
 Pernet, "FFLAS and FFPACK", ACM TOMS 2008).  It returns float64, so a
 product that is stored is converted back to int64.
 
-There is one elimination, `_eliminate`: panels of columns reduced pivot by
-pivot, each followed by one block Gauss-Jordan step, a single `matmul_mod`
-update of the rows and columns it changes.  `rref_mod` (and so `rank_mod`,
-`kernel_mod` and `column_echelon_mod`) and `FactoredSolve` are the only
-callers; the reduced row echelon form is unique, so their results are
-canonical.  `FactoredSolve` keeps the float64 transform of the reduction
-and solves any number of right-hand sides with one product.
+There is one elimination, `_eliminate`: Gauss-Jordan pivot by pivot on
+whole rows.  `rref_mod` (and so `rank_mod`, `kernel_mod` and
+`column_echelon_mod`) and `FactoredSolve` are the only callers; the
+reduced row echelon form is unique, so their results are canonical.
+`FactoredSolve` keeps the float64 transform of the reduction and solves
+any number of right-hand sides with one product.  The dense matrices of
+an analysis (page-cell differentials, module actions, pairings) are no
+wider than a few cohomology groups; the maps of the complexes themselves
+are reduced sparse.
 
 A `Subquotient` span Z / span B (a page cell, a group cohomology) works
 in the lead coordinates of Z.  Its z is a canonical column-echelon basis,
@@ -87,10 +89,6 @@ import numpy as np
 from .errors import InvariantError
 
 MAX_PRIME = 251
-# Columns per panel of the blocked elimination.  A pivot costs rows x
-# PANEL inside its panel, and wider panels make fewer, larger block steps;
-# 32 measured fastest on the sparse coboundary matrices swanss reduces.
-PANEL = 32
 # float64 represents every integer below this exactly.
 _EXACT_LIMIT = 2**53
 # Fewest entries for which `sparse_rank` looks for apparent columns: below
@@ -146,78 +144,31 @@ def _eliminate(r: np.ndarray, p: int, ncols: int) -> tuple[int, ...]:
     """Reduce `r` in place to reduced row echelon form over F_p.
 
     Pivots are searched in columns < ncols only; later columns are carried
-    along.  Columns are taken in panels of PANEL.  In a panel the per-pivot
-    Gauss-Jordan step runs on the rows without a pivot yet and on the panel
-    columns alone, and records the multiples of the panel's pivot rows
-    that every such row received; on the pivot rows those multiples are
-    the inverse of the pivot block B.  One block step then brings the whole
-    matrix along: the pivot rows become B^-1 times themselves and every
-    other row loses its pivot-column entries times them, as a single
-    matmul_mod update of the rows that change.  When no row lies above
-    the panel and no column lies past it, the panel step alone is the
-    whole reduction and works on `r` directly.  So does a single panel of
-    all ncols columns when `r` is at most 2 * PANEL wide: its per-pivot
-    steps on whole rows cost no more than a panel's, and the block step's
-    fixed cost is saved on the many small matrices.
+    along.  For each such column j the first nonzero row at or below the
+    next pivot row is swapped up and scaled to 1, and one outer-product
+    update clears column j from every other row, on columns j onward: the
+    pivot row is zero left of j.
     """
-    m, width = r.shape
-    narrow = width <= 2 * PANEL
-    step = max(ncols, 1) if narrow else PANEL
+    m = r.shape[0]
     pivots = []
-    row = 0
-    for c0 in range(0, ncols, step):
+    for j in range(ncols):
+        row = len(pivots)
         if row == m:
             break
-        c1 = min(c0 + step, ncols)
-        w = c1 - c0
-        top = row
-        block = not narrow and (top > 0 or c1 < width)
-        # panel of the rows without a pivot, then the multipliers of its pivot rows
-        if block:
-            work = np.zeros((m - top, 2 * w), dtype=r.dtype)
-            work[:, :w] = r[top:, c0:c1]
-        else:
-            work = r[:, c0:]
-        for j in range(w):
-            at = row - top
-            if at == len(work):
-                break
-            nz = work[at:, j].nonzero()[0]
-            if nz.size == 0:
-                continue
-            i = at + int(nz[0])
-            if i != at:
-                work[[at, i]] = work[[i, at]]
-                if block:
-                    r[[row, top + i]] = r[[top + i, row]]
-            if block:
-                work[at, w + at] = 1
-            # the pivot row is zero left of column j
-            inv = pow(int(work[at, j]), p - 2, p)
-            if inv != 1:
-                work[at, j:] = (work[at, j:] * inv) % p
-            others = work[:, j].nonzero()[0]
-            others = others[others != at]
-            if others.size:
-                work[others, j:] = (work[others, j:] - np.outer(work[others, j], work[at, j:])) % p
-            pivots.append(c0 + j)
-            row += 1
-        k = row - top
-        if not block or k == 0:
+        nz = r[row:, j].nonzero()[0]
+        if nz.size == 0:
             continue
-        # every row gains multiples[i] @ (the panel's pivot rows as they
-        # were); the pivot rows are rebuilt from zero as B^-1 times them
-        multiples = work[:, w : w + k]
-        if top:
-            above = matmul_mod(r[:top, pivots[-k:]], multiples[:k], p)
-            multiples = np.concatenate([-above.astype(r.dtype), multiples])
-        pivot_rows = r[top:row, c0:].copy()
-        r[top:row, c0:] = 0
-        changed = multiples.any(axis=1).nonzero()[0]
-        cols = c0 + pivot_rows.any(axis=0).nonzero()[0]
-        update = matmul_mod(multiples[changed], pivot_rows[:, cols - c0], p)
-        cells = np.ix_(changed, cols)
-        r[cells] = np.mod(r[cells] + update, p)
+        i = row + int(nz[0])
+        if i != row:
+            r[[row, i]] = r[[i, row]]
+        inv = pow(int(r[row, j]), p - 2, p)
+        if inv != 1:
+            r[row, j:] = (r[row, j:] * inv) % p
+        others = r[:, j].nonzero()[0]
+        others = others[others != row]
+        if others.size:
+            r[others, j:] = (r[others, j:] - np.outer(r[others, j], r[row, j:])) % p
+        pivots.append(j)
     return tuple(pivots)
 
 

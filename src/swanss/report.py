@@ -21,11 +21,11 @@ from .complexes import (
     validate_and_regularize,
 )
 from .duality import (
-    check_betti_chi_mod4,
     duality_report,
     mod4_audit,
     pd_propagation_audit,
     tower_terms,
+    verify_betti_chi,
     verify_chi_t,
     verify_sokolov,
     verify_t_inequality,
@@ -161,18 +161,7 @@ def analyze_complex(
             verify_sokolov(profile, circles, pd_space=pd_info["is_pd_space"]).to_json()
         )
     if n % 2 == 0 and pd_info["is_pd_space"]:
-        verdicts.append(
-            {
-                "theorem": "even-dimension Betti/chi congruence",
-                "hypotheses": [{"name": "even formal dimension", "pass": True, "evidence": f"n={n}"}],
-                "lhs": sum(profile.betti),
-                "rhs": profile.euler_characteristic(),
-                "modulus": 4,
-                "relation": "mod",
-                "verdict": "pass" if check_betti_chi_mod4(profile.betti) else "fail",
-                "notes": [],
-            }
-        )
+        verdicts.append(verify_betti_chi(profile.betti, n).to_json())
 
     report = {
         "tool": {"name": "swanss", "version": __version__},

@@ -16,6 +16,7 @@ from swanss.corpus import (
     build_mp_profile,
     build_sphere_join,
     corpus_names,
+    run_corpus,
     run_entry,
 )
 from swanss.gmodule import module_from_multiplicities
@@ -53,6 +54,16 @@ def test_light_corpus_entries_pass():
         assert result.ok, [c.to_json() for c in result.checks if not c.ok]
         for check in result.checks:
             assert check.tag in ("published", "immediate", "derived")
+
+
+def test_threaded_corpus_run_equals_serial():
+    # the corpus workload of the benchmark runs the entries on a thread pool
+    names = ["circle-3", "circle-trivial-3", "suspension-sphere-3", "point-3",
+             "mp-profile-3", "mp-profile-2", "seifert-1-2", "bredon"]
+    serial = [result.to_json() for result in run_corpus(names)]
+    threaded = [result.to_json() for result in run_corpus(names, threads=2)]
+    assert [entry["name"] for entry in threaded] == names
+    assert threaded == serial
 
 
 def test_unknown_entry():

@@ -18,12 +18,12 @@ from swanss.duality import (
     DualityFlag,
     PairingViolation,
     _pairing_status,
-    check_betti_chi_mod4,
     duality_flags,
     duality_report,
     mod4_audit,
     pd_propagation_audit,
     tower_terms,
+    verify_betti_chi,
     verify_bryan,
     verify_chi_t,
     verify_sokolov,
@@ -283,8 +283,9 @@ def test_bryan_rejects_disk():
 
 
 def test_betti_chi_mod4_even_dim():
-    assert check_betti_chi_mod4([1, 0, 1])       # S^2
-    assert check_betti_chi_mod4([1, 4, 1])       # genus-2 surface: 6 = -2 + 8
+    assert verify_betti_chi([1, 0, 1], 2).verdict == "pass"  # S^2
+    genus_two = verify_betti_chi([1, 4, 1], 2)                # 6 = -2 + 8
+    assert (genus_two.lhs, genus_two.rhs, genus_two.verdict) == (6, -2, "pass")
 
 
 def test_odd_page_vanishing_on_computed_pages(pipelines):
