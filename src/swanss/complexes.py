@@ -23,12 +23,37 @@ action:
   g^j u < g^2j u < ... < g^pj u = u, a contradiction, so no simplex holds
   two vertices of one orbit.
 
-A simplicial orbit quotient also needs distinct orbits of simplices to have
-distinct images; `quotient_complex` checks that by a count and subdivides
-at most once to pass it.  The subdivision reads its chains off templates:
-the chains of faces ending at a d-simplex are the same chains of vertex
-subsets for every d-simplex, so each dimension takes one lookup of its
-faces per subset size and one gather per chain length.
+The orbit space K/G is read two ways.  Its simplicial model,
+`quotient_complex`, has for d-simplices the orbit images (sorted
+vertex-orbit labels) of K's d-simplices.  Each orbit has one image, so
+this is the orbit space when distinct orbits have distinct images.  K is
+regular, so a d-simplex is fixed, with all its vertices, or lies in an
+orbit of p: the images must number (f_d + (p - 1) f_d^G) / p, f_d^G
+counting the fixed d-simplices.  When K fails this count, its
+subdivision passes it: if chains s_0 < ... < s_k and t_0 < ... < t_k of
+K's simplices have equal images and t_k = h s_k, then t_i and h s_i are
+faces of t_k in one orbit, equal since t_k holds no two vertices of one
+orbit.  The subdivision reads its chains off templates: the chains of
+faces ending at a d-simplex are the same chains of vertex subsets for
+every d-simplex, so each dimension takes one lookup of its faces per
+subset size and one gather per chain length.
+
+The analysis builds no such complex (`quotient_numbers`): it counts the
+images for the f-vector and reads the Betti numbers off the *orbit
+cells* of K.  The orbits of the simplices of a regular G-complex are the
+cells of a CW structure on K/G whose cellular chains are the coinvariants
+C_*(K)_G (Bredon, "Introduction to Compact Transformation Groups",
+ch. III section 1), so over F_p both models have the homology of K/G.  A
+cell [tau] has the boundary Sigma_j (-1)^j [d_j tau], the same for every
+member of the orbit: g commutes with the boundary and, K being
+order-compatible, keeps the vertex order of every simplex, so
+[g tau] = [tau] with sign +1.  Distinct faces of a simplex tau lie in
+distinct orbits.  Say d_i tau = h d_k tau for some h in G, i != k.  h
+keeps every vertex in its orbit, so the two faces hold the same orbits.
+But tau holds no two vertices of one orbit, so d_i tau holds every orbit
+of tau but that of its vertex i, and d_k tau every one but that of its
+vertex k, and these differ.  So the column of a d-cell has d + 1
+distinct rows, each +-1, and no coefficients merge.
 """
 
 from __future__ import annotations
@@ -55,6 +80,18 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     as one void scalar, compared as a byte string."""
     r = rows.astype(np.min_scalar_type(n).newbyteorder(">"), order="C")
     return r.view(np.dtype((np.void, r.itemsize * r.shape[-1]))).reshape(r.shape[:-1])
+
+
+def _orbits(perm: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of a permutation of range(n) whose order divides p: their
+    least members, increasing, and the orbit id of each element, the rank
+    of its orbit's least member."""
+    least = w = np.arange(len(perm))
+    for _ in range(p - 1):  # the orbit of i is i, g i, ..., g^(p-1) i
+        w = perm[w]
+        least = np.minimum(least, w)
+    reps, ids = np.unique(least, return_inverse=True)
+    return reps, ids.reshape(-1)
 
 
 @cache
@@ -235,12 +272,7 @@ class SimplicialGComplex:
 
     def vertex_orbits(self) -> np.ndarray:
         """Orbit id per vertex; ids number the orbits by their least vertex."""
-        least = np.arange(self.vertex_count)
-        w = least
-        for _ in range(self.p - 1):  # the orbit of v is v, g v, ..., g^(p-1) v
-            w = self._g[w]
-            least = np.minimum(least, w)
-        return np.unique(least, return_inverse=True)[1].reshape(-1)
+        return _orbits(self._g, self.p)[1]
 
     def is_free(self) -> bool:
         return not np.any(self._g == np.arange(self.vertex_count))
@@ -350,8 +382,9 @@ def fixed_subcomplex(K: SimplicialGComplex) -> SimplicialGComplex:
     return SimplicialGComplex(K.p, count, range(count), blocks)
 
 
-def _orbit_quotient(K: SimplicialGComplex) -> SimplicialGComplex | None:
-    """The complex of orbit images of K, or None if they are not one per orbit."""
+def _orbit_images(K: SimplicialGComplex) -> tuple[int, dict[int, np.ndarray]] | None:
+    """The number of vertex orbits of K and the distinct orbit images of its
+    simplices, {size: rows}, or None if they are not one per orbit."""
     orbit = K.vertex_orbits()
     fixed = K._g == np.arange(K.vertex_count)
     # an image that repeats an orbit is shorter than its simplex, so the top
@@ -374,32 +407,69 @@ def _orbit_quotient(K: SimplicialGComplex) -> SimplicialGComplex | None:
         fixed_d = int(np.count_nonzero(fixed[rows].all(axis=1)))
         if K.p * len(images.get(d + 1, ())) != len(rows) + (K.p - 1) * fixed_d:
             return None
-    return SimplicialGComplex(K.p, n_orbits, range(n_orbits), list(images.values()))
+    return n_orbits, images
+
+
+def _quotient_images(K: SimplicialGComplex) -> tuple[int, dict[int, np.ndarray]]:
+    """`_orbit_images` of an order-compatible K, or of its subdivision when
+    K's are not one per orbit (module docstring)."""
+    if not K.is_order_compatible():
+        raise ValueError("quotient complex requires an order-compatible complex")
+    images = _orbit_images(K)
+    if images is None:
+        images = _orbit_images(barycentric_subdivision(K))
+    if images is None:
+        raise InvariantError("complexes.quotient",
+                             "the subdivision's orbit images are not one per orbit")
+    return images
 
 
 def quotient_complex(K: SimplicialGComplex) -> SimplicialGComplex:
     """Orbit-space complex of an order-compatible K, subdividing it once if needed.
 
     The d-simplices of the quotient are the orbit images (sorted vertex-orbit
-    labels) of K's d-simplices.  Each orbit has one image, so this is the
-    orbit space when distinct orbits have distinct images.  K is regular
-    (module docstring), so a d-simplex is fixed, with all its vertices, or
-    lies in an orbit of p: the images must number (f_d + (p - 1) f_d^G) / p,
-    f_d^G counting the fixed d-simplices.  When K fails this count, its
-    subdivision passes it: if chains s_0 < ... < s_k and t_0 < ... < t_k of
-    K's simplices have equal images and t_k = h s_k, then t_i and h s_i are
-    faces of t_k in one orbit, equal since t_k holds no two vertices of one
-    orbit.
+    labels) of K's d-simplices, or of its subdivision's (module docstring).
     """
-    if not K.is_order_compatible():
-        raise ValueError("quotient complex requires an order-compatible complex")
-    Q = _orbit_quotient(K)
-    if Q is None:
-        Q = _orbit_quotient(barycentric_subdivision(K))
-    if Q is None:
-        raise InvariantError("complexes.quotient",
-                             "the subdivision's orbit images are not one per orbit")
-    return Q
+    n_orbits, images = _quotient_images(K)
+    return SimplicialGComplex(K.p, n_orbits, range(n_orbits), list(images.values()))
+
+
+def quotient_numbers(K: SimplicialGComplex) -> tuple[list[int], list[int]]:
+    """The f-vector and the F_p Betti numbers of `quotient_complex(K)`, for
+    an order-compatible K, without building or reducing that complex.
+
+    The f-vector counts the same orbit images.  The Betti numbers are those
+    of the orbit cells of K, the coinvariant chain complex C_*(K)_G
+    (module docstring): the cells of dimension d are the orbits of g's
+    permutation `K._image[d]` of the d-simplices, and the column of a cell
+    holds Sigma_j (-1)^j [d_j tau] on its least member tau, read off
+    `K._faces[d]`.  `InvariantError` at `complexes.quotient` if two faces
+    of a tau lie in one orbit, or if the two models of X/G differ in Euler
+    characteristic.
+    """
+    _, images = _quotient_images(K)
+    f = [len(images.get(d + 1, ())) for d in range(max(images, default=0))]
+    p = K.p
+    cells = [_orbits(image, p) for image in K._image]
+
+    def boundary(d: int) -> Csc:
+        reps, _ = cells[d]
+        faces = cells[d - 1][1][K._faces[d][reps]]
+        rows, signs = _sorted_rows(faces, np.broadcast_to(_face_signs(d) % p, faces.shape))
+        shared = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if shared.any():
+            tau = K.rows[d][reps[shared.argmax()]].tolist()
+            raise InvariantError("complexes.quotient",
+                                 f"two faces of the simplex {tau} lie in one orbit")
+        return Csc(np.arange(len(reps) + 1) * (d + 1), rows.ravel(), signs.ravel())
+
+    counts = [len(reps) for reps, _ in cells]
+    betti = _betti(counts, boundary, p)
+    chi_cells, chi_images = (sum((-1) ** d * x for d, x in enumerate(c)) for c in (counts, f))
+    if chi_cells != chi_images:
+        raise InvariantError("complexes.quotient", f"the orbit cells have Euler characteristic"
+                             f" {chi_cells}, the orbit images {chi_images}")
+    return f, betti
 
 
 # -- cochain complexes ------------------------------------------------
@@ -704,19 +774,24 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
 
     `p` is K's own prime when None, and otherwise any prime at most
     `linalg.MAX_PRIME` (`ValueError` for anything else, 0 and 1 included).
-    Used for large quotient complexes where dense matrices would be
-    wasteful; field coefficients make homology and cohomology dims agree.
+    Field coefficients make homology and cohomology dims agree.
     """
     p = K.p if p is None else check_modulus(p)
+    return _betti(K.f_vector(), lambda d: _boundary(K, d, p), p)
+
+
+def _betti(f: list[int], boundary, p: int) -> list[int]:
+    """F_p Betti numbers of a chain complex with f[d] cells in dimension d,
+    `boundary(d)` the `Csc` of the boundary out of d."""
     # ranks[d] is the rank of the boundary out of dimension d; clearing
     # (see `linalg`) needs the boundary above reduced first
-    ranks = [0] * (K.dim + 2)
+    top = len(f) - 1
+    ranks = [0] * (top + 2)
     cleared = None
-    for d in range(K.dim, 0, -1):
-        red = sparse_rank(_boundary(K, d, p), p, cleared)
+    for d in range(top, 0, -1):
+        red = sparse_rank(boundary(d), p, cleared)
         ranks[d], cleared = red.rank, red.pivot_rows
-    f = K.f_vector()
-    return [f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1)]
+    return [f[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 
 # -- JSON ingestion -----------------------------------------------------

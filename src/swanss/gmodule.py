@@ -36,10 +36,11 @@ class GModule:
     The constructor checks action^p = 1.  That is equivalent to
     (action - 1)^p = 0 over F_p: action commutes with 1 and p divides the
     binomial coefficient C(p, k) for 0 < k < p, so
-    (action - 1)^p = action^p - 1 in characteristic p.
+    (action - 1)^p = action^p - 1 in characteristic p.  `decompose` keeps
+    its result on the module, so each module is decomposed once.
     """
 
-    __slots__ = ("p", "dim", "action")
+    __slots__ = ("p", "dim", "action", "_decomposition")
 
     def __init__(self, p: int, action):
         p = check_modulus(p)
@@ -54,6 +55,7 @@ class GModule:
         self.p = p
         self.dim = len(action)
         self.action = action
+        self._decomposition = None
 
     def __repr__(self):
         return f"GModule(p={self.p}, dim={self.dim})"
@@ -155,8 +157,12 @@ def decompose(module: GModule) -> Decomposition:
 
     With r_d = rank((t-1)^d), the number of summands of size d is
     r_{d-1} - 2 r_d + r_{d+1} for d < p and r_{p-1} - r_p for d = p.
-    A negative count means the action matrix was corrupted.
+    A negative count means the action matrix was corrupted.  The result is
+    computed once per module and kept on it: the profile and the E_2 check
+    of the page tower decompose the same cohomology modules.
     """
+    if module._decomposition is not None:
+        return module._decomposition
     p = module.p
     shifted = module.shifted()
     ranks = [module.dim]
@@ -179,6 +185,7 @@ def decompose(module: GModule) -> Decomposition:
     dec = Decomposition(p, mult)
     if dec.dim != module.dim:
         raise ValueError("multiplicities do not add up to the module dimension")
+    module._decomposition = dec
     return dec
 
 

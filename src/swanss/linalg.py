@@ -36,9 +36,10 @@ nonzero entry, so the kernel basis that is the identity there is already
 the canonical column-echelon basis.
 
 Sparse elimination serves the places where dense storage would be
-wasteful: total-complex ranks, Betti numbers of large quotient complexes,
-and the cohomology of a cochain complex, which is read off reductions of
-its face tables (`complexes.CohomologyBasis`).  A sparse matrix is a
+wasteful: total-complex ranks, Betti numbers of fixed sets and of the
+orbit cells of a quotient (`complexes.quotient_numbers`), and the
+cohomology of a cochain complex, which is read off reductions of its
+face tables (`complexes.CohomologyBasis`).  A sparse matrix is a
 `Csc`, numpy arrays of column pointers, rows and values, built from face
 tables and permutations without a Python loop.  `sparse_rank` reduces it
 left to right: each column in turn loses multiples of the reduced columns

@@ -17,7 +17,7 @@ from .complexes import (
     cochain_complex,
     cohomology_gmodules,
     fixed_subcomplex,
-    quotient_complex,
+    quotient_numbers,
     validate_and_regularize,
 )
 from .duality import (
@@ -116,11 +116,11 @@ def analyze_complex(
     f_profile = fixed_profile(FX)
     fixed_betti = f_profile.betti
 
-    Q = quotient_complex(R)
-    quotient_betti = betti_numbers(Q)
+    quotient_f, quotient_betti = quotient_numbers(R)
+    quotient_chi = sum((-1) ** d * f for d, f in enumerate(quotient_f))
     chi_formula_ok = (
         R.euler_characteristic() - FX.euler_characteristic()
-        == K.p * (Q.euler_characteristic() - FX.euler_characteristic())
+        == K.p * (quotient_chi - FX.euler_characteristic())
     )
 
     dc = SwanDoubleComplex(C, k_max)
@@ -184,7 +184,7 @@ def analyze_complex(
             "profile": _profile_json(f_profile) if not fixed_empty else None,
         },
         "quotient": {
-            "f_vector": Q.f_vector(),
+            "f_vector": quotient_f,
             "betti": quotient_betti,
             "chi_formula_holds": chi_formula_ok,
         },

@@ -37,9 +37,12 @@ def _assert_matches_references(K, order):
     assert K.vertex_orbits().tolist() == ref.vertex_orbits(K)
     assert fixed_subcomplex(K).to_json() == ref.fixed_subcomplex(K)
     assert barycentric_subdivision(K).to_json() == ref.barycentric_subdivision(K)
-    Q, want = complexes._orbit_quotient(K), ref.orbit_quotient(K)
-    assert (Q is None) == (want is None)
-    assert Q is None or Q.to_json() == want
+    images, want = complexes._orbit_images(K), ref.orbit_quotient(K)
+    assert (images is None) == (want is None)
+    if images is not None:
+        n_orbits, by_size = images
+        Q = SimplicialGComplex(K.p, n_orbits, range(n_orbits), list(by_size.values()))
+        assert Q.to_json() == want
     R = validate_and_regularize(K)
     assert quotient_complex(R).to_json() == ref.quotient_complex(R)
     for L in (R, fixed_subcomplex(R)):

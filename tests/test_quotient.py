@@ -1,5 +1,7 @@
 """The orbit quotient against the subdivide-until-safe path it replaced,
-on random G-complexes, and the errors of the regularize and quotient steps."""
+and the orbit-cell f-vector and Betti numbers against the tuple reference
+quotient, on random G-complexes and the pinned inputs, and the errors of
+the regularize and quotient steps."""
 
 import itertools
 import os
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import complex_reference
 from complex_reference import simplices
 from swanss import complexes
 from swanss.complexes import (
@@ -19,11 +22,13 @@ from swanss.complexes import (
     cochain_complex,
     fixed_subcomplex,
     quotient_complex,
+    quotient_numbers,
     validate_and_regularize,
 )
-from swanss.corpus import build_circle
+from swanss.corpus import build_circle, build_sphere_join
 from swanss.errors import InvariantError
 from swanss.swan import SwanDoubleComplex
+from test_report_digests import REPORTS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -130,6 +135,24 @@ def test_quotient_matches_reference(K):
     if R.is_free():
         tot = SwanDoubleComplex(cochain_complex(R)).total_cohomology_dims()
         assert (betti_numbers(Q) + [0] * len(tot))[: len(tot)] == tot
+    _assert_numbers_match_reference(R)
+
+
+def _assert_numbers_match_reference(R: SimplicialGComplex):
+    """The orbit-cell numbers equal the tuple reference quotient's f-vector
+    and its Betti numbers ranked by `betti_numbers`."""
+    data = complex_reference.quotient_complex(R)
+    Q = SimplicialGComplex(data["p"], data["vertices"], data["generator"], data["simplices"])
+    assert quotient_numbers(R) == (Q.f_vector(), betti_numbers(Q))
+
+
+PINNED = {name: build for name, (build, *_) in REPORTS.items()}
+PINNED["join-11-1-0"] = lambda: build_sphere_join(11, 1, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_quotient_numbers_match_reference_on_pinned_inputs(name):
+    _assert_numbers_match_reference(validate_and_regularize(PINNED[name]()))
 
 
 # -- errors ------------------------------------------------------------------
@@ -172,3 +195,42 @@ def test_regularize_failing_after_subdivision_raises(monkeypatch):
     with pytest.raises(InvariantError) as info:
         validate_and_regularize(build_circle(3))
     assert info.value.stage == "complexes.regularize"
+
+
+# the quotient of the regularized circle-2, whose images pass the count,
+# broken two ways in a subprocess: the face table gives each edge its first
+# face twice, so two faces of one cell share an orbit; or one top image is
+# dropped, so the images' Euler characteristic is off by one
+_BREAK_CELLS = """
+import sys
+from swanss import complexes
+from swanss.corpus import build_circle
+from swanss.errors import InvariantError
+R = complexes.validate_and_regularize(build_circle(2))
+if sys.argv[1] == "faces":
+    R._faces[1][:, 1] = R._faces[1][:, 0]
+else:
+    images = complexes._orbit_images
+
+    def one_short(K):
+        n, by_size = images(K)
+        top = max(by_size)
+        return n, {**by_size, top: by_size[top][1:]}
+    complexes._orbit_images = one_short
+try:
+    complexes.quotient_numbers(R)
+except InvariantError as exc:
+    print(exc.stage, exc.invariant)
+"""
+BROKEN_CELLS = {
+    "faces": "complexes.quotient two faces of the simplex [0, 4] lie in one orbit",
+    "euler": "complexes.quotient the orbit cells have Euler characteristic 0, the orbit images 1",
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("mode", sorted(BROKEN_CELLS))
+def test_broken_orbit_cells_raise_at_quotient(mode, flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_CELLS, mode],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stdout == BROKEN_CELLS[mode] + "\n", proc.stderr
