@@ -4,8 +4,12 @@ Simplices are strictly increasing vertex tuples.  A complex stores each
 dimension d as one int array `rows[d]` of shape (f_d, d + 1), a simplex
 per row, the rows in lexicographic order; every bulk operation here works
 on whole dimensions of these arrays.  A simplex is found by its key
-(`_row_keys`): the big-endian bytes of its row, compared as a string,
-which no vertex count can overflow.  Keys sort as the rows do, so one
+(`_row_keys`).  A row (v_0, ..., v_(w-1)) of a complex on n vertices is
+read as a number in base n, Sigma v_i n^(w-1-i), one uint64 word while
+n^w <= 2^64; past that bound its key is its big-endian bytes, compared as
+a string, which no vertex count can overflow.  Either key is exact and
+sorts as the rows do, and its kind follows from (n, w) alone, the same
+for a dimension's keys and for every row looked up in it, so one
 `searchsorted` per dimension looks up any number of simplices
 (`SimplicialGComplex._find`).
 
@@ -76,8 +80,14 @@ _tail = itemgetter(slice(1, None))
 
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """One key per row (last axis) of an int array with entries in [0, n),
-    ordered as the rows are lexicographically: the row's big-endian bytes
-    as one void scalar, compared as a byte string."""
+    ordered as the rows are lexicographically: for rows of width w, the
+    row as the w digits of a base-n number, one uint64, while n^w <= 2^64,
+    and otherwise its big-endian bytes as one void scalar, compared as a
+    byte string."""
+    w = rows.shape[-1]
+    if n ** w <= 1 << 64:  # every key, at most n^w - 1, fits in one word
+        return rows.astype(np.uint64) @ np.array([n ** e for e in range(w - 1, -1, -1)],
+                                                 dtype=np.uint64)
     r = rows.astype(np.min_scalar_type(n).newbyteorder(">"), order="C")
     return r.view(np.dtype((np.void, r.itemsize * r.shape[-1]))).reshape(r.shape[:-1])
 
@@ -194,7 +204,10 @@ class SimplicialGComplex:
         self._faces = [np.zeros((len(r), 0), dtype=np.intp) for r in self.rows[:1]]
         for d in range(1, self.dim + 1):
             faces = self.rows[d][:, _face_positions(d)]
-            at, found = self._find(d - 1, faces)
+            # face k of every simplex, then face k + 1: within each run the
+            # keys come nearly sorted, as the rows are, and `searchsorted`
+            # is fastest on sorted queries
+            at, found = (a.T for a in self._find(d - 1, faces.transpose(1, 0, 2)))
             if not found.all():
                 # the first missing face in the order s minus s[0], s minus s[1], ...,
                 # the last one in the order of combinations
@@ -444,7 +457,8 @@ def quotient_numbers(K: SimplicialGComplex) -> tuple[list[int], list[int]]:
     permutation `K._image[d]` of the d-simplices, and the column of a cell
     holds Sigma_j (-1)^j [d_j tau] on its least member tau, read off
     `K._faces[d]`.  `InvariantError` at `complexes.quotient` if two faces
-    of a tau lie in one orbit, or if the two models of X/G differ in Euler
+    of a tau lie in one orbit, if the cell boundary does not square to
+    zero (`_betti`), or if the two models of X/G differ in Euler
     characteristic.
     """
     _, images = _quotient_images(K)
@@ -464,7 +478,7 @@ def quotient_numbers(K: SimplicialGComplex) -> tuple[list[int], list[int]]:
         return Csc(np.arange(len(reps) + 1) * (d + 1), rows.ravel(), signs.ravel())
 
     counts = [len(reps) for reps, _ in cells]
-    betti = _betti(counts, boundary, p)
+    betti = _betti(counts, boundary, p, "complexes.quotient")
     chi_cells, chi_images = (sum((-1) ** d * x for d, x in enumerate(c)) for c in (counts, f))
     if chi_cells != chi_images:
         raise InvariantError("complexes.quotient", f"the orbit cells have Euler characteristic"
@@ -479,6 +493,20 @@ def _sorted_rows(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.nda
     """The entries of each row, (column, value), sorted by column within the row."""
     order = np.argsort(cols, axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+def _composes_to_zero(up_rows: np.ndarray, up_values: np.ndarray, rows: np.ndarray,
+                      values: np.ndarray, p: int) -> bool:
+    """Whether a boundary given by the rows and values of its columns, two
+    arrays of one shape (as `_boundary` lays them out), maps every column
+    of the boundary above it, given the same way, to 0 mod p: the
+    face-of-face entries of each column above, summed per row."""
+    ends = rows[up_rows].reshape(len(up_rows), -1)
+    products = (up_values[:, :, None] * values[up_rows]).reshape(ends.shape)
+    ends, products = _sorted_rows(ends, products)
+    first = np.ones(ends.shape, dtype=bool)
+    first[:, 1:] = ends[:, 1:] != ends[:, :-1]
+    return not np.any(np.add.reduceat(products.ravel(), np.flatnonzero(first)) % p)
 
 
 def _face_signs(d: int) -> np.ndarray:
@@ -556,14 +584,11 @@ class EquivariantCochainComplex:
     def _check_invariants(self):
         p = self.p
         for l in range(self.top_degree - 1):
-            # row i of delta_(l+1) delta_l: the l-faces of the l-faces of
-            # simplex i, with the products of their signs, summed per face
-            ends = self.faces[l][self.faces[l + 1]].reshape(self.dims[l + 2], -1)
-            signs = np.outer(self.face_signs[l + 1], self.face_signs[l]).ravel()
-            ends, signs = _sorted_rows(ends, np.broadcast_to(signs, ends.shape))
-            first = np.ones(ends.shape, dtype=bool)
-            first[:, 1:] = ends[:, 1:] != ends[:, :-1]
-            if np.any(np.add.reduceat(signs.ravel(), np.flatnonzero(first)) % p):
+            # delta_(l+1) delta_l is the transpose of the boundary out of
+            # l + 2 composed with the boundary out of l + 1
+            up, down = ((self.faces[k], np.broadcast_to(self.face_signs[k], self.faces[k].shape))
+                        for k in (l + 1, l))
+            if not _composes_to_zero(*up, *down, p):
                 raise InvariantError("complexes.cochain", f"delta o delta != 0 out of degree {l}")
         for l in range(self.top_degree):
             faces, pre1, pre0 = self.faces[l], self.act_pre[l + 1], self.act_pre[l]
@@ -777,20 +802,32 @@ def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
     Field coefficients make homology and cohomology dims agree.
     """
     p = K.p if p is None else check_modulus(p)
-    return _betti(K.f_vector(), lambda d: _boundary(K, d, p), p)
+    return _betti(K.f_vector(), lambda d: _boundary(K, d, p), p, "complexes.betti")
 
 
-def _betti(f: list[int], boundary, p: int) -> list[int]:
+def _betti(f: list[int], boundary, p: int, stage: str) -> list[int]:
     """F_p Betti numbers of a chain complex with f[d] cells in dimension d,
-    `boundary(d)` the `Csc` of the boundary out of d."""
+    `boundary(d)` the `Csc` of the boundary out of d, d >= 1, whose
+    columns hold d + 1 entries each.
+
+    Clearing (see `linalg`) is exact only when each boundary composed with
+    the one above it is zero, so that is checked first on the d(d + 1)
+    face-of-face entries of each column out of dimension d + 1
+    (`_composes_to_zero`); `InvariantError` at `stage` otherwise.
+    """
     # ranks[d] is the rank of the boundary out of dimension d; clearing
-    # (see `linalg`) needs the boundary above reduced first
+    # needs the boundary above reduced first
     top = len(f) - 1
     ranks = [0] * (top + 2)
-    cleared = None
+    cleared = above = None
     for d in range(top, 0, -1):
-        red = sparse_rank(boundary(d), p, cleared)
+        matrix = boundary(d)
+        rows, values = matrix.rows.reshape(-1, d + 1), matrix.values.reshape(-1, d + 1)
+        if above is not None and not _composes_to_zero(*above, rows, values, p):
+            raise InvariantError(stage, f"boundary o boundary != 0 out of dimension {d + 1}")
+        red = sparse_rank(matrix, p, cleared)
         ranks[d], cleared = red.rank, red.pivot_rows
+        above = rows, values
     return [f[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 

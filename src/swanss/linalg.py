@@ -54,6 +54,23 @@ d_(s+1) maps it to zero; its last nonzero entry is at its pivot row i, so
 column i of d_(s+1) is a combination of the columns before it.  Taking
 that column as zero skips its reduction and leaves the rank as it is.
 
+Clearing is exact only when d_(s+1) o d_s = 0.  The maps reduced with
+it, and where that is checked or proved:
+- the coboundaries delta_l of a cochain complex (`complexes`, its
+  cohomology): `EquivariantCochainComplex` checks delta o delta = 0 on
+  its face tables;
+- the boundaries of the same complex, reduced from the top down for the
+  cycles of the Kronecker pairing: the boundary out of d is delta_(d-1)
+  transposed, the same face table with the same signs, so the same check
+  covers them;
+- the boundaries ranked for Betti numbers, of any complex (the fixed
+  sets) and of the orbit cells of a quotient: `complexes._betti` checks
+  them before it reduces them;
+- the total differentials of the Swan complex: d = d_h + (-1)^k d_v
+  squares to zero because d_v o d_v = delta o delta, [d_h, d_v] = 0 and
+  d_h o d_h = 0, the last two proved in the `swan` docstring from the
+  cochain complex's checks of T.
+
 Most columns need no work.  Call column j *apparent* when it is the
 leftmost column with an entry in its own lowest row r.  An apparent column
 is final: it is a pivot with R_j = D_j and V_j = e_j.  A reduced column
@@ -72,7 +89,11 @@ a combination of the columns before it, so it holds the first entry of no
 row.  The apparent columns become pivots at once; they are the apparent
 pairs of Bauer ("Ripser", J. Appl. Comput. Topol. 2021), here without a
 filtration.  Only the other columns go through the one Python loop,
-`SparseReduction.reduce`, as {row: value} dicts.  A matrix of fewer than
+`SparseReduction.reduce`, as {row: value} dicts.  The loop keeps the
+rows of its working column in a max-heap with lazy deletion too, as
+Ripser keeps its working column in a priority queue, so a step finds the
+lowest row without scanning the column; the dict keeps the values.  A
+matrix of fewer than
 APPARENT_MIN entries skips the pass, whose fixed numpy cost is then larger
 than the loop it saves; every column goes through the loop, and an
 apparent one becomes a pivot there unchanged.  An apparent pivot is built
@@ -83,6 +104,7 @@ as a dict, R_j from its CSC slice and V_j = e_j, only when a column, or
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -418,29 +440,45 @@ class SparseReduction:
         return piv
 
     def reduce(self, col: dict[int, int], op: dict[int, int] | None,
-               grow: bool = False) -> dict[int, int]:
+               grow: bool = False) -> int | None:
         """Reduce `col` in place by the pivots until it is {} or its lowest
-        row has no pivot, and return it; with `grow` it then becomes the
-        pivot of that row.  Every subtraction of f times an R column
-        subtracts f times its V column from `op` too, when both are given."""
+        row has no pivot, and return that row, None for {}; with `grow`
+        the column then becomes the pivot of that row.  Every subtraction
+        of f times an R column subtracts f times its V column from `op`
+        too, when both are given.
+
+        The lowest row comes off a max-heap of the column's rows, negated
+        for `heapq` (module docstring): a row is pushed when it enters
+        `col`, and an entry whose row has left `col` is dropped when it
+        comes to the top.  Every row of `col` has an entry, so the first
+        top entry in `col` is max(col), the row the plain reduction
+        picks."""
         p, built, apparent = self.p, self._built, self._apparent
+        heap = [-i for i in col]
+        heapify(heap)
         while col:
-            low = max(col)
+            while -heap[0] not in col:
+                heappop(heap)
+            low = -heap[0]
             piv = built.get(low)
             if piv is None:
                 if low not in apparent:
                     if grow:
                         built[low] = (col, op)
-                    break
+                    return low
                 piv = self.pivot(low)
             r, v = piv
             f = col[low] * pow(r[low], p - 2, p) % p
             for i, x in r.items():
-                nx = (col.get(i, 0) - f * x) % p
-                if nx:
-                    col[i] = nx
-                else:
-                    col.pop(i, None)
+                if i in col:
+                    nx = (col[i] - f * x) % p
+                    if nx:
+                        col[i] = nx
+                    else:
+                        del col[i]
+                else:  # f and x are units, so the new entry is not zero
+                    col[i] = -f * x % p
+                    heappush(heap, -i)
             if op is not None and v is not None:
                 for i, x in v.items():
                     nx = (op.get(i, 0) - f * x) % p
@@ -448,7 +486,7 @@ class SparseReduction:
                         op[i] = nx
                     else:
                         op.pop(i, None)
-        return col
+        return None
 
 
 def sparse_rank(matrix: Csc, p: int, cleared: np.ndarray | None = None,
@@ -492,9 +530,9 @@ def sparse_rank(matrix: Csc, p: int, cleared: np.ndarray | None = None,
     grown = []
     for j in todo.nonzero()[0].tolist():
         op = {j: 1} if record else None
-        col = red.reduce(column(j), op, grow=True)
-        if col:
-            grown.append(max(col))
+        low = red.reduce(column(j), op, grow=True)
+        if low is not None:
+            grown.append(low)
         elif record:  # reduced to zero, or empty from the start
             red.kernel.append(op)
     red.rank = len(red._apparent) + len(grown)

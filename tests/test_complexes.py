@@ -321,8 +321,9 @@ def test_load_passes_action_errors_through():
 
 
 def test_wide_vertex_keys_sort_and_find_as_the_rows_do():
-    # 601 vertices take two bytes each: vertex 256 is 0x0100 and sorts after
-    # 255 = 0x00ff only when the bytes are compared big end first
+    # the 6-simplex is keyed by bytes (601^7 > 2^64), two per vertex: vertex
+    # 256 is 0x0100 and sorts after 255 = 0x00ff only when the bytes are
+    # compared big end first; the faces below it are keyed by words
     g = [v + 300 if v < 300 else v - 300 if v < 600 else v for v in range(601)]
     s = (0, 1, 255, 256, 257, 299, 600)
     t = tuple(g[v] for v in s)

@@ -200,15 +200,22 @@ def test_regularize_failing_after_subdivision_raises(monkeypatch):
 # the quotient of the regularized circle-2, whose images pass the count,
 # broken two ways in a subprocess: the face table gives each edge its first
 # face twice, so two faces of one cell share an orbit; or one top image is
-# dropped, so the images' Euler characteristic is off by one
+# dropped, so the images' Euler characteristic is off by one.  A third way
+# breaks the quotient of the regularized join-3-1-1: every face sign is +1,
+# so the cell boundary does not square to zero in dimensions 2 and 3, which
+# clearing would not notice (its Betti numbers still come out right)
 _BREAK_CELLS = """
 import sys
+import numpy as np
 from swanss import complexes
-from swanss.corpus import build_circle
+from swanss.corpus import build_circle, build_sphere_join
 from swanss.errors import InvariantError
 R = complexes.validate_and_regularize(build_circle(2))
 if sys.argv[1] == "faces":
     R._faces[1][:, 1] = R._faces[1][:, 0]
+elif sys.argv[1] == "signs":
+    R = complexes.validate_and_regularize(build_sphere_join(3, 1, 1))
+    complexes._face_signs = lambda d: np.ones(d + 1, dtype=np.int64)
 else:
     images = complexes._orbit_images
 
@@ -225,6 +232,7 @@ except InvariantError as exc:
 BROKEN_CELLS = {
     "faces": "complexes.quotient two faces of the simplex [0, 4] lie in one orbit",
     "euler": "complexes.quotient the orbit cells have Euler characteristic 0, the orbit images 1",
+    "signs": "complexes.quotient boundary o boundary != 0 out of dimension 3",
 }
 
 
@@ -234,3 +242,15 @@ def test_broken_orbit_cells_raise_at_quotient(mode, flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_CELLS, mode],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.stdout == BROKEN_CELLS[mode] + "\n", proc.stderr
+
+
+def test_betti_numbers_check_that_the_boundary_squares_to_zero():
+    K = SimplicialGComplex.from_maximal(3, 3, [0, 1, 2], [(0, 1, 2)])
+    assert betti_numbers(K) == [1, 0, 0]
+    # the first two edges of the triangle swap signs, so its boundary's
+    # boundary is 2·[2] - 2·[1], not zero mod 3
+    K._faces[2][0] = K._faces[2][0][[1, 0, 2]]
+    with pytest.raises(InvariantError) as info:
+        betti_numbers(K)
+    assert (info.value.stage, info.value.invariant) == (
+        "complexes.betti", "boundary o boundary != 0 out of dimension 2")

@@ -6,6 +6,7 @@ without clearing, it gives the same rank, pivot rows, R columns and V
 columns."""
 
 from contextlib import contextmanager
+import heapq
 
 import numpy as np
 import pytest
@@ -112,3 +113,31 @@ def test_apparent_pivots_are_built_only_when_used(monkeypatch):
     red = sparse_rank(matrix, 2, record=True)
     assert red._apparent == {} and sorted(red._built) == [1, 2, 3]
     assert {row: red.pivot(row) for row in pivots} == pivots and kernel == red.kernel
+
+
+def test_the_working_column_heap_keeps_stale_and_repeated_rows(monkeypatch):
+    # over F_3, columns 0, 1 and 3 are apparent (rows 3, 2, 1).  Column 2
+    # loses row 0 against column 0 and gets it back against column 1, so
+    # the heap holds row 0 twice, and becomes the pivot at row 0; column 4
+    # loses and regains row 0 the same way, then reduces to zero
+    a = np.array([[1, 1, 1, 1, 1],
+                  [0, 0, 0, 1, 1],
+                  [0, 1, 1, 0, 1],
+                  [1, 0, 1, 0, 1]])
+    matrix = csc_of(a, 3)
+    pushed = []
+
+    def push(heap, item):
+        pushed.append(-item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(linalg, "heappush", push)
+    for record in (False, True):
+        for entries in (0, 10**9):
+            with _apparent_min(entries):
+                pushed.clear()
+                red = _assert_same(matrix, 3, None, record)
+                assert pushed == [0, 0]  # each time into a heap that still held row 0
+                assert sorted(red.pivot_rows.tolist()) == [0, 1, 2, 3]
+    assert red.pivot(0) == ({0: 2}, {0: 2, 1: 2, 2: 1})
+    assert red.kernel == [{0: 1, 1: 1, 2: 1, 3: 2, 4: 1}]
