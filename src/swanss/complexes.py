@@ -70,8 +70,8 @@ from operator import itemgetter, lt
 import numpy as np
 
 from .errors import InvariantError
-from .linalg import (Csc, FactoredSolve, SparseReduction, _is_int, check_modulus,
-                     csc_from_entries, matmul_mod, sparse_rank)
+from .linalg import (Csc, SparseReduction, _is_int, check_modulus, csc_from_entries,
+                     sparse_rank)
 from .gmodule import CohomologyProfile, GModule
 
 
@@ -623,29 +623,23 @@ class EquivariantCochainComplex:
         return self._coboundaries[l]
 
     def cohomology(self) -> list["DegreeCohomology"]:
-        """H^l for every l, each read off two sparse reductions with clearing.
+        """H^l for every l, each read off one sparse reduction with clearing.
 
-        The boundaries are reduced from the top degree down, the
-        coboundaries from degree 0 up, each recording its column
-        operations V (R = D·V, `linalg.sparse_rank`).  In both, a column
-        at a pivot row of the previous map is cleared (`linalg`), and the
-        V columns of the other columns that reduce to zero are cycles
-        (cocycles) whose classes are a basis of H_l (H^l); the reduced
-        columns of delta_(l-1) span B^l.  `CohomologyBasis` holds the
-        rest.
+        The coboundaries are reduced from degree 0 up, each recording its
+        column operations V (R = D·V, `linalg.sparse_rank`).  A column at
+        a pivot row of delta_(l-1) is cleared (`linalg`).  The V column of
+        each other column that reduces to zero is a cocycle, and their
+        classes are a basis of H^l; the reduced columns of delta_(l-1)
+        span B^l.  Below degree 0 stands the empty reduction of the map
+        from C^(-1) = 0.  `CohomologyBasis` holds the rest.
         """
         if self._cohomology is None:
-            p, top = self.p, self.top_degree
-            cycles: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
-            cleared = None
-            for l in range(top, -1, -1):
-                red = sparse_rank(_boundary(self.K, l, p), p, cleared, record=True)
-                cycles[l], cleared = red.kernel, red.pivot_rows
+            p = self.p
+            empty = np.zeros(0, dtype=np.intp)
+            below = SparseReduction(Csc(np.zeros(1, dtype=np.intp), empty, empty), p, record=True)
             reduced = []
-            below = None
-            for l in range(top + 1):
-                cleared = None if below is None else below.pivot_rows
-                red = sparse_rank(self._coboundary(l), p, cleared, record=True)
+            for l in range(self.top_degree + 1):
+                red = sparse_rank(self._coboundary(l), p, below.pivot_rows, record=True)
                 reduced.append((red.kernel, below))
                 below = red
             if sum((-1) ** l * d for l, d in enumerate(self.dims)) != sum(
@@ -654,7 +648,7 @@ class EquivariantCochainComplex:
                 raise InvariantError("complexes.cohomology", "Euler-Poincare mismatch")
             out = []
             for l, (reps, below) in enumerate(reduced):
-                basis = CohomologyBasis(self, l, reps, below, cycles[l])
+                basis = CohomologyBasis(self, l, reps, below)
                 act = basis.coordinates_many(self.apply_action(l, basis.reps))
                 out.append(DegreeCohomology(l, basis, GModule(p, act)))
             self._cohomology = out
@@ -702,47 +696,70 @@ def _dense_columns(columns: list[dict[int, int]], n: int) -> np.ndarray:
 
 
 class CohomologyBasis:
-    """H^l = Z^l / B^l presented by representative cocycles, from the
-    sparse reductions of `EquivariantCochainComplex.cohomology`.
+    """H^l = Z^l / B^l presented by one representative cocycle per class,
+    read off the sparse reductions of `EquivariantCochainComplex.cohomology`.
 
-    - `reps`: the cocycles of the reduction of delta_l, dense, one column
-      per class.  They are a basis of a complement of B^l in Z^l.  A rep
-      V_j ends at row j (V is unit upper triangular), and the reduced
-      columns of delta_(l-1), which span B^l, end at the cleared rows.
-      These last rows are distinct, so the vectors are independent, and
-      they are as many as the columns of delta_l that reduce to zero,
-      dim Z^l (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-      persistent (co)homology", Inverse Problems 2011; Bauer, "Ripser",
-      J. Appl. Comput. Topol. 2021).
-    - `coordinates_many`: by the Kronecker pairing.  A cycle pairs to zero
-      with every coboundary, so <c, v> depends only on the class of a
-      cocycle v.  With the cycles c_1..c_h of the boundary reduction,
-      M = cycles^T·reps is the matrix of the pairing of H_l with H^l,
-      which is perfect over a field, so M must be square and invertible;
-      otherwise `InvariantError` at `complexes.cohomology`.  The
-      coordinates of v are M^-1·cycles^T·v, one product, once delta_l·v = 0
-      has been checked on the face table.
-    - `preimage`: y is reduced by the reduced columns R = delta_(l-1)·V of
-      delta_(l-1), keyed on their pivot rows (the `linalg.SparseReduction`
-      of delta_(l-1), which builds an apparent pivot the first time y
-      reaches its row), and the matching V columns are summed into w.
+    - `reps`: the V columns of the reduction of delta_l that are in its
+      `kernel`, dense, one column per class.  V_j starts as e_j, and the
+      V columns subtracted from it have rows before j, so the rep V_j
+      ends at its own row j with value 1; the constructor checks this and
+      raises `InvariantError` at `complexes.cohomology` otherwise.  Row j
+      is not cleared, so it is no pivot row of delta_(l-1), and the
+      reduced columns of delta_(l-1), which span B^l, end at their
+      distinct pivot rows.  All these last rows are distinct, so the
+      vectors are independent.  There are rank delta_(l-1) = dim B^l
+      reduced columns, and dim Z^l - dim B^l reps: of the dim Z^l columns
+      of delta_l that reduce to zero, the cleared ones are
+      rank delta_(l-1).  So together they are a basis of Z^l, and the
+      reps a basis of a complement of B^l (de Silva, Morozov and
+      Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+      Problems 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 2021).
+    - One reduction serves every cochain y: that of delta_(l-1) with the
+      reps added as the pivots at their rows
+      (`linalg.SparseReduction.add_pivots`), that is, of the augmented
+      matrix A = [delta_(l-1) | reps], with m = dim C^(l-1) columns from
+      delta_(l-1) and then one per rep.  `SparseReduction.reduce` takes
+      y to `rest` and x with y - rest = A·x.  A nonzero combination of
+      vectors with distinct last rows ends where the latest of the
+      vectors it takes ends.  So a nonzero vector of Z^l, a combination
+      of the basis above, has a pivot at its lowest row, and each step
+      keeps it in Z^l: a cocycle reduces to rest = 0, and a cochain off
+      Z^l stops at rest != 0 (de Silva, Morozov and Vejdemo-Johansson,
+      "Persistent cohomology and circular coordinates", Discrete Comput.
+      Geom. 2011).
+    - `coordinates_many`: for a cocycle y (delta_l·y = 0 is checked on the
+      face table first), y = delta_(l-1)·x[:m] + reps·x[m:], so x[m:] are
+      the coordinates of its class.  They are unique: reps·c in B^l forces
+      c = 0, as the reps are independent of B^l.  So they do not depend
+      on how y was reduced.  A cocycle left with rest != 0 contradicts the
+      argument above: `InvariantError` at `complexes.cohomology`.
+    - `preimage`: y is in B^l exactly when rest = 0 and x[m:] = 0, and
+      then delta_(l-1)·x[:m] = y.
     """
 
     def __init__(self, C: EquivariantCochainComplex, l: int, reps: list[dict[int, int]],
-                 below: SparseReduction | None, cycles: list[dict[int, int]]):
-        p = self.p = C.p
-        n = C.dim(l)
-        self.dim = len(reps)
-        self.reps = _dense_columns(reps, n)
-        self._below, self._below_dim = below, C.dim(l - 1)
-        self._faces = (C.faces[l], C.face_signs[l] % p) if l < C.top_degree else None
-        dual = _dense_columns(cycles, n).T
-        pairing = matmul_mod(dual, self.reps, p)
-        solver = FactoredSolve(pairing, p)
-        if len(cycles) != self.dim or solver.rank < self.dim:
+                 below: SparseReduction):
+        # V_j starts as {j: 1}, so its first entry is (j, 1), and j must be its lowest row
+        if any(next(iter(v.items()), None) != (max(v, default=-1), 1) for v in reps):
             raise InvariantError("complexes.cohomology",
-                                 f"the Kronecker pairing of H_{l} with H^{l} is degenerate")
-        self._dual = matmul_mod(solver.transform, dual, p)  # M^-1·cycles^T
+                                 f"a representative of H^{l} does not end at its own row with 1")
+        self.p, self.degree, self.dim = C.p, l, len(reps)
+        self.reps = _dense_columns(reps, C.dim(l))
+        self._faces = (C.faces[l], C.face_signs[l] % C.p) if l < C.top_degree else None
+        self._below, self._m = below, C.dim(l - 1)
+        below.add_pivots(reps)
+
+    def _reduce(self, y: np.ndarray) -> tuple[bool, np.ndarray]:
+        """Whether the cochain y reduces to zero, and x with
+        y - rest = [delta_(l-1) | reps]·x."""
+        rows = y.nonzero()[0]
+        rest = dict(zip(rows.tolist(), y[rows].tolist()))
+        op: dict[int, int] = {}
+        # each step takes f·R = [delta_(l-1) | reps]·(f·V) off y and adds -f·V to op
+        self._below.reduce(rest, op)
+        x = np.zeros(self._m + self.dim, dtype=np.int64)
+        x[list(op)] = [-v % self.p for v in op.values()]
+        return not rest, x
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the cocycle columns of `vs`."""
@@ -751,22 +768,19 @@ class CohomologyBasis:
             faces, signs = self._faces
             if np.count_nonzero(sum(s * vs[col] for s, col in zip(signs, faces.T)) % self.p):
                 raise ValueError("vector is not a cocycle")
-        return matmul_mod(self._dual, vs, self.p).astype(np.int64)
+        coords = np.zeros((self.dim, vs.shape[1]), dtype=np.int64)
+        for k, y in enumerate(vs.T):
+            reduced, x = self._reduce(y)
+            if not reduced:
+                raise InvariantError("complexes.cohomology",
+                                     f"a cocycle of degree {self.degree} does not reduce to zero")
+            coords[:, k] = x[self._m :]
+        return coords
 
     def preimage(self, y: np.ndarray) -> np.ndarray | None:
         """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
-        y = np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p)
-        rows = y.nonzero()[0]
-        rest = dict(zip(rows.tolist(), y[rows].tolist()))
-        op: dict[int, int] = {}
-        # each step takes f·R = delta_(l-1)·(f·V) off y and adds -f·V to op
-        if self._below is not None:
-            self._below.reduce(rest, op)
-        if rest:
-            return None
-        w = np.zeros(self._below_dim, dtype=np.int64)
-        w[list(op)] = [-x % self.p for x in op.values()]
-        return w
+        reduced, x = self._reduce(np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p))
+        return x[: self._m] if reduced and not x[self._m :].any() else None
 
 
 class DegreeCohomology:

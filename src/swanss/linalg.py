@@ -38,11 +38,11 @@ the canonical column-echelon basis.
 Sparse elimination serves the places where dense storage would be
 wasteful: total-complex ranks, Betti numbers of fixed sets and of the
 orbit cells of a quotient (`complexes.quotient_numbers`), and the
-cohomology of a cochain complex, which is read off reductions of its
-face tables (`complexes.CohomologyBasis`).  A sparse matrix is a
-`Csc`, numpy arrays of column pointers, rows and values, built from face
-tables and permutations without a Python loop.  `sparse_rank` reduces it
-left to right: each column in turn loses multiples of the reduced columns
+cohomology of a cochain complex, which is read off one reduction of
+its face table per degree (`complexes.CohomologyBasis`).  A sparse
+matrix is a `Csc`, numpy arrays of column pointers, rows and values,
+built from face tables and permutations without a Python loop.
+`sparse_rank` reduces it left to right: each column in turn loses multiples of the reduced columns
 before it until it is zero or its lowest row is the lowest row of no
 earlier column, its pivot row.  On request it records every column
 operation as well (R = D·V, V unit upper triangular).
@@ -59,10 +59,6 @@ it, and where that is checked or proved:
 - the coboundaries delta_l of a cochain complex (`complexes`, its
   cohomology): `EquivariantCochainComplex` checks delta o delta = 0 on
   its face tables;
-- the boundaries of the same complex, reduced from the top down for the
-  cycles of the Kronecker pairing: the boundary out of d is delta_(d-1)
-  transposed, the same face table with the same signs, so the same check
-  covers them;
 - the boundaries ranked for Betti numbers, of any complex (the fixed
   sets) and of the orbit cells of a quotient: `complexes._betti` checks
   them before it reduces them;
@@ -98,7 +94,7 @@ APPARENT_MIN entries skips the pass, whose fixed numpy cost is then larger
 than the loop it saves; every column goes through the loop, and an
 apparent one becomes a pivot there unchanged.  An apparent pivot is built
 as a dict, R_j from its CSC slice and V_j = e_j, only when a column, or
-`complexes.CohomologyBasis.preimage`, is reduced against it.
+a cochain of `complexes.CohomologyBasis`, is reduced against it.
 """
 
 from __future__ import annotations
@@ -413,6 +409,7 @@ class SparseReduction:
       is in the kernel of D, and they are independent;
     - `pivot(row)`: the pivot (R column, V column or None) at a row, built
       from D's arrays the first time an apparent one is asked for;
+    - `add_pivots`: columns appended to D as pivots of their own;
     - `reduce`: the one reduction loop.
     """
 
@@ -438,6 +435,15 @@ class SparseReduction:
             if j is not None:
                 piv = self._built[row] = (self.column(j), {j: 1} if self.record else None)
         return piv
+
+    def add_pivots(self, columns: list[dict[int, int]]) -> None:
+        """Append `columns` to the n columns of D, column k as the pivot at
+        its lowest row with V column e_(n+k): `reduce` then reduces by the
+        reduced columns of [D | columns].  The caller guarantees that these
+        rows are distinct and that no pivot of D is at one of them, so every
+        pivot still has its own row."""
+        for k, col in enumerate(columns, len(self.matrix.indptr) - 1):
+            self._built[max(col)] = (col, {k: 1})
 
     def reduce(self, col: dict[int, int], op: dict[int, int] | None,
                grow: bool = False) -> int | None:

@@ -89,17 +89,19 @@ import sys
 from swanss import complexes
 from swanss.corpus import build_circle
 from swanss.errors import InvariantError
+from swanss.linalg import SparseReduction
 
-reduce = complexes.sparse_rank
+reduce, add_pivots = complexes.sparse_rank, SparseReduction.add_pivots
 
 
 def broken(mode):
     def sparse_rank(matrix, p, cleared=None, record=False):
         red = reduce(matrix, p, cleared, record)
-        if mode == "pairing":
-            for op in red.kernel:  # every recorded cycle and cocycle becomes 0
-                op.clear()
-        else:  # the first column reduced to zero from nonzero is lost from the kernel
+        if mode == "own-row":  # each recorded cocycle gains the row after its own
+            for op in red.kernel:
+                if max(op) + 2 < len(matrix.indptr):
+                    op[max(op) + 1] = 1
+        elif mode == "rank":  # the first column reduced to zero from nonzero is lost from the kernel
             indptr = matrix.indptr
             given = [op for op in red.kernel if indptr[max(op) + 1] > indptr[max(op)]]
             if given and red.rank:
@@ -111,14 +113,17 @@ def broken(mode):
 R = complexes.validate_and_regularize(build_circle(3))
 for mode in sys.argv[1:]:
     complexes.sparse_rank = broken(mode)
+    # "unreduced": the reps become no pivots, so no cocycle reduces to zero
+    SparseReduction.add_pivots = (lambda red, columns: None) if mode == "unreduced" else add_pivots
     try:
         complexes.cochain_complex(R).cohomology()
     except InvariantError as exc:
         print(exc.stage, exc.invariant)
 """
 BROKEN_COHOMOLOGY = {
-    "pairing": "complexes.cohomology the Kronecker pairing of H_0 with H^0 is degenerate",
+    "own-row": "complexes.cohomology a representative of H^1 does not end at its own row with 1",
     "rank": "complexes.cohomology Euler-Poincare mismatch",
+    "unreduced": "complexes.cohomology a cocycle of degree 0 does not reduce to zero",
 }
 
 

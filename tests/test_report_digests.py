@@ -1,6 +1,8 @@
 """Reports pinned byte for byte: sha256 of the canonical JSON."""
 
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,11 +16,17 @@ from swanss.corpus import (
     build_suspension_sphere,
     build_trivial_circle,
 )
+from swanss.complexes import load_complex_json
 from swanss.linalg import FactoredSolve
 from swanss.report import analyze_complex, canonical_json
 from swan_helpers import certificate_complex, page_three_complex
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+_GEN = os.path.join(ROOT, "perfbench", "gen.py")
+_spec = importlib.util.spec_from_file_location("benchmark_inputs", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 # circle-2 is quotient-safe after regularizing and circle-trivial-3 needs no
 # subdivision at all; every other case also subdivides for its quotient
@@ -53,6 +61,11 @@ REPORTS = {
 
 CORPUS_CIRCLE_3 = "045aacca34fc98bbea719fc2095643f99f27125608d30205a4feab34b5764367"
 
+# the benchmark's inputs: its generator, and the reports of the joins-large
+# inputs of seed 1, each name and canonical report followed by a newline
+GEN_PY = "f2fe051efc4673c78c01991b6daa3cc51c37a383684acc665a31e12a57c9faeb"
+JOINS_LARGE_SEED_1 = "6585f21a181e16acb04e4bbad4e72ce1c18a43997046d0cdda7a7482632e1938"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -62,6 +75,19 @@ def _sha256(text: str) -> str:
 def test_report_digest(name):
     build, k_max, r_max, digest = REPORTS[name]
     assert _sha256(canonical_json(analyze_complex(build(), k_max, r_max))) == digest
+
+
+def test_benchmark_generator_digest():
+    with open(_GEN, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GEN_PY
+
+
+def test_joins_large_seed_1_reports_digest():
+    digest = hashlib.sha256()
+    for name, data, _ in gen.joins_large(1):
+        report = canonical_json(analyze_complex(load_complex_json(json.dumps(data))))
+        digest.update(f"{name}\n{report}\n".encode())
+    assert digest.hexdigest() == JOINS_LARGE_SEED_1
 
 
 def test_certificate_corrections(monkeypatch):
