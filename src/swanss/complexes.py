@@ -650,7 +650,12 @@ class EquivariantCochainComplex:
             for l, (reps, below) in enumerate(reduced):
                 basis = CohomologyBasis(self, l, reps, below)
                 act = basis.coordinates_many(self.apply_action(l, basis.reps))
-                out.append(DegreeCohomology(l, basis, GModule(p, act)))
+                try:
+                    module = GModule(p, act)
+                except ValueError as exc:  # T is a chain map of order p, so is its action
+                    raise InvariantError("complexes.cohomology",
+                                         f"the action on H^{l}: {exc}") from exc
+                out.append(DegreeCohomology(l, basis, module))
             self._cohomology = out
         return self._cohomology
 
@@ -749,17 +754,15 @@ class CohomologyBasis:
         self._below, self._m = below, C.dim(l - 1)
         below.add_pivots(reps)
 
-    def _reduce(self, y: np.ndarray) -> tuple[bool, np.ndarray]:
-        """Whether the cochain y reduces to zero, and x with
-        y - rest = [delta_(l-1) | reps]·x."""
+    def _reduce(self, y: np.ndarray) -> tuple[bool, dict[int, int]]:
+        """Whether the cochain y reduces to zero, and the nonzero entries
+        of -x, with y - rest = [delta_(l-1) | reps]·x."""
         rows = y.nonzero()[0]
         rest = dict(zip(rows.tolist(), y[rows].tolist()))
         op: dict[int, int] = {}
         # each step takes f·R = [delta_(l-1) | reps]·(f·V) off y and adds -f·V to op
         self._below.reduce(rest, op)
-        x = np.zeros(self._m + self.dim, dtype=np.int64)
-        x[list(op)] = [-v % self.p for v in op.values()]
-        return not rest, x
+        return not rest, op
 
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the cocycle columns of `vs`."""
@@ -768,18 +771,23 @@ class CohomologyBasis:
             faces, signs = self._faces
             if np.count_nonzero(sum(s * vs[col] for s, col in zip(signs, faces.T)) % self.p):
                 raise ValueError("vector is not a cocycle")
+        p, m = self.p, self._m
         coords = np.zeros((self.dim, vs.shape[1]), dtype=np.int64)
         for k, y in enumerate(vs.T):
-            reduced, x = self._reduce(y)
+            reduced, op = self._reduce(y)
             if not reduced:
                 raise InvariantError("complexes.cohomology",
                                      f"a cocycle of degree {self.degree} does not reduce to zero")
-            coords[:, k] = x[self._m :]
+            for j, v in op.items():  # x[m:], the rep columns
+                if j >= m:
+                    coords[j - m, k] = -v % p
         return coords
 
     def preimage(self, y: np.ndarray) -> np.ndarray | None:
         """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
-        reduced, x = self._reduce(np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p))
+        reduced, op = self._reduce(np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p))
+        x = np.zeros(self._m + self.dim, dtype=np.int64)
+        x[list(op)] = [-v % self.p for v in op.values()]
         return x[: self._m] if reduced and not x[self._m :].any() else None
 
 

@@ -10,10 +10,10 @@ are perfect for prescribed column parities: both even (full duality,
 which also demands odd columns vanish), different parity (weak), or at
 least one even (strong).  The checkers find the least workable N in the
 trusted window and report every degenerate pairing with its coordinates.
-`duality_flags` decides all three from one scan of a page at N = 0:
-raising N only drops cells and pairs from the check, so the least N is
-read off the violations found there.  The audits read the flags of
-`duality_report`.
+`duality_flags` decides all three from one scan at N = 0 of the page
+that serves a page (below): raising N only drops cells and pairs from
+the check, so the least N is read off the violations found there.  The
+audits read the flags of `duality_report`.
 
 A pairing status is memoized on the term under `class_key(k, l, k', l')`,
 so the flags and the propagation audit classify each class of pairs
@@ -31,6 +31,19 @@ status of a pair with a zero cell is decided before the target is read.
 The pages past the one a tower converged at are served by its cells,
 reduced by its `stable` column (`pages.ConvergedPage`), so their keys name
 the same cells and `tower_terms` gives all of them one memo.
+
+They share its scan too, kept on the terms under n like the memo
+(`check-pd --n` may override the tower's n).  Let page r serve page
+r' > r.  Then page r' has page r's dims, since its cells are page r's,
+and page r's statuses, since its keys name the same cells and its
+pairing matrices are page r's.  Only its trusted window
+w' = K_max - 2r' is narrower than page r's w.  So a scan of page r' at
+w' visits a subset of what the scan at w visits, finds the same dims
+and status at each, and keeps the same order: single cells by column,
+then pairs in lexicographic order.  That subset is the single cells
+with k <= w' and the pairs with k + k' <= w'.  So the scan of page r' is
+the scan of page r cut to those cells and pairs, and `_read_off` at w'
+gives its flags.
 
 All theorem validators are hypothesis-gated: a failed hypothesis yields
 "not-applicable", never "fail".
@@ -52,27 +65,31 @@ from .synthetic import matrix_rank_over
 class ComputedTerm:
     """Adapter presenting one page of a computed tower to the checkers."""
 
-    def __init__(self, tower: PageTower, r: int, statuses: dict | None = None):
+    def __init__(self, tower: PageTower, r: int, statuses: dict | None = None,
+                 scans: dict | None = None):
         self.tower = tower
         self.r = r
+        self.page = tower.pages[r]
         self.n = tower.n
         self.field_char = tower.p
-        self.trusted_k = tower.pages[r].trusted_k
-        # filled by `duality._status`; shared by the pages one page serves
+        self.trusted_k = self.page.trusted_k
+        # filled by `duality._status` and `duality_flags`; shared by the
+        # pages one page serves
         self.statuses: dict[tuple, str | None] = {} if statuses is None else statuses
+        self.scans: dict[int, tuple] = {} if scans is None else scans
 
     def dim(self, k: int, l: int) -> int:
-        return self.tower.pages[self.r].dim(k, l)
+        return self.page.dim(k, l)
 
     def d_rank(self, k: int, l: int) -> int:
-        return self.tower.pages[self.r].d_rank(k, l)
+        return self.page.d_rank(k, l)
 
     def d_is_zero(self, k: int, l: int) -> bool:
-        return self.tower.pages[self.r].d_is_zero(k, l)
+        return self.page.d_is_zero(k, l)
 
     def class_key(self, k: int, l: int, k2: int, l2: int) -> tuple[int, int, int, int]:
         """The served cells of a pair: every pair with this key has its status."""
-        reduce = self.tower.pages[self.r].reduce
+        reduce = self.page.reduce
         return reduce(k), l, reduce(k2), l2
 
     def pairing_matrix(self, k, l, k2, l2):
@@ -80,10 +97,12 @@ class ComputedTerm:
 
 
 def tower_terms(tower: PageTower) -> dict[int, ComputedTerm]:
-    """The terms of pages 2..r_max; those a converged page serves share its
-    status memo (module docstring)."""
-    memos: dict[int, dict] = {}
-    return {r: ComputedTerm(tower, r, memos.setdefault(tower.pages[r].served.r, {}))
+    """The terms of pages 2..r_max.  The pages one page serves share its
+    status memo and its scans: their dims and statuses are its own, and a
+    scan at its window w, cut to single cells with k <= w' and pairs with
+    k + k' <= w', is the scan of a page with window w' (module docstring)."""
+    memos: dict[int, tuple[dict, dict]] = {}
+    return {r: ComputedTerm(tower, r, *memos.setdefault(tower.pages[r].served.r, ({}, {})))
             for r in range(2, tower.r_max + 1)}
 
 
@@ -184,12 +203,16 @@ def _read_off(variant: str, w: int, violations: list[PairingViolation]) -> Duali
     so missing product data decides the flag there.  Fewer pairs qualify
     as N grows, so if some do at that least N they do at every smaller one.
     """
-    if any(v.reason == _NO_DATA for v in violations):
-        return DualityFlag(variant, None, None, (0, w), violations,
-                           note="product data unavailable")
     shift = variant != "pd"
-    N = 1 + max((v.k - 1 if v.k2 < 0 else min(v.k, v.k2) - shift for v in violations),
-                default=-1)
+    top = -1  # the largest N that still checks a violation
+    for v in violations:
+        if v.reason == _NO_DATA:
+            return DualityFlag(variant, None, None, (0, w), violations,
+                               note="product data unavailable")
+        last = v.k - 1 if v.k2 < 0 else (v.k if v.k < v.k2 else v.k2) - shift
+        if last > top:
+            top = last
+    N = top + 1
     if N > w - 3 or next(_column_pairs(variant, N, w), None) is None:
         return DualityFlag(variant, False, None, (0, w), violations)
     # (even, even) pairs alone say nothing of the mixed-parity half that
@@ -199,50 +222,72 @@ def _read_off(variant: str, w: int, violations: list[PairingViolation]) -> Duali
     return DualityFlag(variant, True, N, (N, w))
 
 
-def duality_flags(term, n: int) -> dict[str, DualityFlag]:
-    """The pd, wpd and sspd flags of one page, from one scan of it.
+def _scan(term, n: int, w: int) -> dict[str, tuple[list, list]]:
+    """The pd, wpd and sspd violations at N = 0 over columns 0..w, each
+    variant's as its single cells by column and its pairs in lexicographic
+    order: the order a scan of that variant alone finds them in.
 
     The scan reads the page's dims once, checks the single cells of every
-    column and classifies each column pair with a nonzero cell once; each
-    variant keeps the violations its column parities and bound select, in
-    the order a scan of that variant alone would find them: single cells
-    by column, then pairs in lexicographic order.
+    column and classifies each column pair with a nonzero cell once, and
+    each variant keeps the violations its column parities and bound select.
+    """
+    dims = [[term.dim(k, l) for l in range(n + 1)] for k in range(w + 1)]
+    singles: dict[str, list[PairingViolation]] = {v: [] for v in _ODD_COLUMNS}
+    for k in range(1, w + 1):
+        col = dims[k]
+        if k % 2:
+            singles["pd"] += [PairingViolation(k, l, -1, -1, "odd column not zero")
+                              for l in range(n + 1) if col[l]]
+        else:
+            singles["pd"] += [PairingViolation(k, l, -1, -1, f"dim {col[l]} != 1")
+                              for l in (0, n) if col[l] != 1]
+        if col[n] != 1:
+            top = PairingViolation(k, n, -1, -1, f"dim {col[n]} != 1")
+            singles["sspd"].append(top)
+            if k % 2:
+                singles["wpd"].append(top)
+    pairs: dict[str, list[PairingViolation]] = {v: [] for v in _ODD_COLUMNS}
+    # the lists a column pair adds to, by its odd columns and whether both are > 0
+    targets = {(odd, inner): [pairs[v] for v, allowed in _ODD_COLUMNS.items()
+                              if odd in allowed and (inner or v == "pd")]
+               for odd in range(3) for inner in (False, True)}
+    statuses, class_key = term.statuses, term.class_key
+    for k in range(w + 1):
+        for k2 in range(w + 1 - k):
+            lists = targets[k % 2 + k2 % 2, k > 0 and k2 > 0]
+            if not lists:
+                continue
+            for l in range(n + 1):
+                l2 = n - l
+                if not (dims[k][l] or dims[k2][l2]):
+                    continue  # the zero pairing on zero spaces is perfect
+                key = class_key(k, l, k2, l2)
+                reason = statuses[key] if key in statuses else _status(term, k, l, k2, l2)
+                if reason is not None:
+                    violation = PairingViolation(k, l, k2, l2, reason)
+                    for found in lists:
+                        found.append(violation)
+    return {v: (singles[v], pairs[v]) for v in _ODD_COLUMNS}
+
+
+def duality_flags(term, n: int) -> dict[str, DualityFlag]:
+    """The pd, wpd and sspd flags of one page, read off one scan.
+
+    The scan is kept on the term under n, and the pages a converged page
+    serves share it (`tower_terms`).  Each page cuts its own window w out
+    of the widest scan, single cells with k <= w and pairs with
+    k + k' <= w (module docstring), into a list of each flag's own.
     """
     w = term.trusted_k
     if w < 3:
         return {v: DualityFlag(v, None, None, (0, w), note="trusted window too small")
                 for v in _ODD_COLUMNS}
-    dims = [[term.dim(k, l) for l in range(n + 1)] for k in range(w + 1)]
-    found: dict[str, list[PairingViolation]] = {v: [] for v in _ODD_COLUMNS}
-    for k in range(1, w + 1):
-        col = dims[k]
-        if k % 2:
-            found["pd"] += [PairingViolation(k, l, -1, -1, "odd column not zero")
-                            for l in range(n + 1) if col[l]]
-        else:
-            found["pd"] += [PairingViolation(k, l, -1, -1, f"dim {col[l]} != 1")
-                            for l in (0, n) if col[l] != 1]
-        if col[n] != 1:
-            top = PairingViolation(k, n, -1, -1, f"dim {col[n]} != 1")
-            found["sspd"].append(top)
-            if k % 2:
-                found["wpd"].append(top)
-    for k in range(w + 1):
-        for k2 in range(w + 1 - k):
-            odd = k % 2 + k2 % 2
-            variants = [v for v, allowed in _ODD_COLUMNS.items()
-                        if odd in allowed and min(k, k2) >= (v != "pd")]
-            if not variants:
-                continue
-            for l in range(n + 1):
-                if not (dims[k][l] or dims[k2][n - l]):
-                    continue  # the zero pairing on zero spaces is perfect
-                reason = _status(term, k, l, k2, n - l)
-                if reason is not None:
-                    violation = PairingViolation(k, l, k2, n - l, reason)
-                    for v in variants:
-                        found[v].append(violation)
-    return {v: _read_off(v, w, found[v]) for v in _ODD_COLUMNS}
+    scanned = term.scans.get(n)
+    if scanned is None or scanned[0] < w:
+        scanned = term.scans[n] = w, _scan(term, n, w)
+    return {v: _read_off(v, w, [x for x in singles if x.k <= w]
+                         + [x for x in pairs if x.k + x.k2 <= w])
+            for v, (singles, pairs) in scanned[1].items()}
 
 
 def duality_report(terms: dict[int, object], n: int) -> dict[int, dict[str, DualityFlag]]:

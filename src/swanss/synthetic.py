@@ -98,6 +98,7 @@ class SyntheticTerm:
         self._diffs = diffs
         self._products = products
         self.statuses: dict[tuple, str | None] = {}  # filled by `duality._status`
+        self.scans: dict[int, tuple] = {}  # filled by `duality.duality_flags`
 
     def dim(self, k: int, l: int) -> int:
         if l < 0 or l > self.n or k < 0:

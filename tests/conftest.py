@@ -9,7 +9,7 @@ from swanss.corpus import (
 )
 from swanss.pages import compute_pages
 from swanss.swan import SwanDoubleComplex
-from swan_helpers import certificate_complex
+from swan_helpers import certificate_complex, page_three_complex
 
 
 class Pipeline:
@@ -59,6 +59,7 @@ _BUILDERS = {
     "suspension-3": lambda: build_suspension_sphere(3),
     "suspension-5": lambda: build_suspension_sphere(5),
     "certificates-3": certificate_complex,
+    "page-three-3": page_three_complex,
 }
 
 _CACHE: dict[str, Pipeline] = {}

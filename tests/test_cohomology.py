@@ -127,6 +127,33 @@ BROKEN_COHOMOLOGY = {
 }
 
 
+_BREAK_ACTION = """
+import json, sys
+from swanss.cli import main
+from swanss.complexes import EquivariantCochainComplex
+from swanss.corpus import build_circle
+
+# T^3 = 1 on the cochains of the circle, but (2T)^3 = 8T^3 = 2 != 1 mod 3
+act = EquivariantCochainComplex.apply_action
+EquivariantCochainComplex.apply_action = lambda C, l, vectors: 2 * act(C, l, vectors) % C.p
+with open(sys.argv[1], "w") as fh:
+    json.dump(build_circle(3).to_json(), fh)
+print(main(["analyze", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_action_of_wrong_order_is_an_internal_error(flags, tmp_path):
+    # an action on H^l that is not of order p is the program's fault, not
+    # the input's: exit 3 (InvariantError), not 2 (ValueError)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_ACTION, str(tmp_path / "circle.json")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "3\n", proc.stderr
+    assert proc.stderr == ("internal error: complexes.cohomology: "
+                           "the action on H^0: action does not have order dividing p\n")
+
+
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
 def test_broken_cohomology_raises_at_its_stage(flags):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

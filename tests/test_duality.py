@@ -584,6 +584,68 @@ def test_statuses_are_classified_once_per_served_class(pipelines, monkeypatch):
     assert len(calls) < len(asked)
 
 
+def _fresh_flags(tower, r, n):
+    """The flags of page r from a full scan on a memo of its own."""
+    return duality_flags(duality.ComputedTerm(tower, r), n)
+
+
+def _assert_same_flags(got, want, where):
+    assert list(got) == list(want), where
+    for variant in want:
+        assert got[variant].to_json() == want[variant].to_json(), (where, variant)
+        assert got[variant].violations == want[variant].violations, (where, variant)
+
+
+@pytest.mark.parametrize("name", ["page-three-3", "join-3-1-0"])
+def test_converged_pages_cut_the_scan_of_the_page_they_serve(pipelines, name, monkeypatch):
+    # one scan per served page and n; each converged page cuts its own
+    # window out of it and must read as a full scan of that page alone
+    tower = pipelines(name).tower
+    terms = tower_terms(tower)
+    converged = [r for r, term in terms.items() if term.page.served.r != r]
+    assert converged
+    scans = []
+    real = duality._scan
+
+    def counted(term, n, w):
+        scans.append((term.r, n, w))
+        return real(term, n, w)
+
+    monkeypatch.setattr(duality, "_scan", counted)
+    ns = (tower.n, tower.n - 1)
+    reports = {n: duality_report(terms, n) for n in ns}
+    served = sorted({term.page.served.r for term in terms.values()})
+    assert scans == [(r, n, terms[r].trusted_k) for n in ns for r in served]
+    for n, report in reports.items():
+        for r in terms:
+            _assert_same_flags(report[r], _fresh_flags(tower, r, n), (name, n, r))
+        assert any(report[r][v].violations for r in converged for v in report[r]), (name, n)
+    # asked from the narrowest window up, every page still reads as its own scan
+    backwards = tower_terms(tower)
+    for r in sorted(backwards, reverse=True):
+        _assert_same_flags(duality_flags(backwards[r], tower.n),
+                           _fresh_flags(tower, r, tower.n), (name, "backwards", r))
+    # each flag owns its list: emptying them leaves the scans as they were
+    for flags in duality_report(terms, tower.n).values():
+        for flag in flags.values():
+            flag.violations.clear()
+    for r, flags in duality_report(terms, tower.n).items():
+        _assert_same_flags(flags, _fresh_flags(tower, r, tower.n), (name, "cleared", r))
+
+
+def test_check_pd_with_another_n_matches_a_fresh_scan(pipelines, tmp_path, capsys):
+    # `check-pd --n` keys the shared scans by its own n
+    tower = pipelines("join-3-1-0").tower
+    path = tmp_path / "join.json"
+    path.write_text(json.dumps(pipelines("join-3-1-0").K.to_json()))
+    n = tower.n - 1
+    assert main(["check-pd", str(path), "--n", str(n)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out, key=int) == [str(r) for r in range(2, tower.r_max + 1)]
+    for r, flags in out.items():
+        assert flags == {v: f.to_json() for v, f in _fresh_flags(tower, int(r), n).items()}, r
+
+
 def test_audits_read_the_given_flags(pipelines, monkeypatch):
     tower = pipelines("join-3-1-0").tower
     terms = tower_terms(tower)

@@ -62,9 +62,11 @@ REPORTS = {
 CORPUS_CIRCLE_3 = "045aacca34fc98bbea719fc2095643f99f27125608d30205a4feab34b5764367"
 
 # the benchmark's inputs: its generator, and the reports of the joins-large
-# inputs of seed 1, each name and canonical report followed by a newline
+# and random-small inputs of seed 1, each name and canonical report followed
+# by a newline
 GEN_PY = "f2fe051efc4673c78c01991b6daa3cc51c37a383684acc665a31e12a57c9faeb"
 JOINS_LARGE_SEED_1 = "6585f21a181e16acb04e4bbad4e72ce1c18a43997046d0cdda7a7482632e1938"
+RANDOM_SMALL_SEED_1 = "a4ac1110172b97e2d7eb439a39753b7e3a4ea8c0cefcf92f4e0831beabc5eb68"
 
 
 def _sha256(text: str) -> str:
@@ -82,12 +84,21 @@ def test_benchmark_generator_digest():
         assert hashlib.sha256(fh.read()).hexdigest() == GEN_PY
 
 
-def test_joins_large_seed_1_reports_digest():
+def _seed_1_digest(inputs) -> str:
     digest = hashlib.sha256()
-    for name, data, _ in gen.joins_large(1):
+    for name, data, _ in inputs(1):
         report = canonical_json(analyze_complex(load_complex_json(json.dumps(data))))
         digest.update(f"{name}\n{report}\n".encode())
-    assert digest.hexdigest() == JOINS_LARGE_SEED_1
+    return digest.hexdigest()
+
+
+def test_joins_large_seed_1_reports_digest():
+    assert _seed_1_digest(gen.joins_large) == JOINS_LARGE_SEED_1
+
+
+def test_random_small_seed_1_reports_digest():
+    # the workload whose pages make most of the violation lists and thresholds
+    assert _seed_1_digest(gen.random_small) == RANDOM_SMALL_SEED_1
 
 
 def test_certificate_corrections(monkeypatch):
