@@ -248,11 +248,7 @@ def cmd_corpus(args) -> int:
         _emit({"entries": corpus_names()}, args.format)
         return 0
     names = [args.name] if args.name else None
-    try:
-        threads = int(os.environ.get("THREADS", "1"))
-    except ValueError:
-        threads = 1
-    results = run_corpus(names, threads=threads)
+    results = run_corpus(names)
     failed = [r.name for r in results if not r.ok]
     summary = {
         "entries": [

@@ -276,7 +276,7 @@ class SimplicialGComplex:
         p is prime, so every nontrivial power generates G: a power fixes a
         simplex setwise (pointwise) exactly when g does, and g alone is tested.
         """
-        fixed = self._g == np.arange(self.vertex_count)
+        fixed = self.fixed_points()
         for d in range(1, self.dim + 1):
             setwise = self._image[d] == np.arange(len(self.rows[d]))
             if not fixed[self.rows[d][setwise]].all():  # fixed setwise, not pointwise
@@ -287,8 +287,17 @@ class SimplicialGComplex:
         """Orbit id per vertex; ids number the orbits by their least vertex."""
         return _orbits(self._g, self.p)[1]
 
+    def fixed_points(self) -> np.ndarray:
+        """Whether each vertex index is a 0-simplex that g fixes.  An index
+        that is no 0-simplex is no point of the space, so never a fixed one."""
+        fixed = np.zeros(self.vertex_count, dtype=bool)
+        if self.rows:
+            points = self.rows[0][:, 0]
+            fixed[points] = self._g[points] == points
+        return fixed
+
     def is_free(self) -> bool:
-        return not np.any(self._g == np.arange(self.vertex_count))
+        return not self.fixed_points().any()
 
     def to_json(self) -> dict:
         return {
@@ -388,7 +397,7 @@ def validate_and_regularize(K: SimplicialGComplex) -> SimplicialGComplex:
 
 def fixed_subcomplex(K: SimplicialGComplex) -> SimplicialGComplex:
     """Full subcomplex on pointwise-fixed simplices, with trivial action."""
-    fixed = K._g == np.arange(K.vertex_count)
+    fixed = K.fixed_points()
     relabel = np.cumsum(fixed) - 1  # increasing on the fixed vertices
     count = int(np.count_nonzero(fixed))
     blocks = [relabel[r[fixed[r].all(axis=1)]] for r in K.rows]
@@ -399,7 +408,7 @@ def _orbit_images(K: SimplicialGComplex) -> tuple[int, dict[int, np.ndarray]] | 
     """The number of vertex orbits of K and the distinct orbit images of its
     simplices, {size: rows}, or None if they are not one per orbit."""
     orbit = K.vertex_orbits()
-    fixed = K._g == np.arange(K.vertex_count)
+    fixed = K.fixed_points()
     # an image that repeats an orbit is shorter than its simplex, so the top
     # dimension holding such a simplex comes out short in the count
     by_size: dict[int, list[np.ndarray]] = {}

@@ -8,7 +8,7 @@ the literature).  `run_entry` re-derives everything and compares.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .complexes import (
@@ -356,26 +356,26 @@ def _run_bredon() -> CorpusResult:
     return CorpusResult("bredon", "betti-data", checks, report)
 
 
-_REGISTRY: dict[str, tuple[str, object]] = {
-    "point-3": ("simplicial", lambda: _run_point(3)),
-    "circle-2": ("simplicial", lambda: _run_circle(2)),
-    "circle-3": ("simplicial", lambda: _run_circle(3)),
-    "circle-5": ("simplicial", lambda: _run_circle(5)),
-    "circle-trivial-3": ("simplicial", lambda: _run_trivial_circle(3)),
-    "sphere-join-3-1-1": ("simplicial", lambda: _run_sphere_join(3, 1, 1)),
-    "sphere-join-3-1-0": ("simplicial", lambda: _run_sphere_join(3, 1, 0)),
-    "sphere-join-5-1-1": ("simplicial", lambda: _run_sphere_join(5, 1, 1)),
-    "sphere-join-5-1-0": ("simplicial", lambda: _run_sphere_join(5, 1, 0)),
-    "suspension-sphere-3": ("simplicial", lambda: _run_suspension(3)),
-    "suspension-sphere-5": ("simplicial", lambda: _run_suspension(5)),
-    "mp-profile-2": ("algebraic-profile", lambda: _run_mp_profile(2)),
-    "mp-profile-3": ("algebraic-profile", lambda: _run_mp_profile(3)),
-    "mp-profile-5": ("algebraic-profile", lambda: _run_mp_profile(5)),
-    "seifert-1-2": ("betti-data", lambda: _run_seifert(1, 2)),
-    "seifert-2-1": ("betti-data", lambda: _run_seifert(2, 1)),
-    "seifert-3-2": ("betti-data", lambda: _run_seifert(3, 2)),
-    "seifert-3-4": ("betti-data", lambda: _run_seifert(3, 4)),
-    "bredon": ("betti-data", lambda: _run_bredon()),
+_REGISTRY: dict[str, Callable[[], CorpusResult]] = {
+    "point-3": lambda: _run_point(3),
+    "circle-2": lambda: _run_circle(2),
+    "circle-3": lambda: _run_circle(3),
+    "circle-5": lambda: _run_circle(5),
+    "circle-trivial-3": lambda: _run_trivial_circle(3),
+    "sphere-join-3-1-1": lambda: _run_sphere_join(3, 1, 1),
+    "sphere-join-3-1-0": lambda: _run_sphere_join(3, 1, 0),
+    "sphere-join-5-1-1": lambda: _run_sphere_join(5, 1, 1),
+    "sphere-join-5-1-0": lambda: _run_sphere_join(5, 1, 0),
+    "suspension-sphere-3": lambda: _run_suspension(3),
+    "suspension-sphere-5": lambda: _run_suspension(5),
+    "mp-profile-2": lambda: _run_mp_profile(2),
+    "mp-profile-3": lambda: _run_mp_profile(3),
+    "mp-profile-5": lambda: _run_mp_profile(5),
+    "seifert-1-2": lambda: _run_seifert(1, 2),
+    "seifert-2-1": lambda: _run_seifert(2, 1),
+    "seifert-3-2": lambda: _run_seifert(3, 2),
+    "seifert-3-4": lambda: _run_seifert(3, 4),
+    "bredon": _run_bredon,
 }
 
 
@@ -386,13 +386,9 @@ def corpus_names() -> list[str]:
 def run_entry(name: str) -> CorpusResult:
     if name not in _REGISTRY:
         raise KeyError(f"unknown corpus entry {name!r}")
-    return _REGISTRY[name][1]()
+    return _REGISTRY[name]()
 
 
-def run_corpus(names: list[str] | None = None, threads: int = 1) -> list[CorpusResult]:
-    """Run corpus entries, optionally in parallel, in deterministic order."""
-    names = names or corpus_names()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_entry, names))
-    return [run_entry(name) for name in names]
+def run_corpus(names: list[str] | None = None) -> list[CorpusResult]:
+    """Run corpus entries in the order given, all of them by default."""
+    return [run_entry(name) for name in names or corpus_names()]

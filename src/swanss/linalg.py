@@ -88,13 +88,11 @@ filtration.  Only the other columns go through the one Python loop,
 `SparseReduction.reduce`, as {row: value} dicts.  The loop keeps the
 rows of its working column in a max-heap with lazy deletion too, as
 Ripser keeps its working column in a priority queue, so a step finds the
-lowest row without scanning the column; the dict keeps the values.  A
-matrix of fewer than
-APPARENT_MIN entries skips the pass, whose fixed numpy cost is then larger
-than the loop it saves; every column goes through the loop, and an
-apparent one becomes a pivot there unchanged.  An apparent pivot is built
-as a dict, R_j from its CSC slice and V_j = e_j, only when a column, or
-a cochain of `complexes.CohomologyBasis`, is reduced against it.
+lowest row without scanning the column; the dict keeps the values.  The
+pass runs on every matrix, as in Ripser: on a small one its fixed numpy
+cost about equals the loop steps it saves.  An apparent pivot is built as
+a dict, R_j from its CSC slice and V_j = e_j, only when a column, or a
+cochain of `complexes.CohomologyBasis`, is reduced against it.
 """
 
 from __future__ import annotations
@@ -110,9 +108,6 @@ from .errors import InvariantError
 MAX_PRIME = 251
 # float64 represents every integer below this exactly.
 _EXACT_LIMIT = 2**53
-# Fewest entries for which `sparse_rank` looks for apparent columns: below
-# it the numpy pass costs more than the columns it spares the Python loop.
-APPARENT_MIN = 256
 
 
 def is_prime(p: int) -> bool:
@@ -408,13 +403,15 @@ class SparseReduction:
       columns outside `cleared` that reduce to zero, in column order.  Each
       is in the kernel of D, and they are independent;
     - `pivot(row)`: the pivot (R column, V column or None) at a row, built
-      from D's arrays the first time an apparent one is asked for;
+      from D's column the first time an apparent one is asked for;
     - `add_pivots`: columns appended to D as pivots of their own;
     - `reduce`: the one reduction loop.
     """
 
     def __init__(self, matrix: Csc, p: int, record: bool):
-        self.matrix, self.p, self.record = matrix, p, record
+        self.p, self.record = p, record
+        # slices of lists cost less than of arrays, and most columns are read
+        self._indptr, self._rows, self._values = (a.tolist() for a in matrix)
         self.rank = 0
         self.pivot_rows = np.zeros(0, dtype=np.intp)
         self.kernel: list[dict[int, int]] = []
@@ -423,9 +420,8 @@ class SparseReduction:
 
     def column(self, j: int) -> dict[int, int]:
         """Column j of D as {row: value}."""
-        indptr, rows, values = self.matrix
-        a, b = int(indptr[j]), int(indptr[j + 1])
-        return dict(zip(rows[a:b].tolist(), values[a:b].tolist()))
+        a, b = self._indptr[j], self._indptr[j + 1]
+        return dict(zip(self._rows[a:b], self._values[a:b]))
 
     def pivot(self, row: int) -> tuple | None:
         """(R column, V column or None) of the pivot at `row`, or None."""
@@ -442,7 +438,7 @@ class SparseReduction:
         reduced columns of [D | columns].  The caller guarantees that these
         rows are distinct and that no pivot of D is at one of them, so every
         pivot still has its own row."""
-        for k, col in enumerate(columns, len(self.matrix.indptr) - 1):
+        for k, col in enumerate(columns, len(self._indptr) - 1):
             self._built[max(col)] = (col, {k: 1})
 
     def reduce(self, col: dict[int, int], op: dict[int, int] | None,
@@ -501,42 +497,32 @@ def sparse_rank(matrix: Csc, p: int, cleared: np.ndarray | None = None,
     reduction, whose `rank` is the rank of D.
 
     The columns indexed by `cleared` are taken as zero (clearing, module
-    docstring).  On a matrix of at least APPARENT_MIN entries one numpy
-    pass finds the apparent columns, which become pivots as they are;
-    only the other columns are reduced, as dicts, by
-    `SparseReduction.reduce`.  With `record` the column
-    operations are recorded too (R = D·V, V_j = e_j at the start), and
-    `kernel` holds the V columns of the columns reduced to zero, cleared
-    ones aside.
+    docstring).  One numpy pass finds the apparent columns, which become
+    pivots as they are; only the other columns are reduced, as dicts, by
+    `SparseReduction.reduce`.  With `record` the column operations are
+    recorded too (R = D·V, V_j = e_j at the start), and `kernel` holds the
+    V columns of the columns reduced to zero, cleared ones aside.
     """
     red = SparseReduction(matrix, p, record)
-    indptr, rows, values = matrix
+    indptr, rows, _ = matrix
     nnz = len(rows)
     todo = np.ones(len(indptr) - 1, dtype=bool)
     if cleared is not None:
         todo[cleared] = False
-    apparent_rows = np.zeros(0, dtype=np.intp)
-    if nnz >= APPARENT_MIN:
-        live = (todo & (indptr[1:] > indptr[:-1])).nonzero()[0]
-        # the lowest row of each live column (its rows increase); the column
-        # is apparent when the first entry of D in that row is its own
-        low = rows[indptr[live + 1] - 1]
-        first = np.full(int(rows.max(initial=-1)) + 1, nnz)
-        np.minimum.at(first, rows, np.arange(nnz))
-        apparent = first[low] >= indptr[live]
-        apparent_rows = low[apparent]
-        red._apparent = dict(zip(apparent_rows.tolist(), live[apparent].tolist()))
-        todo[live[apparent]] = False
-        column = red.column
-    else:  # every column is read, and slices of lists cost less than of arrays
-        ptr, row_list, value_list = indptr.tolist(), rows.tolist(), values.tolist()
-
-        def column(j: int) -> dict[int, int]:
-            return dict(zip(row_list[ptr[j] : ptr[j + 1]], value_list[ptr[j] : ptr[j + 1]]))
+    live = (todo & (indptr[1:] > indptr[:-1])).nonzero()[0]
+    # the lowest row of each live column (its rows increase); the column is
+    # apparent when the first entry of D in that row is its own
+    low = rows[indptr[live + 1] - 1]
+    first = np.full(int(rows.max(initial=-1)) + 1, nnz)
+    np.minimum.at(first, rows, np.arange(nnz))
+    apparent = first[low] >= indptr[live]
+    apparent_rows = low[apparent]
+    red._apparent = dict(zip(apparent_rows.tolist(), live[apparent].tolist()))
+    todo[live[apparent]] = False
     grown = []
     for j in todo.nonzero()[0].tolist():
         op = {j: 1} if record else None
-        low = red.reduce(column(j), op, grow=True)
+        low = red.reduce(red.column(j), op, grow=True)
         if low is not None:
             grown.append(low)
         elif record:  # reduced to zero, or empty from the start

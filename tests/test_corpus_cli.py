@@ -16,7 +16,6 @@ from swanss.corpus import (
     build_mp_profile,
     build_sphere_join,
     corpus_names,
-    run_corpus,
     run_entry,
 )
 from swanss.gmodule import module_from_multiplicities
@@ -54,16 +53,6 @@ def test_light_corpus_entries_pass():
         assert result.ok, [c.to_json() for c in result.checks if not c.ok]
         for check in result.checks:
             assert check.tag in ("published", "immediate", "derived")
-
-
-def test_threaded_corpus_run_equals_serial():
-    # the corpus workload of the benchmark runs the entries on a thread pool
-    names = ["circle-3", "circle-trivial-3", "suspension-sphere-3", "point-3",
-             "mp-profile-3", "mp-profile-2", "seifert-1-2", "bredon"]
-    serial = [result.to_json() for result in run_corpus(names)]
-    threaded = [result.to_json() for result in run_corpus(names, threads=2)]
-    assert [entry["name"] for entry in threaded] == names
-    assert threaded == serial
 
 
 def test_unknown_entry():
@@ -165,6 +154,27 @@ def test_cli_analyze_deterministic(tmp_path):
     report = json.loads(out1)
     assert report["swan"]["tot_dims"][:4] == [1, 1, 0, 0]
     assert report["zero_row_survives"] is False
+
+
+def test_cli_vertex_index_without_a_simplex_is_no_fixed_point(tmp_path):
+    # g swaps the two points and fixes index 2, which is no 0-simplex: the
+    # space is the same as on two vertex indices, and the action is free
+    outputs = []
+    for n in (3, 2):
+        path = tmp_path / f"points-{n}.json"
+        path.write_text(json.dumps(
+            {"p": 2, "vertices": n, "generator": [1, 0, 2][:n], "simplices": [[0], [1]]}))
+        code, out = _run_cli(["analyze", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        assert report["fixed"]["empty"] and report["complex"]["free"]
+        verdicts = [_run_cli(["verify", "--theorem", theorem, "--complex", str(path)])
+                    for theorem in ("zp-fp", "bryan")]
+        outputs.append((report, verdicts))
+    assert outputs[0] == outputs[1]
+    hypotheses = json.loads(outputs[0][1][0][1])["verdicts"][0]["hypotheses"]
+    assert {"evidence": "", "name": "fixed set nonempty", "pass": False} in hypotheses
 
 
 def test_cli_analyze_exit_code_on_window_error(tmp_path, capsys):

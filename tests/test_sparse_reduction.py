@@ -5,7 +5,6 @@ coboundaries from degree 0 up, the Swan d_s for s = 0..n+3), with and
 without clearing, it gives the same rank, pivot rows, R columns and V
 columns."""
 
-from contextlib import contextmanager
 import heapq
 
 import numpy as np
@@ -55,40 +54,25 @@ def _maps(R):
     }
 
 
-@contextmanager
-def _apparent_min(entries):
-    """linalg.APPARENT_MIN set to `entries` for the duration."""
-    saved, linalg.APPARENT_MIN = linalg.APPARENT_MIN, entries
-    try:
-        yield
-    finally:
-        linalg.APPARENT_MIN = saved
-
-
 @settings(max_examples=40, deadline=None)
 @given(orbit_closures())
 def test_every_map_reduces_as_the_plain_reduction(K):
     R = validate_and_regularize(K)
     for maps in _maps(R).values():
         for record in (False, True):
-            # with the numpy pass on every map, and on none
-            for entries in (0, 10**9):
-                with _apparent_min(entries):
-                    _assert_chain(maps, R.p, record)
+            _assert_chain(maps, R.p, record)
 
 
 @pytest.mark.parametrize("name", ["join-3-1-0", "join-5-1-0"])
 def test_apparent_and_other_pivots_in_every_degree(pipelines, name):
     R = pipelines(name).R
     for kind, maps in _maps(R).items():
-        with _apparent_min(0):
-            kinds = _assert_chain(maps, R.p, record=kind != "swan")
+        kinds = _assert_chain(maps, R.p, record=kind != "swan")
         # every map with entries has pivots of both kinds
         assert all(apparent and other for apparent, other in kinds), (kind, kinds)
 
 
-def test_apparent_pivots_are_built_only_when_used(monkeypatch):
-    monkeypatch.setattr(linalg, "APPARENT_MIN", 0)
+def test_apparent_pivots_are_built_only_when_used():
     # columns 0, 1 and 3 are apparent (rows 1, 2, 3); column 2 ends at row
     # 2 like column 1 and reduces against it, then against column 0
     a = np.array([[1, 0, 1, 0],
@@ -108,11 +92,6 @@ def test_apparent_pivots_are_built_only_when_used(monkeypatch):
     # column 2, a combination of the columns before it, cleared
     red = sparse_rank(matrix, 2, np.array([2]), record=True)
     assert red._apparent == {1: 0, 2: 1, 3: 3} and red.kernel == [] and not red._built
-    # below APPARENT_MIN every column goes through the loop, to the same end
-    monkeypatch.setattr(linalg, "APPARENT_MIN", len(matrix.rows) + 1)
-    red = sparse_rank(matrix, 2, record=True)
-    assert red._apparent == {} and sorted(red._built) == [1, 2, 3]
-    assert {row: red.pivot(row) for row in pivots} == pivots and kernel == red.kernel
 
 
 def test_the_working_column_heap_keeps_stale_and_repeated_rows(monkeypatch):
@@ -133,11 +112,9 @@ def test_the_working_column_heap_keeps_stale_and_repeated_rows(monkeypatch):
 
     monkeypatch.setattr(linalg, "heappush", push)
     for record in (False, True):
-        for entries in (0, 10**9):
-            with _apparent_min(entries):
-                pushed.clear()
-                red = _assert_same(matrix, 3, None, record)
-                assert pushed == [0, 0]  # each time into a heap that still held row 0
-                assert sorted(red.pivot_rows.tolist()) == [0, 1, 2, 3]
+        pushed.clear()
+        red = _assert_same(matrix, 3, None, record)
+        assert pushed == [0, 0]  # each time into a heap that still held row 0
+        assert sorted(red.pivot_rows.tolist()) == [0, 1, 2, 3]
     assert red.pivot(0) == ({0: 2}, {0: 2, 1: 2, 2: 1})
     assert red.kernel == [{0: 1, 1: 1, 2: 1, 3: 2, 4: 1}]
