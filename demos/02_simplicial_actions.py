@@ -41,7 +41,7 @@ print("\njoin of two 5-gons: cochain dims", C.dims, "cohomology", C.cohomology_d
 FX = fixed_subcomplex(RJ)
 print("fixed subcomplex Betti:", betti_numbers(FX), "(one circle)")
 profile = cohomology_gmodules(C)
-print("module structure per degree:", [str(d.decomposition) for d in profile.degrees])
+print("module structure per degree:", [str(dec) for dec in profile.decompositions])
 print("t-numbers (dim H^2(Z/p, H^i)):", profile.t_numbers)
 
 # the suspension sphere keeps its two poles fixed

@@ -113,6 +113,9 @@ def _load_complex(path: str):
 
 
 def cmd_analyze(args) -> int:
+    # the duality scan grows with the square of the column window
+    if args.kmax is not None and args.kmax > MAX_EXTENT:
+        raise InputError(f"--kmax must not exceed {MAX_EXTENT}, not {args.kmax}")
     K, text = _load_complex(args.complex)
     report = analyze_complex(
         K,

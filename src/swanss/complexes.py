@@ -72,7 +72,7 @@ import numpy as np
 from .errors import InvariantError
 from .linalg import (Csc, SparseReduction, _is_int, check_modulus, csc_from_entries,
                      sparse_rank)
-from .gmodule import CohomologyProfile, GModule
+from .gmodule import CohomologyProfile, GModule, decompose
 
 
 _tail = itemgetter(slice(1, None))
@@ -631,7 +631,7 @@ class EquivariantCochainComplex:
                 faces.ravel(), cofaces, np.resize(signs, faces.size), self.dims[l])
         return self._coboundaries[l]
 
-    def cohomology(self) -> list["DegreeCohomology"]:
+    def cohomology(self) -> list["CohomologyBasis"]:
         """H^l for every l, each read off one sparse reduction with clearing.
 
         The coboundaries are reduced from degree 0 up, each recording its
@@ -655,17 +655,8 @@ class EquivariantCochainComplex:
                 (-1) ** l * len(reps) for l, (reps, _) in enumerate(reduced)
             ):
                 raise InvariantError("complexes.cohomology", "Euler-Poincare mismatch")
-            out = []
-            for l, (reps, below) in enumerate(reduced):
-                basis = CohomologyBasis(self, l, reps, below)
-                act = basis.coordinates_many(self.apply_action(l, basis.reps))
-                try:
-                    module = GModule(p, act)
-                except ValueError as exc:  # T is a chain map of order p, so is its action
-                    raise InvariantError("complexes.cohomology",
-                                         f"the action on H^{l}: {exc}") from exc
-                out.append(DegreeCohomology(l, basis, module))
-            self._cohomology = out
+            self._cohomology = [CohomologyBasis(self, l, reps, below)
+                                for l, (reps, below) in enumerate(reduced)]
         return self._cohomology
 
     def cohomology_dims(self) -> list[int]:
@@ -697,8 +688,8 @@ class EquivariantCochainComplex:
         da, db = coh[l].dim, coh[lp].dim
         front, back = self._cup_tables(l, lp)
         # every product rep_i u rep'_j as one column, i major
-        cups = coh[l].subquotient.reps[front][:, :, None] * coh[lp].subquotient.reps[back][:, None, :]
-        coords = target.subquotient.coordinates_many(np.mod(cups.reshape(len(front), da * db), self.p))
+        cups = coh[l].reps[front][:, :, None] * coh[lp].reps[back][:, None, :]
+        coords = target.coordinates_many(np.mod(cups.reshape(len(front), da * db), self.p))
         return coords[0].reshape(da, db) if target.dim else np.zeros((da, db), dtype=np.int64)
 
 
@@ -747,6 +738,7 @@ class CohomologyBasis:
       c = 0, as the reps are independent of B^l.  So they do not depend
       on how y was reduced.  A cocycle left with rest != 0 contradicts the
       argument above: `InvariantError` at `complexes.cohomology`.
+    - `module`: H^l as an F_p[Z/p]-module, the action in these coordinates.
     - `preimage`: y is in B^l exactly when rest = 0 and x[m:] = 0, and
       then delta_(l-1)·x[:m] = y.
     """
@@ -762,6 +754,11 @@ class CohomologyBasis:
         self._faces = (C.faces[l], C.face_signs[l] % C.p) if l < C.top_degree else None
         self._below, self._m = below, C.dim(l - 1)
         below.add_pivots(reps)
+        act = self.coordinates_many(C.apply_action(l, self.reps))
+        try:
+            self.module = GModule(C.p, act)
+        except ValueError as exc:  # T is a chain map of order p, so is its action
+            raise InvariantError("complexes.cohomology", f"the action on H^{l}: {exc}") from exc
 
     def _reduce(self, y: np.ndarray) -> tuple[bool, dict[int, int]]:
         """Whether the cochain y reduces to zero, and the nonzero entries
@@ -800,26 +797,13 @@ class CohomologyBasis:
         return x[: self._m] if reduced and not x[self._m :].any() else None
 
 
-class DegreeCohomology:
-    """H^l of the cochain complex with its induced module structure."""
-
-    def __init__(self, degree: int, subquotient: CohomologyBasis, module: GModule):
-        self.degree = degree
-        self.subquotient = subquotient
-        self.module = module
-
-    @property
-    def dim(self) -> int:
-        return self.subquotient.dim
-
-
 def cochain_complex(K: SimplicialGComplex) -> EquivariantCochainComplex:
     return EquivariantCochainComplex(K)
 
 
 def cohomology_gmodules(C: EquivariantCochainComplex) -> CohomologyProfile:
     """Per-degree cohomology as F_p[Z/p]-modules."""
-    return CohomologyProfile(C.p, [h.module for h in C.cohomology()])
+    return CohomologyProfile(C.p, [decompose(h.module) for h in C.cohomology()])
 
 
 # -- fast Betti numbers (no action needed) ------------------------------

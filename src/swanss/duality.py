@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
-from .gmodule import CohomologyProfile, chi_t, group_cohomology, t_sum, t_tail_sum
+from .gmodule import CohomologyProfile, chi_t, t_sum, t_tail_sum
 from .pages import PageTower
 from .synthetic import matrix_rank_over
 
@@ -635,7 +635,6 @@ def verify_bryan(
     hyps = [Hypothesis("closed connected surface profile", closed,
                        f"betti={f_surface_profile.betti}"),
             Hypothesis("fixed set nonempty", fixed_point_count > 0, "")]
-    h1_module = f_surface_profile.degrees[1].module.dual() if closed else None
-    expected = 2 + group_cohomology(h1_module, 1).dim if h1_module is not None else None
-    return _gate("surface fixed-point count", hyps, fixed_point_count,
-                 expected if expected is not None else -1, 0, relation="eq")
+    # H_1 is the dual of H^1, and each V_d is self-dual
+    expected = 2 + f_surface_profile.decompositions[1].group_cohomology_dim(1) if closed else -1
+    return _gate("surface fixed-point count", hyps, fixed_point_count, expected, 0, relation="eq")

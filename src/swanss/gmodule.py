@@ -3,9 +3,10 @@
 The group ring F_p[Z/p] = F_p[t]/(t-1)^p has exactly p indecomposable
 modules up to isomorphism: the quotients F_p[t]/(t-1)^d for d = 1..p
 (d = 1 trivial, d = p free).  A module is decomposed by the ranks of the
-powers of (t - 1); cyclic-group cohomology is computed from the
-2-periodic kernel/image subquotients of (t - 1) and the norm
-N = 1 + t + ... + t^(p-1).
+powers of (t - 1), and the program reads its cyclic-group cohomology off
+the decomposition (`Decomposition.group_cohomology_dim`).
+`group_cohomology` is the reference presentation: the 2-periodic
+kernel/image subquotients of (t - 1) and the norm N = 1 + t + ... + t^(p-1).
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ class Decomposition:
     multiplicities: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_modulus(self.p)
         clean = {d: m for d, m in sorted(self.multiplicities.items()) if m}
         object.__setattr__(self, "multiplicities", clean)
         for d, m in clean.items():
@@ -142,6 +144,19 @@ class Decomposition:
     def is_nice(self) -> bool:
         """Only trivial (d=1) and free (d=p) summands occur."""
         return all(d in (1, self.p) for d in self.multiplicities)
+
+    def group_cohomology_dim(self, k: int) -> int:
+        """dim H^k(Z/p, M): the number of summands for k = 0, and of
+        summands V_d with d < p for k > 0.
+
+        On V_d = F_p[t]/(t-1)^d, ker(t-1) is spanned by (t-1)^(d-1), so it
+        is 1-dimensional.  N = (t-1)^(p-1) over F_p, so N vanishes on V_d
+        for d < p: there H^odd = ker N / im(t-1) and H^even>0 = ker(t-1) /
+        im N are 1-dimensional.  V_p is free, so H^k(V_p) = 0 for k > 0.
+        """
+        if k < 0:
+            raise ValueError("degree must be nonnegative")
+        return sum(m for d, m in self.multiplicities.items() if k == 0 or d < self.p)
 
     def to_json(self) -> dict:
         return {str(d): m for d, m in self.multiplicities.items()}
@@ -227,11 +242,6 @@ def group_cohomology(module: GModule, k: int) -> GroupCohomology:
     return GroupCohomology(k, sub)
 
 
-def t_number(module: GModule) -> int:
-    """dim H^2(Z/p, M), the t-analogue of a Betti number."""
-    return group_cohomology(module, 2).dim
-
-
 def check_dual_pairing(module: GModule, other: GModule, pairing) -> bool:
     """True iff `pairing` is a non-degenerate Z/p-equivariant bilinear form.
 
@@ -276,7 +286,7 @@ def indecomposable_action(p: int, d: int) -> np.ndarray:
 def module_from_multiplicities(p: int, multiplicities: dict[int, int]) -> GModule:
     """Block-diagonal module with the given summand multiset."""
     blocks = []
-    for d, m in sorted(multiplicities.items()):
+    for d, m in Decomposition(p, multiplicities).multiplicities.items():
         blocks.extend([indecomposable_action(p, d)] * m)
     n = sum(b.shape[0] for b in blocks)
     a = np.eye(n, dtype=np.int64)
@@ -291,74 +301,47 @@ def module_from_multiplicities(p: int, multiplicities: dict[int, int]) -> GModul
 # -- cohomology profiles ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileDegree:
-    module: GModule
-    decomposition: Decomposition
-    t: int
-
-
 class CohomologyProfile:
-    """Per-degree cohomology modules with their decompositions and t-numbers.
+    """Per-degree cohomology modules, each held as its decomposition.
 
-    t in degree i is dim H^2(Z/p, H^i); for each degree it is checked
-    against the closed form: every summand of size d < p contributes 1,
-    free summands contribute 0.
+    The Betti number of degree i is the dimension of H^i, and its t-number
+    t^i = dim H^2(Z/p, H^i) is read off the decomposition
+    (`Decomposition.group_cohomology_dim`).
     """
 
-    def __init__(self, p: int, modules: list[GModule]):
-        self.p = p
-        degrees = []
-        for mod in modules:
-            if mod.p != p:
-                raise ValueError("mixed moduli in profile")
-            dec = decompose(mod)
-            t = t_number(mod)
-            closed_form = sum(m for d, m in dec.multiplicities.items() if d < p)
-            if t != closed_form:
-                raise InvariantError("gmodule.profile",
-                                     f"t-number {t} disagrees with the decomposition's {closed_form}")
-            degrees.append(ProfileDegree(mod, dec, t))
-        self.degrees: tuple[ProfileDegree, ...] = tuple(degrees)
+    def __init__(self, p: int, decompositions: list[Decomposition]):
+        self.p = check_modulus(p)
+        if any(dec.p != p for dec in decompositions):
+            raise ValueError("mixed moduli in profile")
+        self.decompositions: tuple[Decomposition, ...] = tuple(decompositions)
 
     @classmethod
     def from_multiplicities(cls, p: int, per_degree: list[dict[int, int]]):
-        return cls(p, [module_from_multiplicities(p, m) for m in per_degree])
+        return cls(p, [Decomposition(p, m) for m in per_degree])
 
     def __len__(self):
-        return len(self.degrees)
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.degrees) - 1
+        return len(self.decompositions)
 
     @property
     def betti(self) -> list[int]:
-        return [d.module.dim for d in self.degrees]
+        return [dec.dim for dec in self.decompositions]
 
     @property
     def t_numbers(self) -> list[int]:
-        return [d.t for d in self.degrees]
+        return [self.t(i) for i in range(len(self))]
 
     def t(self, i: int) -> int:
-        return self.degrees[i].t if 0 <= i < len(self.degrees) else 0
+        return self.decompositions[i].group_cohomology_dim(2) if 0 <= i < len(self) else 0
 
     def is_nice(self) -> bool:
-        return all(d.decomposition.is_nice() for d in self.degrees)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * b for i, b in enumerate(self.betti))
+        return all(dec.is_nice() for dec in self.decompositions)
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "degrees": [
-                {
-                    "dim": d.module.dim,
-                    "decomposition": d.decomposition.to_json(),
-                    "t": d.t,
-                }
-                for d in self.degrees
+                {"dim": dec.dim, "decomposition": dec.to_json(), "t": self.t(i)}
+                for i, dec in enumerate(self.decompositions)
             ],
         }
 

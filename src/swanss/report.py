@@ -53,7 +53,7 @@ def digest_of(data) -> str:
 def _profile_json(profile: CohomologyProfile) -> dict:
     return {
         "betti": profile.betti,
-        "decompositions": [d.decomposition.to_json() for d in profile.degrees],
+        "decompositions": [dec.to_json() for dec in profile.decompositions],
         "t_numbers": profile.t_numbers,
         "t_sum": t_sum(profile),
         "chi_t": chi_t(profile),

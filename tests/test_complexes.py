@@ -84,7 +84,7 @@ def test_suspension_sphere_cohomology():
     C = cochain_complex(R)
     assert C.cohomology_dims() == [1, 0, 1]
     prof = cohomology_gmodules(C)
-    assert [str(d.decomposition) for d in prof.degrees] == ["1*V_1", "0", "1*V_1"]
+    assert [str(dec) for dec in prof.decompositions] == ["1*V_1", "0", "1*V_1"]
 
 
 def test_cone_is_contractible():
@@ -161,7 +161,7 @@ def test_cup_equivariance_random():
 def test_circle_h1_cup_h1_is_zero():
     R = validate_and_regularize(build_circle(3))
     C = cochain_complex(R)
-    h1 = C.cohomology()[1].subquotient.reps[:, 0]
+    h1 = C.cohomology()[1].reps[:, 0]
     assert C.cup(1, h1, 1, h1).size == 0
 
 

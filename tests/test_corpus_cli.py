@@ -184,6 +184,14 @@ def test_cli_analyze_exit_code_on_window_error(tmp_path, capsys):
     assert code != 0
 
 
+def test_cli_analyze_rejects_huge_kmax(tmp_path, capsys):
+    # the duality scan is quadratic in the window: refused before any work
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(build_circle(3).to_json()))
+    assert main(["analyze", str(path), "--kmax", "257"]) == 2
+    assert capsys.readouterr().err == "error: --kmax must not exceed 256, not 257\n"
+
+
 @pytest.mark.parametrize("rmax", ["1", "0", "-1"])
 def test_cli_analyze_rejects_rmax_below_two(tmp_path, capsys, rmax):
     path = tmp_path / "triangle.json"

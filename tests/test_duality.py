@@ -38,7 +38,7 @@ from swanss.complexes import (
     cohomology_gmodules,
     fixed_subcomplex,
 )
-from swanss.gmodule import CohomologyProfile
+from swanss.gmodule import CohomologyProfile, group_cohomology, module_from_multiplicities
 from swanss.pages import check_odd_page_vanishing, check_zero_row
 from swanss.report import fixed_profile
 from swanss.synthetic import load_synthetic_page
@@ -274,6 +274,17 @@ def test_bryan_suspension(pipelines):
     verdict = verify_bryan(profile, 2)
     assert verdict.verdict == "pass"
     assert verdict.rhs == 2
+
+
+def test_bryan_counts_the_non_free_summands_of_h1():
+    # genus 4 with H^1 = V_1 + V_2 + V_5 over F_5: H_1 is its dual
+    h1 = {1: 1, 2: 1, 5: 1}
+    surface = CohomologyProfile.from_multiplicities(5, [{1: 1}, h1, {1: 1}])
+    rhs = 2 + group_cohomology(module_from_multiplicities(5, h1).dual(), 1).dim
+    assert rhs == 4
+    verdict = verify_bryan(surface, 4)
+    assert (verdict.rhs, verdict.verdict) == (rhs, "pass")
+    assert verify_bryan(surface, 3).verdict == "fail"
 
 
 def test_bryan_rejects_disk():

@@ -3,6 +3,7 @@ import pytest
 
 from swanss.gmodule import (
     CohomologyProfile,
+    Decomposition,
     GModule,
     check_dual_pairing,
     chi_t,
@@ -10,7 +11,6 @@ from swanss.gmodule import (
     group_cohomology,
     is_nice,
     module_from_multiplicities,
-    t_number,
     t_sum,
     t_tail_sum,
 )
@@ -157,6 +157,8 @@ def test_group_cohomology_two_periodicity():
 def test_group_cohomology_rejects_negative_degree():
     with pytest.raises(ValueError):
         group_cohomology(GModule(3, np.eye(1, dtype=np.int64)), -1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        Decomposition(3, {1: 1}).group_cohomology_dim(-1)
 
 
 def test_is_nice():
@@ -226,17 +228,47 @@ def test_nice_profile_t_equals_trivial_dim():
     assert prof.is_nice()
 
 
-def test_t_number_direct_vs_closed_form():
+def test_closed_form_matches_group_cohomology_and_the_dual():
+    # random modules under a random change of basis: H^k read off the
+    # decomposition against its kernel/image presentation, and every V_d
+    # self-dual
     rng = np.random.default_rng(77)
-    for _ in range(30):
-        p = int(rng.choice([3, 5, 7]))
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
         mult = {}
-        for _ in range(int(rng.integers(1, 4))):
+        for _ in range(int(rng.integers(1, 5))):
             d = int(rng.integers(1, p + 1))
             mult[d] = mult.get(d, 0) + 1
-        module = module_from_multiplicities(p, mult)
-        closed = sum(m for d, m in mult.items() if d < p)
-        assert t_number(module) == closed
+        block = module_from_multiplicities(p, mult)
+        module = conjugate(block, random_invertible(rng, p, block.dim))
+        dec = decompose(module)
+        assert dec.multiplicities == mult
+        for k in range(5):
+            assert dec.group_cohomology_dim(k) == group_cohomology(module, k).dim, (p, mult, k)
+        assert decompose(module.dual()) == dec
+
+
+@pytest.mark.parametrize("p, per_degree", [
+    (3, [{1: 1, 2: -1}]),   # a negative multiplicity
+    (4, [{1: 1}]),          # a modulus that is not prime
+    (3, [{1: 1}, {4: 1}]),  # summand sizes outside 1..p
+    (3, [{0: 1}]),
+])
+def test_profile_of_what_is_no_module_is_refused(p, per_degree):
+    with pytest.raises(ValueError):
+        CohomologyProfile.from_multiplicities(p, per_degree)
+    with pytest.raises(ValueError):
+        module_from_multiplicities(p, per_degree[-1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Decomposition(4, {3: 1}),
+    lambda: CohomologyProfile(4, []),
+    lambda: CohomologyProfile.from_multiplicities(4, []),
+])
+def test_a_modulus_that_is_not_prime_is_refused(build):
+    with pytest.raises(ValueError, match="not prime"):
+        build()
 
 
 def test_negative_multiplicity_detection():
