@@ -14,7 +14,6 @@ from swanss import (
     check_dual_pairing,
     decompose,
     group_cohomology,
-    is_nice,
     module_from_multiplicities,
 )
 from swanss.linalg import FactoredSolve, matmul_mod, rank_mod
@@ -33,7 +32,7 @@ while rank_mod(g, p) < module.dim:
 inv = FactoredSolve(g, p).solve_many(np.eye(module.dim, dtype=np.int64))
 conjugated = GModule(p, matmul_mod(matmul_mod(g, module.action, p), inv, p))
 print("after a random change of basis:", decompose(conjugated))
-print("nice (only trivial and free summands)?", is_nice(conjugated))
+print("nice (only trivial and free summands)?", decompose(conjugated).is_nice())
 
 # Cohomology of Z/p with coefficients in each indecomposable: dimension 1
 # in every degree except that the free module dies above degree 0.

@@ -14,10 +14,10 @@ Three behaviours, one per space:
 """
 
 from swanss import (
+    PageTower,
     check_odd_page_vanishing,
     check_zero_row,
     cochain_complex,
-    compute_pages,
     validate_and_regularize,
 )
 from swanss.corpus import build_circle, build_sphere_join, build_trivial_circle
@@ -27,7 +27,7 @@ from swanss.swan import SwanDoubleComplex
 def show(name, K):
     R = validate_and_regularize(K)
     dc = SwanDoubleComplex(cochain_complex(R))
-    tower = compute_pages(dc)
+    tower = PageTower(dc)
     tot = dc.total_cohomology_dims()
     print(f"== {name}  (p = {K.p}, window K_max = {dc.k_max})")
     print("   total dims:", tot[:10], "...")

@@ -9,10 +9,10 @@ set, all of which are hypothesis-gated: counterexamples come out
 """
 
 from swanss import (
+    PageTower,
     check_zero_row,
     cochain_complex,
     cohomology_gmodules,
-    compute_pages,
     duality_report,
     fixed_subcomplex,
     mod4_audit,
@@ -35,7 +35,7 @@ from swanss.swan import SwanDoubleComplex
 K = build_sphere_join(5, 1, 0)
 R = validate_and_regularize(K)
 C = cochain_complex(R)
-tower = compute_pages(SwanDoubleComplex(C))
+tower = PageTower(SwanDoubleComplex(C))
 terms = tower_terms(tower)
 
 print("duality flags per page (semifree 3-sphere, p = 5):")

@@ -32,7 +32,7 @@ for k in range(0, window + 1, 2):
         page_data["products"][f"({k},0)x({k2},0)"] = [[["1"]]]
         page_data["products"][f"({k},{n})x({k2},{n})"] = [[["0"]]]
 
-term = load_synthetic_page(json.dumps(page_data)).term(2)
+term = load_synthetic_page(json.dumps(page_data))[2]
 flags = duality_flags(term, n)  # one scan decides all three
 for variant, name in (("pd", "full"), ("wpd", "weak"), ("sspd", "strong")):
     flag = flags[variant]
@@ -40,7 +40,7 @@ for variant, name in (("pd", "full"), ("wpd", "weak"), ("sspd", "strong")):
 
 # break one pairing: the threshold moves past the defect
 page_data["products"]["(2,0)x(4,2)"] = [[["0"]]]
-term = load_synthetic_page(json.dumps(page_data)).term(2)
+term = load_synthetic_page(json.dumps(page_data))[2]
 flag = duality_flags(term, n)["pd"]
 print("\none degenerate pairing at (2,0)x(4,2): holds =", flag.holds,
       "with threshold pushed to N =", flag.threshold)
@@ -49,7 +49,7 @@ print("\none degenerate pairing at (2,0)x(4,2): holds =", flag.holds,
 for key in list(page_data["products"]):
     if ",0)x(" in key and key.endswith(f",{n})"):
         page_data["products"][key] = [[["0"]]]
-term = load_synthetic_page(json.dumps(page_data)).term(2)
+term = load_synthetic_page(json.dumps(page_data))[2]
 flag = duality_flags(term, n)["pd"]
 print("all top pairings degenerate: holds =", flag.holds)
 for v in flag.violations[:3]:

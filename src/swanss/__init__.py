@@ -15,7 +15,6 @@ from .gmodule import (
     chi_t,
     decompose,
     group_cohomology,
-    is_nice,
     module_from_multiplicities,
     t_sum,
 )
@@ -37,7 +36,6 @@ from .pages import (
     PageTower,
     check_odd_page_vanishing,
     check_zero_row,
-    compute_pages,
 )
 from .duality import (
     duality_flags,
@@ -53,4 +51,4 @@ from .duality import (
     verify_theorem_zp,
     verify_torus_congruence,
 )
-from .synthetic import SyntheticPage, load_synthetic_page
+from .synthetic import load_synthetic_page

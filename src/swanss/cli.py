@@ -14,7 +14,12 @@ import json
 import os
 import sys
 
-from .complexes import ComplexFileError, load_complex_json
+from .complexes import (
+    ComplexFileError,
+    cochain_complex,
+    load_complex_json,
+    validate_and_regularize,
+)
 from .corpus import corpus_names, run_corpus, run_entry
 from .duality import (
     duality_flags,
@@ -27,8 +32,14 @@ from .duality import (
 )
 from .errors import InvariantError
 from .gmodule import GModule, decompose
-from .pages import check_odd_page_vanishing, compute_pages
-from .report import analyze_complex, canonical_json, fixed_circle_count, fixed_profile
+from .pages import PageTower, check_odd_page_vanishing
+from .report import (
+    analyze_complex,
+    canonical_json,
+    fixed_circle_count,
+    pd_space_check,
+    regularized_profiles,
+)
 from .swan import SwanDoubleComplex
 from .synthetic import MAX_EXTENT, load_synthetic_page
 
@@ -142,17 +153,15 @@ def cmd_check_pd(args) -> int:
     strict = args.variant is not None
     variants = [args.variant] if args.variant else ["pd", "wpd", "sspd"]
     if isinstance(data, dict) and "simplices" in data:
-        from .complexes import cochain_complex, validate_and_regularize
-
         K, _ = _load_complex(args.input)
-        tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
+        tower = PageTower(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
         n, terms = tower.n, tower_terms(tower)
     else:
         try:
-            page = load_synthetic_page(text)
+            terms = load_synthetic_page(text)
         except ValueError as exc:
             raise InputError(f"{args.input}: {exc}") from exc
-        n, terms = page.n, {r: page.term(r) for r in page.page_numbers}
+        n = next(iter(terms.values())).n
     if args.n is not None:
         n = args.n
     out = {}
@@ -162,22 +171,6 @@ def cmd_check_pd(args) -> int:
     failed = any(page[v]["holds"] is False for page in out.values() for v in variants)
     _emit(out, args.format)
     return 1 if failed and strict else 0
-
-
-def _profiles_from_complex(path: str):
-    from .complexes import (
-        cochain_complex,
-        cohomology_gmodules,
-        fixed_subcomplex,
-        validate_and_regularize,
-    )
-
-    K, _ = _load_complex(path)
-    R = validate_and_regularize(K)
-    C = cochain_complex(R)
-    profile = cohomology_gmodules(C)
-    FX = fixed_subcomplex(R)
-    return K, R, C, profile, FX, fixed_profile(FX)
 
 
 def cmd_verify(args) -> int:
@@ -207,16 +200,15 @@ def cmd_verify(args) -> int:
                 f"corpus entry {args.entry!r} does not exercise theorem {args.theorem!r}"
             )
     elif args.complex:
-        K, R, C, profile, FX, f_profile = _profiles_from_complex(args.complex)
-        from .report import pd_space_check
-
+        K, _ = _load_complex(args.complex)
+        _, C, profile, FX, f_profile = regularized_profiles(K)
         pd_ok = pd_space_check(C)["is_pd_space"]
         n = C.top_degree
         fixed_nonempty = FX.vertex_count > 0
         if args.theorem in ("zp", "zp-fp"):
             cond = None
             if args.theorem == "zp-fp":
-                tower = compute_pages(SwanDoubleComplex(C))
+                tower = PageTower(SwanDoubleComplex(C))
                 cond = check_odd_page_vanishing(tower)
             verdicts.append(
                 verify_theorem_zp(
@@ -253,18 +245,7 @@ def cmd_corpus(args) -> int:
     names = [args.name] if args.name else None
     results = run_corpus(names)
     failed = [r.name for r in results if not r.ok]
-    summary = {
-        "entries": [
-            {
-                "name": r.name,
-                "kind": r.kind,
-                "ok": r.ok,
-                "checks": [c.to_json() for c in r.checks],
-            }
-            for r in results
-        ],
-        "failed": failed,
-    }
+    summary = {"entries": [r.to_json() for r in results], "failed": failed}
     if args.full_reports:
         summary["reports"] = {r.name: r.report for r in results}
     _emit(summary, args.format)

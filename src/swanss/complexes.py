@@ -809,15 +809,11 @@ def cohomology_gmodules(C: EquivariantCochainComplex) -> CohomologyProfile:
 # -- fast Betti numbers (no action needed) ------------------------------
 
 
-def betti_numbers(K: SimplicialGComplex, p: int | None = None) -> list[int]:
-    """F_p Betti numbers via sparse boundary reduction.
-
-    `p` is K's own prime when None, and otherwise any prime at most
-    `linalg.MAX_PRIME` (`ValueError` for anything else, 0 and 1 included).
+def betti_numbers(K: SimplicialGComplex) -> list[int]:
+    """F_p Betti numbers, for K's own prime p, via sparse boundary reduction.
     Field coefficients make homology and cohomology dims agree.
     """
-    p = K.p if p is None else check_modulus(p)
-    return _betti(K.f_vector(), lambda d: _boundary(K, d, p), p, "complexes.betti")
+    return _betti(K.f_vector(), lambda d: _boundary(K, d, K.p), K.p, "complexes.betti")
 
 
 def _betti(f: list[int], boundary, p: int, stage: str) -> list[int]:

@@ -146,7 +146,6 @@ class CorpusResult:
             "kind": self.kind,
             "ok": self.ok,
             "checks": [c.to_json() for c in self.checks],
-            "report": self.report,
         }
 
 

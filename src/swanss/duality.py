@@ -70,7 +70,6 @@ class ComputedTerm:
         self.tower = tower
         self.r = r
         self.page = tower.pages[r]
-        self.n = tower.n
         self.field_char = tower.p
         self.trusted_k = self.page.trusted_k
         # filled by `duality._status` and `duality_flags`; shared by the

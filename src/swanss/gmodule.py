@@ -204,25 +204,9 @@ def decompose(module: GModule) -> Decomposition:
     return dec
 
 
-def is_nice(module: GModule) -> bool:
-    """True iff the module is a sum of trivial and free summands only."""
-    return decompose(module).is_nice()
-
-
-@dataclass(frozen=True)
-class GroupCohomology:
-    """H^k(Z/p, M) presented as a canonical subquotient of M."""
-
-    degree: int
-    subquotient: Subquotient
-
-    @property
-    def dim(self) -> int:
-        return self.subquotient.dim
-
-
-def group_cohomology(module: GModule, k: int) -> GroupCohomology:
-    """H^k(Z/p, M) from the 2-periodic free resolution of the trivial module.
+def group_cohomology(module: GModule, k: int) -> Subquotient:
+    """H^k(Z/p, M), as a canonical subquotient of M, from the 2-periodic
+    free resolution of the trivial module.
 
     H^0 = ker(t-1); for k odd, ker(N)/im(t-1); for even k > 0,
     ker(t-1)/im(N).  Degrees of equal parity give identical presentations.
@@ -232,14 +216,11 @@ def group_cohomology(module: GModule, k: int) -> GroupCohomology:
     p = module.p
     shifted = module.shifted()
     norm = module.norm_matrix()
-    zero = np.zeros((module.dim, 0), dtype=np.int64)
     if k == 0:
-        sub = Subquotient(kernel_mod(shifted, p), zero, p)
-    elif k % 2 == 1:
-        sub = Subquotient(kernel_mod(norm, p), shifted, p)
-    else:
-        sub = Subquotient(kernel_mod(shifted, p), norm, p)
-    return GroupCohomology(k, sub)
+        return Subquotient(kernel_mod(shifted, p), np.zeros((module.dim, 0), dtype=np.int64), p)
+    if k % 2 == 1:
+        return Subquotient(kernel_mod(norm, p), shifted, p)
+    return Subquotient(kernel_mod(shifted, p), norm, p)
 
 
 def check_dual_pairing(module: GModule, other: GModule, pairing) -> bool:

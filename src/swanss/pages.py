@@ -25,6 +25,26 @@ cell is the served one as it stands, so every page cell is stored once
 and no column is ever copied.  K_max, the trusted bound k <= K_max - 2r
 and the reported range only decide what a report shows.
 
+The dims and d_r ranks, unlike the stored cells, repeat with period 2
+from total degree n + 1 on, on every page.  Order the basis of each
+Tot^s by decreasing column k, so that F^k Tot, the columns >= k, comes
+first, and reduce d_s: Tot^s -> Tot^(s+1) from left to right.  Each
+nonzero reduced column pairs a basis element of Tot^s in column a with
+its pivot row, a basis element of Tot^(s+1) in column b >= a, and
+dim E_r^(k,l) is the number of basis elements of Tot^(k+l) in column k
+that are unpaired or paired at a distance b - a >= r, while rank d_r out
+of (k, l) is the number of pairs of distance r that start there
+(S. Basu and L. Parida, "Spectral sequences, exact couples and
+persistent homology of filtrations", Expo. Math. 2017).  For s >= n,
+d_s is d_(s+2) with every column renamed from k to k+2, rows and columns
+in the same order (`swan`), so the reduction of d_s makes the pairs of
+d_(s+2), two columns to the left and at the same distances.  rank d_r
+out of (k, l) reads only the pairs of d_(k+l), and dim E_r^(k,l) those
+of d_(k+l-1) and d_(k+l), so for k + l >= n + 1 both equal their values
+at (k+2, l), for every r.  The stored cells do not follow: their
+staircases and certificates depend on choices made to their left, so
+the period of the cells starts only at s_r.
+
 The tower stops where it converges.  A d_r out of (k, l) lands in row
 l - r + 1 and one into (k, l) leaves row l + r - 1, so from r = n + 2 on
 every d_r is zero and E_(n+2) = E_inf, whose antidiagonal k + l = s adds
@@ -492,10 +512,6 @@ class PageTower:
         return sum(
             self.pages[r].dim(k, s - k) for k in range(max(0, s - self.n), s + 1)
         )
-
-
-def compute_pages(dc: SwanDoubleComplex, r_max: int | None = None) -> PageTower:
-    return PageTower(dc, r_max)
 
 
 def check_zero_row(tower: PageTower) -> bool:

@@ -34,7 +34,7 @@ from .duality import (
 )
 from .gmodule import CohomologyProfile, chi_t, t_sum
 from .linalg import rank_mod
-from .pages import check_odd_page_vanishing, check_zero_row, compute_pages
+from .pages import PageTower, check_odd_page_vanishing, check_zero_row
 from .swan import SwanDoubleComplex
 
 
@@ -92,6 +92,17 @@ def fixed_circle_count(betti_f: list[int]) -> int | None:
     return None
 
 
+def regularized_profiles(K: SimplicialGComplex):
+    """The stages that start every analysis of a complex: its regular model
+    R, the cochain complex C of R and its profile, and the fixed set FX of
+    R and its profile, as (R, C, profile, FX, fixed profile)."""
+    R = validate_and_regularize(K)
+    C = cochain_complex(R)
+    profile = cohomology_gmodules(C)
+    FX = fixed_subcomplex(R)
+    return R, C, profile, FX, fixed_profile(FX)
+
+
 def analyze_complex(
     K: SimplicialGComplex,
     k_max: int | None = None,
@@ -103,17 +114,11 @@ def analyze_complex(
 ) -> dict:
     """Full pipeline: regularize, profiles, Swan complex, pages, verdicts."""
     digest_source = input_bytes if input_bytes is not None else K.to_json()
-    R = validate_and_regularize(K)
+    R, C, profile, FX, f_profile = regularized_profiles(K)
     subdivisions = 0 if R is K else 1
-
-    C = cochain_complex(R)
     n = C.top_degree if C.top_degree >= 0 else 0
-    profile = cohomology_gmodules(C)
     pd_info = pd_space_check(C)
-
-    FX = fixed_subcomplex(R)
     fixed_empty = FX.vertex_count == 0
-    f_profile = fixed_profile(FX)
     fixed_betti = f_profile.betti
 
     quotient_f, quotient_betti = quotient_numbers(R)
@@ -125,7 +130,7 @@ def analyze_complex(
 
     dc = SwanDoubleComplex(C, k_max)
     tot_dims = dc.total_cohomology_dims()
-    tower = compute_pages(dc, r_max)
+    tower = PageTower(dc, r_max)
     terms = tower_terms(tower)
     zero_row = check_zero_row(tower)
     odd_vanishing = check_odd_page_vanishing(tower)

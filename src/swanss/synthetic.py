@@ -89,8 +89,7 @@ _PROD_RE = re.compile(r"^\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*x\s*\(\s*(-?\d+)\s
 class SyntheticTerm:
     """One page term of a synthetic spectral sequence."""
 
-    def __init__(self, r: int, n: int, window: int, char: int, dims, diffs, products):
-        self.r = r
+    def __init__(self, n: int, window: int, char: int, dims, diffs, products):
         self.n = n
         self.field_char = char
         self.trusted_k = window
@@ -127,23 +126,6 @@ class SyntheticTerm:
         return [[entry[0] for entry in row] for row in table]
 
 
-class SyntheticPage:
-    """A collection of synthetic terms indexed by page number."""
-
-    def __init__(self, n: int, window: int, char: int, terms: dict[int, SyntheticTerm]):
-        self.n = n
-        self.window = window
-        self.field_char = char
-        self.terms = terms
-
-    def term(self, r: int) -> SyntheticTerm:
-        return self.terms[r]
-
-    @property
-    def page_numbers(self) -> list[int]:
-        return sorted(self.terms)
-
-
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, not {value!r}")
@@ -157,7 +139,9 @@ def _cell(key: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def load_synthetic_page(text: str) -> SyntheticPage:
+def load_synthetic_page(text: str) -> dict[int, SyntheticTerm]:
+    """The terms of the page JSON `text`, by increasing page number: those
+    that 'differentials' names, or page 2 alone when it names none."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -212,10 +196,10 @@ def load_synthetic_page(text: str) -> SyntheticPage:
             diffs[_cell(key)] = _parse_rows(
                 mat, f"differential {key!r} on page {r}", lambda x: _parse_entry(x, char)
             )
-        terms[r] = term = SyntheticTerm(r, n, window, char, dims, diffs, products)
+        terms[r] = term = SyntheticTerm(n, window, char, dims, diffs, products)
         for (k, l), rows in diffs.items():
             shape = (term.dim(k + r, l - r + 1), term.dim(k, l))
             if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
                 raise ValueError(f"differential {k},{l} on page {r} is not {shape[0]} x "
                                  f"{shape[1]}, the dims of its target and source")
-    return SyntheticPage(n, window, char, terms)
+    return terms

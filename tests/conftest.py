@@ -7,7 +7,7 @@ from swanss.corpus import (
     build_suspension_sphere,
     build_trivial_circle,
 )
-from swanss.pages import compute_pages
+from swanss.pages import PageTower
 from swanss.swan import SwanDoubleComplex
 from swan_helpers import certificate_complex, page_three_complex
 
@@ -43,7 +43,7 @@ class Pipeline:
     @property
     def tower(self):
         if self._tower is None:
-            self._tower = compute_pages(self.D)
+            self._tower = PageTower(self.D)
         return self._tower
 
 

@@ -26,8 +26,14 @@ def dense_of(matrix: Csc, nrows: int) -> np.ndarray:
 
 def _axpy(y: dict, f: int, x: dict, p: int) -> dict:
     """y - f·x over F_p, without zero entries."""
-    out = {i: (y.get(i, 0) - f * x.get(i, 0)) % p for i in set(y) | set(x)}
-    return {i: v for i, v in out.items() if v}
+    out = dict(y)
+    for i, v in x.items():
+        w = (out.get(i, 0) - f * v) % p
+        if w:
+            out[i] = w
+        else:
+            del out[i]
+    return out
 
 
 def reference_reduction(matrix: Csc, p: int, cleared=(), record: bool = False):
@@ -43,9 +49,9 @@ def reference_reduction(matrix: Csc, p: int, cleared=(), record: bool = False):
         a, b = indptr[j], indptr[j + 1]
         col = {int(r): int(v) % p for r, v in zip(rows[a:b], values[a:b]) if v % p}
         op = {j: 1} if record else None
-        while col and max(col) in pivots:
-            r, v = pivots[max(col)]
-            f = col[max(col)] * pow(r[max(col)], p - 2, p) % p
+        while col and (low := max(col)) in pivots:
+            r, v = pivots[low]
+            f = col[low] * pow(r[low], p - 2, p) % p
             col = _axpy(col, f, r, p)
             if record:
                 op = _axpy(op, f, v, p)

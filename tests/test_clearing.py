@@ -4,12 +4,16 @@ in full, and the cleared columns of each Swan map reduce to zero in its
 full reduction."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from complex_reference import simplices
-from swanss.complexes import betti_numbers, cochain_complex, quotient_complex, validate_and_regularize
-from swanss.corpus import build_circle
+from swanss.complexes import (
+    SimplicialGComplex,
+    betti_numbers,
+    cochain_complex,
+    quotient_complex,
+    validate_and_regularize,
+)
 from swanss.linalg import rank_mod, sparse_rank
 from swanss.swan import SwanDoubleComplex
 from sparse_reference import dense_of
@@ -38,7 +42,9 @@ def test_betti_numbers_equal_dense_ranks(K):
     R = validate_and_regularize(K)
     for X in (K, R, quotient_complex(R)):
         assert betti_numbers(X) == _dense_betti(X, K.p)
-    assert betti_numbers(R, 2) == _dense_betti(R, 2)
+    # the same simplices over F_2, under the trivial action
+    R2 = SimplicialGComplex(2, R.vertex_count, range(R.vertex_count), R.rows)
+    assert betti_numbers(R2) == _dense_betti(R, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,10 +88,3 @@ def test_cleared_columns_come_back_empty(K):
         assert sorted(red.pivot_rows.tolist()) == rows
         assert [red.pivot(i)[0] for i in rows] == [full.pivot(i)[0] for i in rows]
         cleared = red.pivot_rows
-
-
-@pytest.mark.parametrize("p", [0, 1, 4])
-def test_betti_numbers_refuse_a_modulus_that_is_not_prime(p):
-    K = build_circle(3)
-    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
-        betti_numbers(K, p)

@@ -76,15 +76,15 @@ def _pd_page_json(n=2, window=12, degenerate=False, odd_rank_skew=False):
 
 
 def test_pd_on_rational_polynomial_page():
-    page = load_synthetic_page(json.dumps(_pd_page_json()))
-    flag = duality_flags(page.term(2), 2)["pd"]
+    terms = load_synthetic_page(json.dumps(_pd_page_json()))
+    flag = duality_flags(terms[2], 2)["pd"]
     assert flag.holds is True
     assert flag.threshold == 0
 
 
 def test_pd_degenerate_pairing_reported():
-    page = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))
-    flag = duality_flags(page.term(2), 2)["pd"]
+    terms = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))
+    flag = duality_flags(terms[2], 2)["pd"]
     assert flag.holds is False
     coords = {(v.k, v.l, v.k2, v.l2) for v in flag.violations}
     assert (0, 0, 0, 2) in coords or (0, 0, 2, 2) in coords
@@ -139,19 +139,19 @@ def test_mod4_audit_semifree(pipelines):
 def test_mod4_audit_rejects_odd_skew_rank():
     # even-n synthetic page with a forced skew pairing of odd rank must be
     # rejected at the hypothesis stage or detected
-    page = load_synthetic_page(json.dumps(_pd_page_json(odd_rank_skew=True)))
-    terms = {2: page.term(2), 3: page.term(2)}
+    term = load_synthetic_page(json.dumps(_pd_page_json(odd_rank_skew=True)))[2]
+    terms = {2: term, 3: term}
     verdict = mod4_audit(terms, 2, duality_report(terms, 2))
     assert verdict.verdict in ("not-applicable", "fail")
 
 
 def test_mod4_audit_point():
     from swanss.complexes import SimplicialGComplex
-    from swanss.pages import compute_pages
+    from swanss.pages import PageTower
     from swanss.swan import SwanDoubleComplex
 
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
-    tower = compute_pages(SwanDoubleComplex(cochain_complex(pt)))
+    tower = PageTower(SwanDoubleComplex(cochain_complex(pt)))
     terms = tower_terms(tower)
     verdict = mod4_audit(terms, 0, duality_report(terms, 0))
     assert verdict.verdict == "pass"
@@ -335,7 +335,7 @@ from swanss import duality
 from swanss.cli import main
 from swanss.corpus import build_circle
 from swanss.errors import InvariantError
-from swanss.pages import compute_pages
+from swanss.pages import PageTower
 from swanss.swan import SwanDoubleComplex
 from swanss.complexes import cochain_complex, validate_and_regularize
 
@@ -347,7 +347,7 @@ def broken(term, n):
 duality.duality_flags = broken
 
 K = build_circle(3)
-tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
+tower = PageTower(SwanDoubleComplex(cochain_complex(validate_and_regularize(K))))
 try:
     duality.duality_report(duality.tower_terms(tower), tower.n)
 except InvariantError as exc:
@@ -494,7 +494,7 @@ def synthetic_terms(draw):
         "dims": {f"{k},{l}": d for (k, l), d in dims.items() if d},
         "products": products,
     }
-    return load_synthetic_page(json.dumps(data)).term(2), n
+    return load_synthetic_page(json.dumps(data))[2], n
 
 
 @settings(max_examples=200, deadline=None)
@@ -525,7 +525,7 @@ def _count_statuses(monkeypatch):
 def test_search_scans_once(monkeypatch):
     # one scan classifies each pair with a nonzero cell once for all three
     # variants, and leaves pairs of zero cells unclassified
-    term = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True))).term(2)
+    term = load_synthetic_page(json.dumps(_pd_page_json(degenerate=True)))[2]
     calls = _count_statuses(monkeypatch)
     flags = duality_flags(term, 2)
     assert calls and len(calls) == len(set(calls))

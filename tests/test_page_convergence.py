@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 from swanss import pages
 from swanss.errors import InvariantError
-from swanss.pages import ConvergedPage, compute_pages
+from swanss.pages import ConvergedPage, PageTower
 from swanss.report import analyze_complex, canonical_json
 from test_quotient import orbit_closures
 from test_report_digests import REPORTS
@@ -53,7 +53,7 @@ def test_random_reports_are_the_same_without_the_shortcut(K):
 def test_converged_pages_serve_what_the_full_tower_computes(pipelines, name, converged):
     tower = pipelines(name).tower
     with without_shortcut():
-        full = compute_pages(tower.dc)
+        full = PageTower(tower.dc)
     assert [r for r, page in tower.pages.items() if page.served is page] == list(range(1, converged + 1))
     assert all(page.served is page for page in full.pages.values())
     for r in range(converged + 1, tower.r_max + 1):
@@ -101,5 +101,5 @@ def test_nonzero_differential_on_a_converged_page_raises(pipelines, monkeypatch)
 
     monkeypatch.setattr(pages.PageTower, "_turn_page", corrupted)
     with pytest.raises(InvariantError, match=r"E_2 has converged, but d_2 != 0 at \(0,1\)") as info:
-        compute_pages(dc)
+        PageTower(dc)
     assert info.value.stage == "pages"

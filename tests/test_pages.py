@@ -12,7 +12,7 @@ from swanss import linalg, pages
 from swanss.complexes import SimplicialGComplex, cochain_complex
 from swanss.errors import InvariantError
 from swanss.gmodule import group_cohomology
-from swanss.pages import check_odd_page_vanishing, check_zero_row, compute_pages
+from swanss.pages import PageTower, check_odd_page_vanishing, check_zero_row
 from swanss.swan import SwanDoubleComplex, WindowError
 from swanss.synthetic import load_synthetic_page
 from swan_helpers import dense_delta
@@ -20,7 +20,7 @@ from swan_helpers import dense_delta
 
 def test_point_single_row_degenerates():
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
-    tower = compute_pages(SwanDoubleComplex(cochain_complex(pt)))
+    tower = PageTower(SwanDoubleComplex(cochain_complex(pt)))
     page = tower.pages[2]
     for k in range(page.trusted_k + 1):
         assert page.dim(k, 0) == 1
@@ -194,10 +194,10 @@ def test_r_max_bound():
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
     dc = SwanDoubleComplex(cochain_complex(pt))
     with pytest.raises(ValueError):
-        compute_pages(dc, 5)  # n + 2 = 2 for a point
+        PageTower(dc, 5)  # n + 2 = 2 for a point
     for r_max in (1, 0, -1):
         with pytest.raises(ValueError, match="below 2"):
-            compute_pages(dc, r_max)
+            PageTower(dc, r_max)
 
 
 @pytest.mark.parametrize("name", ["circle-3", "join-3-1-0", "suspension-5"])
@@ -206,7 +206,7 @@ def test_served_columns_equal_computed_ones(pipelines, monkeypatch, name):
     tower = pipelines(name).tower
     start = pages.stable_start
     monkeypatch.setattr(pages, "stable_start", lambda r: start(r) + 8)
-    wide = compute_pages(tower.dc)
+    wide = PageTower(tower.dc)
     for r in range(1, tower.r_max + 1):
         page, direct = tower.pages[r], wide.pages[r]
         if page.served is page:  # pages past convergence store no cell
@@ -258,7 +258,7 @@ def test_period_checked_from_too_early_a_column_raises(pipelines, monkeypatch):
     # on the free circle, E_3 is nonzero in columns 0 and 1 only
     monkeypatch.setattr(pages, "stable_start", lambda r: 0)
     with pytest.raises(InvariantError, match="not 2-periodic"):
-        compute_pages(pipelines("circle-3").D)
+        PageTower(pipelines("circle-3").D)
 
 
 _BREAK_PAGES = """
@@ -267,9 +267,9 @@ import numpy as np
 from swanss.complexes import cochain_complex, validate_and_regularize
 from swanss.corpus import build_circle
 from swanss.errors import InvariantError
-from swanss.pages import compute_pages
+from swanss.pages import PageTower
 from swanss.swan import SwanDoubleComplex
-tower = compute_pages(SwanDoubleComplex(cochain_complex(validate_and_regularize(build_circle(3)))))
+tower = PageTower(SwanDoubleComplex(cochain_complex(validate_and_regularize(build_circle(3)))))
 if sys.argv[1] == "dd":
     # d_1 = 1 on H^0 in columns 0 and 1, so d_1 o d_1 = 1 at (0, 0)
     for k in (0, 1):
@@ -313,8 +313,7 @@ def test_synthetic_page_loading():
         "differentials": {"2": {"0,1": [["1", "0"]]}},
         "products": {"(0,0)x(2,0)": [[["1"]]]},
     }
-    page = load_synthetic_page(json.dumps(data))
-    term = page.term(2)
+    term = load_synthetic_page(json.dumps(data))[2]
     assert term.dim(0, 1) == 2
     assert term.d_rank(0, 1) == 1
     assert term.pairing_matrix(0, 0, 2, 0) == [[1]]
@@ -324,7 +323,7 @@ def test_synthetic_page_loading():
 def test_synthetic_page_numbers_are_integers():
     data = {"field_char": 5, "n": 2, "window": 6, "dims": {"0,2": 1, "2,1": 1},
             "differentials": {"02": {"0,2": [[1]]}}}
-    assert load_synthetic_page(json.dumps(data)).term(2).d_rank(0, 2) == 1
+    assert load_synthetic_page(json.dumps(data))[2].d_rank(0, 2) == 1
     data["differentials"]["2"] = {}
     with pytest.raises(ValueError, match="repeated page number"):
         load_synthetic_page(json.dumps(data))
@@ -379,6 +378,6 @@ def test_cohomology_makes_no_dense_elimination_and_builds_no_dense_delta(pipelin
     assert peak < 8 * max(C.dims[l] * C.dims[l + 1] for l in range(C.top_degree))
     # the page tower eliminates page-sized matrices only
     eliminated.clear()
-    compute_pages(SwanDoubleComplex(C))
+    PageTower(SwanDoubleComplex(C))
     rows = [r for r, _ in eliminated]
     assert rows and max(rows) < min(C.dims)

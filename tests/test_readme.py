@@ -26,6 +26,6 @@ def test_readme_quick_tour_runs():
 
 
 def test_readme_synthetic_page_loads():
-    page = load_synthetic_page(_block("### File formats", "json", '"field_char"'))
-    assert page.page_numbers == [2]
-    assert page.term(2).d_rank(0, 2) == 1
+    terms = load_synthetic_page(_block("### File formats", "json", '"field_char"'))
+    assert list(terms) == [2]
+    assert terms[2].d_rank(0, 2) == 1
