@@ -733,12 +733,14 @@ class CohomologyBasis:
       "Persistent cohomology and circular coordinates", Discrete Comput.
       Geom. 2011).
     - `coordinates_many`: for a cocycle y (delta_l·y = 0 is checked on the
-      face table first), y = delta_(l-1)·x[:m] + reps·x[m:], so x[m:] are
-      the coordinates of its class.  They are unique: reps·c in B^l forces
-      c = 0, as the reps are independent of B^l.  So they do not depend
-      on how y was reduced.  A cocycle left with rest != 0 contradicts the
+      face table first, `coboundary`), y = delta_(l-1)·x[:m] + reps·x[m:],
+      so x[m:] are the coordinates of its class.  They are unique: reps·c
+      in B^l forces c = 0, as the reps are independent of B^l.  So they do
+      not depend on how y was reduced.  A cocycle left with rest != 0 contradicts the
       argument above: `InvariantError` at `complexes.cohomology`.
     - `module`: H^l as an F_p[Z/p]-module, the action in these coordinates.
+    - `split`: a cochain y with rest = 0 is the cocycle
+      y = delta_(l-1)·x[:m] + reps·x[m:]; one with rest != 0 is no cocycle.
     - `preimage`: y is in B^l exactly when rest = 0 and x[m:] = 0, and
       then delta_(l-1)·x[:m] = y.
     """
@@ -770,13 +772,18 @@ class CohomologyBasis:
         self._below.reduce(rest, op)
         return not rest, op
 
+    def coboundary(self, vs: np.ndarray) -> np.ndarray:
+        """delta_l·vs, read off the face table; no rows in the top degree."""
+        if self._faces is None:
+            return np.zeros((0, vs.shape[1]), dtype=np.int64)
+        faces, signs = self._faces
+        return sum(s * vs[col] for s, col in zip(signs, faces.T)) % self.p
+
     def coordinates_many(self, vs: np.ndarray) -> np.ndarray:
         """Coordinates of the classes of the cocycle columns of `vs`."""
         vs = np.mod(np.asarray(vs, dtype=np.int64), self.p)
-        if self._faces is not None:
-            faces, signs = self._faces
-            if np.count_nonzero(sum(s * vs[col] for s, col in zip(signs, faces.T)) % self.p):
-                raise ValueError("vector is not a cocycle")
+        if np.count_nonzero(self.coboundary(vs)):
+            raise ValueError("vector is not a cocycle")
         p, m = self.p, self._m
         coords = np.zeros((self.dim, vs.shape[1]), dtype=np.int64)
         for k, y in enumerate(vs.T):
@@ -789,12 +796,19 @@ class CohomologyBasis:
                     coords[j - m, k] = -v % p
         return coords
 
-    def preimage(self, y: np.ndarray) -> np.ndarray | None:
-        """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
+    def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """u and c with y = delta_(l-1)·u + reps·c, or None if y is not a cocycle."""
         reduced, op = self._reduce(np.mod(np.asarray(y, dtype=np.int64).reshape(-1), self.p))
+        if not reduced:
+            return None
         x = np.zeros(self._m + self.dim, dtype=np.int64)
         x[list(op)] = [-v % self.p for v in op.values()]
-        return x[: self._m] if reduced and not x[self._m :].any() else None
+        return x[: self._m], x[self._m :]
+
+    def preimage(self, y: np.ndarray) -> np.ndarray | None:
+        """A solution w of delta_(l-1)·w = y, or None if y is not a coboundary."""
+        parts = self.split(y)
+        return parts[0] if parts is not None and not parts[1].any() else None
 
 
 def cochain_complex(K: SimplicialGComplex) -> EquivariantCochainComplex:

@@ -15,9 +15,10 @@ whole rows.  `rref_mod` (and so `rank_mod`, `kernel_mod` and
 reduced row echelon form is unique, so their results are canonical.
 `FactoredSolve` keeps the float64 transform of the reduction and solves
 any number of right-hand sides with one product.  The dense matrices of
-an analysis (page-cell differentials, module actions, pairings) are no
-wider than a few cohomology groups; the maps of the complexes themselves
-are reduced sparse.
+an analysis (page-cell differentials, module actions, pairings, the Swan
+differential transferred onto cohomology) are no wider than a few
+cohomology groups; the maps of the complexes themselves are reduced
+sparse.
 
 A `Subquotient` span Z / span B (a page cell, a group cohomology) works
 in the lead coordinates of Z.  Its z is a canonical column-echelon basis,
@@ -36,8 +37,8 @@ nonzero entry, so the kernel basis that is the identity there is already
 the canonical column-echelon basis.
 
 Sparse elimination serves the places where dense storage would be
-wasteful: total-complex ranks, Betti numbers of fixed sets and of the
-orbit cells of a quotient (`complexes.quotient_numbers`), and the
+wasteful: Betti numbers of fixed sets and of the orbit cells of a
+quotient (`complexes.quotient_numbers`), and the
 cohomology of a cochain complex, which is read off one reduction of
 its face table per degree (`complexes.CohomologyBasis`).  A sparse
 matrix is a `Csc`, numpy arrays of column pointers, rows and values,
@@ -61,11 +62,7 @@ it, and where that is checked or proved:
   its face tables;
 - the boundaries ranked for Betti numbers, of any complex (the fixed
   sets) and of the orbit cells of a quotient: `complexes._betti` checks
-  them before it reduces them;
-- the total differentials of the Swan complex: d = d_h + (-1)^k d_v
-  squares to zero because d_v o d_v = delta o delta, [d_h, d_v] = 0 and
-  d_h o d_h = 0, the last two proved in the `swan` docstring from the
-  cochain complex's checks of T.
+  them before it reduces them.
 
 Most columns need no work.  Call column j *apparent* when it is the
 leftmost column with an entry in its own lowest row r.  An apparent column

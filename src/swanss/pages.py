@@ -37,7 +37,7 @@ of (k, l) is the number of pairs of distance r that start there
 (S. Basu and L. Parida, "Spectral sequences, exact couples and
 persistent homology of filtrations", Expo. Math. 2017).  For s >= n,
 d_s is d_(s+2) with every column renamed from k to k+2, rows and columns
-in the same order (`swan`), so the reduction of d_s makes the pairs of
+in the same order (d depends on k only through its parity), so the reduction of d_s makes the pairs of
 d_(s+2), two columns to the left and at the same distances.  rank d_r
 out of (k, l) reads only the pairs of d_(k+l), and dim E_r^(k,l) those
 of d_(k+l-1) and d_(k+l), so for k + l >= n + 1 both equal their values

@@ -4,18 +4,52 @@ Columns are copies of the cochain complex; the horizontal differential
 out of column k is multiplication by (t - 1) for k even and by the norm
 N = 1 + t + ... + t^(p-1) for k odd (the dual of the standard 2-periodic
 free resolution of the trivial module).  The total differential is
-d = d_h + (-1)^k d_v.
+d = d_h + (-1)^k d_v, with d_v = delta.
 
-Every matrix depends on its column only through the column's parity, so
-the complex repeats with period 2 away from column 0.  For s >= n every
-block of d: Tot^s -> Tot^(s+1) lies in a column >= 0, and d at s + 2 is
-the same matrix as d at s.  The total cohomology ranks d only for
-s = 0..n+3, checks that degrees n, n+1 give the ranks of n+2, n+3, and
-takes every later rank from the degree of the same parity, so
-`total_cohomology_dim` serves every degree s.  Each rank clears d_s with
-the pivot rows of the reduced d_(s-1), as `linalg` describes.  K_max only
-bounds what is reported: H^s for s <= K_max - 2 (`total_cohomology_dims`),
-and products into columns <= K_max.
+The total cohomology is read off a small model of Tot, the graded space
+V = sum_k H^*(X), V^s = sum_(k+l=s) H^l, with a differential D transferred
+from d by the basic perturbation lemma (R. Brown, "The twisted
+Eilenberg-Zilber theorem", 1965; M. Crainic, "On the perturbation lemma,
+and deformations", arXiv math/0403266).
+
+- The contraction of a column onto its cohomology comes from the
+  reductions `complexes.CohomologyBasis` holds.  For y in C^l, delta y is
+  a coboundary, and the reduction of degree l + 1 gives w in C^l with
+  delta w = delta y (`preimage`).  y - w is then a cocycle, and the
+  reduction of degree l splits it as y - w = reps·c + delta u (`split`).
+  Set p(y) = c, h(y) = u and iota = reps.  Then
+  delta h + h delta = 1 - iota p: delta h(y) = y - w - reps·c, and
+  h(delta y) = w, since delta y splits by the same reduction of delta y
+  that gave w, with c = 0.  Column k, whose vertical differential is
+  (-1)^k delta, contracts with the homotopy h_k = (-1)^k h.
+- d_h is a perturbation of the sum of the vertical differentials.  h
+  lowers l by one and d_h keeps it, so (h d_h)^j is zero for j > n and the
+  perturbation is small.  The lemma then makes (V, D) homotopy equivalent
+  to (Tot, d), with D = sum_j p d_h (-H d_h)^j iota, where H is h_k on
+  column k (Crainic's homotopy has the sign opposite to H).  Out of cell
+  (k, l), (-H d_h)^j iota is (-1)^j X_j, with X_0 = reps_l, t = T - 1 or
+  N as in `apply_h`, and
+
+      Y_j = t_(k+j)(X_j),
+      X_(j+1) = (-1)^(k+j+1) h(Y_j);
+
+  so the block of D into (k + j + 1, l - j) is (-1)^j p(Y_j), for
+  j = 0..l: X_j lies in C^(l-j), so there are at most l + 1 <= n + 1
+  terms.  The block at j = 0 is the d_1 of the spectral sequence, and
+  H^s(Tot) has dimension dim V^s - rank D_(s-1) - rank D_s.
+- Every block depends on k only through the parity of k, so D repeats
+  with period 2 in k.  For s >= n every cell (s - l, l), l = 0..n, of V^s
+  and of V^(s+1) lies in a column >= 0, so V^(s+2) has the cells of V^s
+  two columns on, and D at s + 2 is the same matrix as D at s.  The total
+  cohomology ranks D only for s = 0..n+3, checks that degrees n, n+1 give
+  the ranks of n+2, n+3, and takes every later rank from the degree of
+  the same parity, so `total_cohomology_dim` serves every degree s.  D is
+  at most a few cohomology groups wide, so its ranks are dense; so is the
+  check that D o D = 0 on those degrees, `InvariantError` at
+  `swan.tot_dims` otherwise.
+
+K_max only bounds what is reported: H^s for s <= K_max - 2
+(`total_cohomology_dims`), and products into columns <= K_max.
 
 The product takes a pair at columns (k, k') to
 
@@ -25,34 +59,13 @@ The product takes a pair at columns (k, k') to
 
 with u the front/back-face cochain cup product.
 
-The action T on degree-l cochains permutes the simplices and carries no
-signs: the base complex is order-compatible, so g^{-1} = g^(p-1) is
-increasing on every simplex and keeps the order of its vertices
-(`complexes.EquivariantCochainComplex`).  With post = `K._image[l]`, g's
-permutation of the l-simplices and the inverse of `act_pre[l]`,
-T e_j = e_post[j], so d_h is read off it directly:
-
-    column j of T - 1:  1 at post[j], -1 at j
-    column j of N:      1 along the orbit of j, the rows post^m[j], m < p
-
-with values mod p.  A fixed cochain j (post[j] = j) has an empty column in
-both, since its entries add up to 0 or to p; any other orbit has p
-distinct members.  d_v = (-1)^k delta_l is the base complex's sparse
-coboundary (`_coboundary`), read off its face table.  Each map is a
-`linalg.Csc`, kept per (parity of k, l) as the column block (k, l) of d:
-its rows are those of block (k, l + 1) of Tot^(s+1), where d_v lands,
-then those of block (k + 1, l), where d_h lands.  These two blocks are
-next to each other in Tot^(s+1) (blocks by increasing k), so
-`total_differential` puts the column blocks of d_s side by side, each
-shifted down by the rows of the blocks before it, and builds no column
-by itself.
-
-Nothing here re-checks the double complex.  The base complex checks, in
-its constructor, that T delta = delta T in every degree and that T^p = 1
-(`InvariantError` at `complexes.cochain` otherwise).  Every d_h is a
-polynomial in T, so (T - 1) delta = delta (T - 1) and N delta = delta N,
-that is [d_h, d_v] = 0; and d_h o d_h is (T - 1)N = N(T - 1) = T^p - 1 = 0
-in both column parities.
+The lemma needs d o d = 0, which nothing here re-checks.  The base
+complex checks, in its constructor, that T delta = delta T in every
+degree and that T^p = 1 (`InvariantError` at `complexes.cochain`
+otherwise).  Every d_h is a polynomial in T, so
+(T - 1) delta = delta (T - 1) and N delta = delta N, that is
+[d_h, d_v] = 0; and d_h o d_h is (T - 1)N = N(T - 1) = T^p - 1 = 0 in both
+column parities.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ import numpy as np
 
 from .complexes import EquivariantCochainComplex
 from .errors import InvariantError
-from .linalg import Csc, csc_from_entries, sparse_rank
+from .linalg import matmul_mod, rank_mod
 
 
 class WindowError(ValueError):
@@ -80,18 +93,9 @@ class SwanDoubleComplex:
                 f"window K_max={k_max} too small; need at least {2 * (self.n + 8)}"
             )
         self.k_max = k_max
-        self._blocks: dict[tuple[int, int], Csc] = {}
-        self._ranks: list[int] | None = None  # of d at s = 0..n+3
+        self._transfer: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._ranks: list[int] | None = None  # of D at s = 0..n+3
         self._tot_dims_cache: list[int] | None = None
-
-    # -- dimensions -----------------------------------------------------
-    def cell_dim(self, k: int, l: int) -> int:
-        if k < 0 or l < 0 or l > self.n:
-            return 0
-        return self.base.dim(l)
-
-    def tot_dim(self, s: int) -> int:
-        return sum(self.cell_dim(k, l) for k, l in self._tot_blocks(s))
 
     @property
     def trusted_total_limit(self) -> int:
@@ -110,71 +114,76 @@ class SwanDoubleComplex:
             acc = acc + cur
         return np.mod(acc, self.p)
 
-    # -- total complex -----------------------------------------------------
+    # -- the transferred differential ---------------------------------------
     def _tot_blocks(self, s: int) -> list[tuple[int, int]]:
         return [(k, s - k) for k in range(max(0, s - self.n), s + 1)]
 
-    def _column_block(self, k: int, l: int) -> Csc:
-        """The columns of d out of block (k, l) (module docstring): the rows
-        of (-1)^k delta_l, then those of d_h, T - 1 (k even) or N (k odd)."""
-        key = (k % 2, l)
-        if key not in self._blocks:
-            p, post = self.p, self.base.K._image[l]
-            js = np.arange(len(post))
-            moved = js[post != js]
-            if k % 2 == 0:
-                h_rows = np.sort(np.stack([moved, post[moved]]), axis=0)
-                h_values = np.where(h_rows == moved, p - 1, 1)
-            else:
-                orbit = [moved]
-                for _ in range(p - 1):
-                    orbit.append(post[orbit[-1]])
-                h_rows = np.sort(np.stack(orbit), axis=0)
-                h_values = np.ones_like(h_rows)
-            indptr, v_rows, v_values = self.base._coboundary(l)
-            v_cols = np.repeat(js, np.diff(indptr))
-            h_cols = np.repeat(moved, len(h_rows))
-            self._blocks[key] = csc_from_entries(
-                np.concatenate([v_cols, h_cols]),
-                np.concatenate([v_rows, h_rows.T.ravel() + self.base.dim(l + 1)]),
-                np.concatenate([v_values * (-1) ** k % p, h_values.T.ravel()]),
-                len(post))
-        return self._blocks[key]
+    def _contract(self, l: int, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p and h of the contraction of C^l onto H^l (module docstring) on
+        the columns of `ys`."""
+        H = self.base.cohomology()
+        cs = np.zeros((H[l].dim, ys.shape[1]), dtype=np.int64)
+        us = np.zeros((self.base.dim(l - 1), ys.shape[1]), dtype=np.int64)
+        deltas = H[l].coboundary(ys)
+        for i, y in enumerate(ys.T):
+            if not y.any():
+                continue
+            w = H[l + 1].preimage(deltas[:, i]) if deltas[:, i].any() else 0
+            parts = None if w is None else H[l].split(y - w)
+            if parts is None:
+                raise InvariantError("swan.tot_dims", f"a {l}-cochain does not split over H^{l}")
+            us[:, i], cs[:, i] = parts
+        return cs, us
 
-    def total_differential(self, s: int) -> Csc:
-        """d: Tot^s -> Tot^(s+1), its column blocks side by side."""
-        indptr, rows, values = [np.zeros(1, dtype=np.intp)], [], []
-        nnz = row_at = 0
-        for k, l in self._tot_blocks(s):
-            ip, r, v = self._column_block(k, l)
-            indptr.append(ip[1:] + nnz)
-            rows.append(r + row_at)
-            values.append(v)
-            nnz += len(r)
-            row_at += self.base.dim(l + 1)  # past block (k, l + 1)
-        return Csc(*map(np.concatenate, (indptr, rows, values)))
+    def _transfer_blocks(self, k: int, l: int) -> list[np.ndarray]:
+        """The blocks of D out of cell (k, l), the one into (k + j + 1, l - j)
+        at j (module docstring)."""
+        key = (k % 2, l)
+        if key not in self._transfer:
+            p, blocks = self.p, []
+            x = self.base.cohomology()[l].reps
+            for j in range(l + 1):
+                c, u = self._contract(l - j, self.apply_h(k + j, l - j, x))
+                blocks.append((-1) ** j * c % p)
+                x = (-1) ** (k + j + 1) * u % p
+            self._transfer[key] = blocks
+        return self._transfer[key]
+
+    def _transferred(self, s: int) -> np.ndarray:
+        """D: V^s -> V^(s+1), its cells ordered by increasing k, each in
+        the basis of the representatives of H^l."""
+        dims = self.base.cohomology_dims()
+        sources, targets = self._tot_blocks(s), self._tot_blocks(s + 1)
+        col_at = np.cumsum([0] + [dims[l] for _, l in sources])
+        row_at = np.cumsum([0] + [dims[l] for _, l in targets])
+        out = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
+        row_of = dict(zip(targets, row_at))
+        for (k, l), c0 in zip(sources, col_at):
+            for j, block in enumerate(self._transfer_blocks(k, l)):
+                r0 = row_of[(k + j + 1, l - j)]
+                out[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+        return out
 
     def _d_rank(self, s: int) -> int:
-        """The rank of d: Tot^s -> Tot^(s+1), for any s, from the ranks at
+        """The rank of D: V^s -> V^(s+1), for any s, from the ranks at
         s = 0..n+3 (module docstring)."""
         if self._ranks is None:
-            n = self.n
-            # clearing: a pivot row of reduced d_(s-1) is a column of d_s that
-            # reduces to zero (linalg module docstring), so it is never reduced
-            ranks, cleared = [], None
-            for degree in range(n + 4):
-                red = sparse_rank(self.total_differential(degree), self.p, cleared)
-                ranks.append(red.rank)
-                cleared = red.pivot_rows
+            n, p = self.n, self.p
+            ds = [self._transferred(degree) for degree in range(n + 4)]
+            for degree, (d, d_next) in enumerate(zip(ds, ds[1:])):
+                if matmul_mod(d_next, d, p).any():
+                    raise InvariantError("swan.tot_dims", f"D o D != 0 out of degree {degree}")
+            ranks = [rank_mod(d, p) for d in ds]
             if ranks[n : n + 2] != ranks[n + 2 :]:
-                raise InvariantError("swan.tot_dims", f"ranks {ranks} of d: no period 2 from {n}")
+                raise InvariantError("swan.tot_dims", f"ranks {ranks} of D: no period 2 from {n}")
             self._ranks = ranks
         n, ranks = self.n, self._ranks
         return 0 if s < 0 else ranks[n + (s - n) % 2] if s >= n else ranks[s]
 
     def total_cohomology_dim(self, s: int) -> int:
         """dim H^s of the total complex, for any s >= 0."""
-        return self.tot_dim(s) - self._d_rank(s - 1) - self._d_rank(s)
+        dims = self.base.cohomology_dims()
+        return sum(dims[l] for _, l in self._tot_blocks(s)) - self._d_rank(s - 1) - self._d_rank(s)
 
     def total_cohomology_dims(self) -> list[int]:
         """dim H^s of the total complex for 0 <= s <= K_max - 2."""

@@ -17,7 +17,7 @@ from swanss.complexes import (
 from swanss.linalg import rank_mod, sparse_rank
 from swanss.swan import SwanDoubleComplex
 from sparse_reference import dense_of
-from swan_helpers import dense_delta, dense_h
+from swan_helpers import cell_dim, dense_delta, dense_h, tot_dim, total_differential
 from test_quotient import orbit_closures
 from test_swan import _direct_total_dims
 
@@ -57,15 +57,15 @@ def test_total_dims_equal_a_rank_at_every_degree(K):
 def _dense_total_differential(dc, s):
     """d: Tot^s -> Tot^(s+1) assembled from the dense (-1)^k delta_l and d_h."""
     sources, targets = dc._tot_blocks(s), dc._tot_blocks(s + 1)
-    col_at = np.cumsum([0] + [dc.cell_dim(*b) for b in sources])
-    row_at = dict(zip(targets, np.cumsum([0] + [dc.cell_dim(*b) for b in targets])))
-    out = np.zeros((dc.tot_dim(s + 1), dc.tot_dim(s)), dtype=np.int64)
+    col_at = np.cumsum([0] + [cell_dim(dc, *b) for b in sources])
+    row_at = dict(zip(targets, np.cumsum([0] + [cell_dim(dc, *b) for b in targets])))
+    out = np.zeros((tot_dim(dc, s + 1), tot_dim(dc, s)), dtype=np.int64)
     for (k, l), c0, c1 in zip(sources, col_at, col_at[1:]):
         if (k, l + 1) in row_at:
             r0 = row_at[(k, l + 1)]
-            out[r0 : r0 + dc.cell_dim(k, l + 1), c0:c1] = (-1) ** k * dense_delta(dc.base, l) % dc.p
+            out[r0 : r0 + cell_dim(dc, k, l + 1), c0:c1] = (-1) ** k * dense_delta(dc.base, l) % dc.p
         r0 = row_at[(k + 1, l)]
-        out[r0 : r0 + dc.cell_dim(k + 1, l), c0:c1] = dense_h(dc, k, l)
+        out[r0 : r0 + cell_dim(dc, k + 1, l), c0:c1] = dense_h(dc, k, l)
     return out
 
 
@@ -77,8 +77,8 @@ def test_cleared_columns_come_back_empty(K):
     dc = SwanDoubleComplex(cochain_complex(validate_and_regularize(K)))
     cleared = np.zeros(0, dtype=np.intp)
     for s in range(dc.n + 4):
-        matrix = dc.total_differential(s)
-        dense = dense_of(matrix, dc.tot_dim(s + 1))
+        matrix = total_differential(dc, s)
+        dense = dense_of(matrix, tot_dim(dc, s + 1))
         assert np.array_equal(dense, _dense_total_differential(dc, s))
         full = sparse_rank(matrix, dc.p, record=True)
         assert set(cleared.tolist()) <= {max(op) for op in full.kernel}

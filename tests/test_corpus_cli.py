@@ -207,8 +207,8 @@ def test_cli_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     from swanss import swan
     from test_swan import _drifting
 
-    # total-complex ranks that never repeat break the period check
-    monkeypatch.setattr(swan, "sparse_rank", _drifting(swan.sparse_rank, itertools.count()))
+    # ranks of the transferred differential that never repeat break the period check
+    monkeypatch.setattr(swan, "rank_mod", _drifting(itertools.count()))
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(build_circle(3).to_json()))
     assert main(["analyze", str(path)]) == 3

@@ -23,6 +23,7 @@ from swanss.complexes import cochain_complex, validate_and_regularize
 from swanss.pages import PageTower
 from swanss.swan import SwanDoubleComplex
 from sparse_reference import csc_of, dense_of, reference_reduction
+from swan_helpers import cell_dim, tot_dim, total_differential
 from test_quotient import orbit_closures
 from test_report_digests import REPORTS
 
@@ -30,14 +31,14 @@ from test_report_digests import REPORTS
 def _columns(dc: SwanDoubleComplex, s: int) -> np.ndarray:
     """The column k of each basis element of Tot^s, by decreasing k."""
     blocks = dc._tot_blocks(s)
-    return np.repeat([k for k, _ in blocks], [dc.cell_dim(k, l) for k, l in blocks])[::-1]
+    return np.repeat([k for k, _ in blocks], [cell_dim(dc, k, l) for k, l in blocks])[::-1]
 
 
 def _filtered_pairs(dc: SwanDoubleComplex, s: int) -> list[tuple[int, int]]:
     """The (column, pivot row) pairs of d_s, its rows and columns ordered by
     decreasing k: `total_differential` lists them by increasing k, so both
     orders are reversed (within a column too, which keeps the fill-in low)."""
-    dense = dense_of(dc.total_differential(s), dc.tot_dim(s + 1))[::-1, ::-1]
+    dense = dense_of(total_differential(dc, s), tot_dim(dc, s + 1))[::-1, ::-1]
     pivots, _ = reference_reduction(csc_of(dense, dc.p), dc.p, record=True)
     # V is unitriangular: a pivot's column is the last index of its V column
     return [(max(op), row) for row, (_, op) in pivots.items()]

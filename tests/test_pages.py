@@ -15,7 +15,7 @@ from swanss.gmodule import group_cohomology
 from swanss.pages import PageTower, check_odd_page_vanishing, check_zero_row
 from swanss.swan import SwanDoubleComplex, WindowError
 from swanss.synthetic import load_synthetic_page
-from swan_helpers import dense_delta
+from swan_helpers import dense_delta, tot_dim, total_differential
 
 
 def test_point_single_row_degenerates():
@@ -246,9 +246,9 @@ def test_staircases_are_cocycles_through_their_columns(pipelines, name):
     for r, page in tower.pages.items():
         for (k, l), cell in page.cells.items():
             s = k + l
-            x = np.zeros((dc.tot_dim(s), cell.dim), dtype=np.int64)
+            x = np.zeros((tot_dim(dc, s), cell.dim), dtype=np.int64)
             x[start(s, k) : start(s, k) + len(cell.lifts)] = cell.lifts
-            dx = _apply(dc.total_differential(s), x, dc.tot_dim(s + 1)) % tower.p
+            dx = _apply(total_differential(dc, s), x, tot_dim(dc, s + 1)) % tower.p
             assert not dx[start(s + 1, k) : start(s + 1, k + r)].any(), (r, k, l)
             checked += cell.dim > 0
     assert checked

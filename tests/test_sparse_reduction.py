@@ -1,9 +1,9 @@
 """`linalg.sparse_rank`, with its apparent pivots and its lazily built dict
 columns, against the plain left-to-right reduction of `sparse_reference`:
 on every map the program reduces (the boundaries from the top down, the
-coboundaries from degree 0 up, the Swan d_s for s = 0..n+3), with and
-without clearing, it gives the same rank, pivot rows, R columns and V
-columns."""
+coboundaries from degree 0 up) and on the Swan d_s for s = 0..n+3 that
+the tests rank as a reference, with and without clearing, it gives the
+same rank, pivot rows, R columns and V columns."""
 
 import heapq
 
@@ -16,6 +16,7 @@ from swanss import linalg
 from swanss.complexes import _boundary, cochain_complex, validate_and_regularize
 from swanss.linalg import sparse_rank
 from swanss.swan import SwanDoubleComplex
+from swan_helpers import total_differential
 from test_quotient import orbit_closures
 
 
@@ -44,13 +45,14 @@ def _assert_chain(maps, p, record):
 
 
 def _maps(R):
-    """The maps the program reduces for the regularized complex R."""
+    """The maps the program reduces for the regularized complex R, and the
+    Swan total differentials the tests reduce."""
     C = cochain_complex(R)
     dc = SwanDoubleComplex(C)
     return {
         "boundaries": [_boundary(R, d, R.p) for d in range(R.dim, -1, -1)],
         "coboundaries": [C._coboundary(l) for l in range(C.top_degree + 1)],
-        "swan": [dc.total_differential(s) for s in range(dc.n + 4)],
+        "swan": [total_differential(dc, s) for s in range(dc.n + 4)],
     }
 
 

@@ -21,7 +21,15 @@ from swanss.corpus import build_circle, build_suspension_sphere
 from swanss.swan import SwanDoubleComplex, WindowError
 from complex_reference import simplices
 from sparse_reference import dense_of
-from swan_helpers import dense_delta, dense_h, tot_differential, tot_product
+from swan_helpers import (
+    column_block,
+    dense_delta,
+    dense_h,
+    tot_differential,
+    tot_dim,
+    tot_product,
+    total_differential,
+)
 
 
 def test_window_too_small():
@@ -81,8 +89,35 @@ def test_semifree_join_localization(pipelines):
 def test_column_periodicity(pipelines):
     dc = pipelines("circle-3").D
     for l in range(dc.n + 1):
-        assert dc._column_block(0, l) is dc._column_block(2, l)
-        assert dc._column_block(1, l) is dc._column_block(17, l)
+        for k, later in ((0, 2), (1, 17)):
+            assert all(map(np.array_equal, column_block(dc, k, l), column_block(dc, later, l)))
+
+
+TRANSFER_PIPELINES = ["circle-3", "circle-trivial-3", "join-3-1-1", "join-3-1-0",
+                      "suspension-3", "certificates-3", "page-three-3"]
+
+
+@pytest.mark.parametrize("name", TRANSFER_PIPELINES)
+def test_transfer_j0_block_is_the_towers_d1(pipelines, name):
+    # the first block of D out of (k, l) is p(t reps_l): t reps_l is a
+    # cocycle, so w = 0, and p reads its coordinates, as page 1 does
+    pipe = pipelines(name)
+    dc, page = pipe.D, pipe.tower.pages[1]
+    for l in range(dc.n + 1):
+        for k in (0, 1, 2, 3):
+            assert np.array_equal(dc._transfer_blocks(k, l)[0], page.cells[(k, l)].d_matrix)
+
+
+@pytest.mark.parametrize("name", TRANSFER_PIPELINES)
+def test_transfer_blocks_repeat_with_period_two(pipelines, name):
+    # each block computed afresh, so no cache keyed by parity can hide a k
+    C = pipelines(name).C
+    for l in range(C.top_degree + 1):
+        for k in (0, 1, 2, 3):
+            blocks = SwanDoubleComplex(C)._transfer_blocks(k, l)
+            later = SwanDoubleComplex(C)._transfer_blocks(k + 2, l)
+            assert len(blocks) == len(later) == l + 1
+            assert all(map(np.array_equal, blocks, later))
 
 
 def _suspended_circle(p):
@@ -95,7 +130,7 @@ def _suspended_circle(p):
 
 def _dense_block(dc, k, l):
     """The column block (k, l) of d, dense: the rows of d_v, then of d_h."""
-    block = dc._column_block(k, l)
+    block = column_block(dc, k, l)
     assert np.all((0 < block.values) & (block.values < dc.p))
     return dense_of(block, dc.base.dim(l + 1) + dc.base.dim(l))
 
@@ -216,8 +251,8 @@ def test_trusted_limit():
 def _direct_total_dims(dc):
     """dim H^s from a sparse rank of d at every degree of the reported window."""
     limit = dc.trusted_total_limit
-    ranks = [sparse_rank(dc.total_differential(s), dc.p).rank for s in range(limit + 1)]
-    return [dc.tot_dim(s) - (ranks[s - 1] if s else 0) - ranks[s] for s in range(limit + 1)]
+    ranks = [sparse_rank(total_differential(dc, s), dc.p).rank for s in range(limit + 1)]
+    return [tot_dim(dc, s) - (ranks[s - 1] if s else 0) - ranks[s] for s in range(limit + 1)]
 
 
 @pytest.mark.parametrize(
@@ -242,24 +277,19 @@ def test_total_dims_when_ranks_alternate(p, top):
     simplices = [s for size in range(1, top + 2) for s in itertools.combinations(range(p), size)]
     K = validate_and_regularize(SimplicialGComplex(p, p, rotate, simplices))
     dc = SwanDoubleComplex(cochain_complex(K))
-    ranks = [sparse_rank(dc.total_differential(s), p).rank for s in (dc.n, dc.n + 1)]
+    ranks = [sparse_rank(total_differential(dc, s), p).rank for s in (dc.n, dc.n + 1)]
     assert ranks[0] != ranks[1]
     assert dc.total_cohomology_dims() == _direct_total_dims(dc)
 
 
-def _drifting(reduce, ranks):
-    """`reduce` with the rank of every reduction replaced by next(ranks)."""
-    def sparse_rank(*args, **kwargs):
-        red = reduce(*args, **kwargs)
-        red.rank = next(ranks)
-        return red
-    return sparse_rank
+def _drifting(ranks):
+    """A rank function that returns next(ranks) whatever it is given."""
+    return lambda *args: next(ranks)
 
 
 def test_disagreeing_periods_raise(monkeypatch):
     # a rank that changes with every call cannot repeat with period 2
-    calls = itertools.count()
-    monkeypatch.setattr(swan, "sparse_rank", _drifting(swan.sparse_rank, calls))
+    monkeypatch.setattr(swan, "rank_mod", _drifting(itertools.count()))
     pt = SimplicialGComplex(3, 1, [0], [(0,)])
     with pytest.raises(InvariantError) as info:
         SwanDoubleComplex(cochain_complex(pt)).total_cohomology_dims()
@@ -280,12 +310,8 @@ def test_disagreeing_periods_raise_under_optimization():
         "from swanss import swan\n"
         "from swanss.complexes import SimplicialGComplex, cochain_complex\n"
         "from swanss.errors import InvariantError\n"
-        "calls, reduce = itertools.count(), swan.sparse_rank\n"
-        "def sparse_rank(*args):\n"
-        "    red = reduce(*args)\n"
-        "    red.rank = next(calls)\n"
-        "    return red\n"
-        "swan.sparse_rank = sparse_rank\n"
+        "calls = itertools.count()\n"
+        "swan.rank_mod = lambda *args: next(calls)\n"
         "dc = swan.SwanDoubleComplex(cochain_complex(SimplicialGComplex(3, 1, [0], [(0,)])))\n"
         "try:\n"
         "    dc.total_cohomology_dims()\n"
@@ -293,6 +319,32 @@ def test_disagreeing_periods_raise_under_optimization():
         "    print('raised')\n"
     )
     assert _under_optimization(script) == "raised\n"
+
+
+_BREAK_TRANSFER = """
+from swanss import swan
+from swanss.complexes import cochain_complex, validate_and_regularize
+from swanss.errors import InvariantError
+from swan_helpers import certificate_complex
+
+# d_h = T - 1 in every column: (T - 1)^2 != 0 on H^1 = V_3, so D o D != 0
+apply_h = swan.SwanDoubleComplex.apply_h
+swan.SwanDoubleComplex.apply_h = lambda dc, k, l, vectors: apply_h(dc, 0, l, vectors)
+C = cochain_complex(validate_and_regularize(certificate_complex()))
+try:
+    swan.SwanDoubleComplex(C).total_cohomology_dims()
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_transferred_differential_squaring_to_nonzero_raises(flags):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_TRANSFER], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])))
+    assert proc.stdout == "swan.tot_dims: D o D != 0 out of degree 1\n", proc.stderr
 
 
 # Faults in the action are injected through `_image`, g's permutation of the
