@@ -1,29 +1,75 @@
 """Pages of the column-filtration spectral sequence of a Swan complex.
 
+The tower turns its pages on the small model (V, D) of the Swan complex
+(`swan`): V = sum_k H^*(X), the cell (k, l) a copy of H^l in the basis of
+the representatives of `complexes.CohomologyBasis`, and D transferred from
+the total differential by the perturbation lemma.  D keeps the column
+filtration: its block D_j out of (k, l) lands in (k + j + 1, l - j), and
+D_0 is d_1.  The lemma's inclusion iota_inf = sum_j (-H d_h)^j iota is a
+filtered chain map V -> Tot that is iota, the representatives, on each
+leading column, so V and Tot have the same spectral sequence from E_1 on,
+in the same bases: E_1 is V itself.
+
 A class on page r at (k, l) is presented by coordinates against a chain
-of subquotients E_1 -> E_2 -> ... (E_1 is the cohomology of the column in
-the representative basis of `complexes.CohomologyBasis`, and each later
-page is a canonical subquotient of the one before), but every basis class
-also carries an explicit total-complex representative: a staircase
-x_0, ..., x_{r-1} with x_i in column k+i such that the total differential
-of the sum vanishes in columns k..k+r-1.  A cell holds its staircases
-as the columns of one matrix, laid out by offset from the cell's own
-column, and the certificates of its boundary generators as another
-(`PageCell`).  The page differential evaluates the horizontal map on the
-last staircase block; products multiply leading blocks with the bigraded
-cochain product and project back.  This makes representative choices
-deterministic while all heavy linear algebra stays at the cochain level,
-done once per row.
+of subquotients E_1 -> E_2 -> ... (each page a canonical subquotient of
+the one before, `linalg.Subquotient`).  A cell stores its dimension, its
+subquotient, its d_r as a matrix, and `lead`: the E_1 coordinates of its
+basis classes, the product of the representatives along the chain.
+Products and pairings read the cocycle x_0 = reps_l·lead, multiply with
+the bigraded cochain product and project back; everything else is dense
+algebra on matrices no wider than sum_l dim H^l.
+
+A V-staircase of a class of E_(r+1)^(k,l) is v = v_0 + ... + v_(r-1),
+v_a in the cell (k + a, l - a), whose leading block v_0 is the class's
+lead and whose D vanishes in columns k + 1..k + r:
+
+    (Dv)_(k+i) = sum_(a<i) D_(i-1-a) v_a = 0,   i = 1..r,
+
+D_(i-1-a) taken out of (k + a, l - a) (the equation at i = 1 says that v_0
+is a d_1-cocycle).  Then d_(r+1) of the class is
+
+    (Dv)_(k+r+1) = sum_(a<r) D_(r-a) v_a,
+
+projected through the subquotients at (k + r + 1, l - r).  A block v_r
+would add D_0 v_r, a d_1 image, which every page from E_2 on kills, so it
+is left out.  For given leads the equations are one linear system in
+v_1..v_(r-1), block lower triangular with D_0 on its diagonal.  Its blocks
+are the D_j out of the cells (k + a, l - a), which depend on k only
+through its parity, so the tower factors the system once per
+(k mod 2, l, r) (`_band`) and solves it for all classes of a cell at once,
+the free variables set to 0.
+
+- A solution exists.  Write Z_r^k for the x in F^k, the columns >= k,
+  with Dx in F^(k+r), and Zbar_r^k for their components in column k.
+  E_(r+1)^k = Zbar_(r+1)^k / Bbar_r^k, with Bbar_r^k the components in
+  column k of D Z_r^(k-r) (F^k already contains them).  Page 1's leads
+  are the identity.  A lead of page r+1 is a combination of page r's
+  leads, in Zbar_r, whose class lies in ker d_r = Zbar_(r+1) / Bbar_(r-1);
+  as Bbar_(r-1) lies in Zbar_(r+1), so does the lead.  That is, some x in
+  Z_(r+1)^k has it as its component in column k, and x's components in
+  columns k+1..k+r-1 solve the system.  A system without a solution is a
+  broken page, `InvariantError` at `pages`.
+- d_(r+1) does not depend on the solution.  Two solutions v, v' differ by
+  w = v' - v in F^(k+1), with Dw in F^(k+r+1): both have D zero in columns
+  k+1..k+r.  So w lies in Z_r^(k+1), and (Dw)_(k+r+1), the difference of
+  the two values, is the component in column k + r + 1 of an element of
+  D Z_r^(k+1), that is of Bbar_r^(k+r+1), which E_(r+1) divides out.
+
+So every d_(r+1) matrix, and with it every subquotient and lead, is fixed
+by D and the canonical bases alone.  `tests/test_pages.py` checks that
+iota_inf of the V-staircase of every class of E_(r+1)^(k,l) has total
+differential zero in columns k..k+r, and that its component in column
+k + r + 1 projects to the tower's d_(r+1).
 
 Columns differ only in parity, except that column 0 has no incoming d_1.
 So page r is computed only for columns 0..s_r+3, with s_r = r(r-1)/2
 the first column whose cell cannot see column 0 (derived in
 `stable_start`).  The cells at s_r, s_r+1 are checked against those at
 s_r+2, s_r+3, and every later column is served by the cell of its parity
-among s_r, s_r+1 (`Page.source`): with staircases laid out by offset, that
-cell is the served one as it stands, so every page cell is stored once
-and no column is ever copied.  K_max, the trusted bound k <= K_max - 2r
-and the reported range only decide what a report shows.
+among s_r, s_r+1 (`Page.source`): a cell holds nothing of its column, so
+every page cell is stored once and no column is ever copied.  K_max, the
+trusted bound k <= K_max - 2r and the reported range only decide what a
+report shows.
 
 The dims and d_r ranks, unlike the stored cells, repeat with period 2
 from total degree n + 1 on, on every page.  Order the basis of each
@@ -41,9 +87,8 @@ in the same order (d depends on k only through its parity), so the reduction of 
 d_(s+2), two columns to the left and at the same distances.  rank d_r
 out of (k, l) reads only the pairs of d_(k+l), and dim E_r^(k,l) those
 of d_(k+l-1) and d_(k+l), so for k + l >= n + 1 both equal their values
-at (k+2, l), for every r.  The stored cells do not follow: their
-staircases and certificates depend on choices made to their left, so
-the period of the cells starts only at s_r.
+at (k+2, l), for every r.  This counts pairs and says nothing of the
+bases the cells store, so the period of the cells is taken from s_r.
 
 The tower stops where it converges.  A d_r out of (k, l) lands in row
 l - r + 1 and one into (k, l) leaves row l + r - 1, so from r = n + 2 on
@@ -64,16 +109,21 @@ repeats with period 2, and for s >= n + 1 the total dims repeat
 (`swan`), so s = 0..s_r + n + 1 decide every s (s_r >= 1 for r >= 2).
 With d_r zero, the page r + 1 that `_turn_page` builds is page r in the
 same basis: ker d_r is everything in its canonical basis I and nothing
-comes in, so `sub.reps` is I, its coordinates are the identity, no
-boundary generator is added, and `_extend_lifts` changes the staircases
-only in their blocks past x_0.  The leading blocks, the projections and
-so the pairing matrices are page r's, and by induction those of every
-later page.  So `PageTower` stops at the first such page r < r_max:
-pages r+1..r_max are `ConvergedPage`s, which keep their own r, trusted
-bound and reported range, store no cell, and serve page r's cells with
-d = 0.  The test trusts the total dims, so the tower raises
-`InvariantError` unless every computed d_r of page r is zero, and every
-computed page still passes the period, ker/im and E_2 checks.
+comes in, so `sub.reps` is I, its coordinates are the identity, and the
+leads, the projections and so the pairing matrices are page r's, and by
+induction those of every later page.  So `PageTower` stops at the first
+such page r < r_max: pages r+1..r_max are `ConvergedPage`s, which keep
+their own r, trusted bound and reported range, store no cell, and serve
+page r's cells with d = 0.  The test trusts the total dims, so the tower
+raises `InvariantError` unless every computed d_r of page r is zero, and
+every computed page still passes the period, ker/im and E_2 checks.
+
+The test compares two results of one D: the antidiagonals of pages turned
+on (V, D), and the total dims that `swan` reads off the ranks of D.  It
+catches a tower that miscounts, not a wrong D.  The checks independent of
+D are tests: `tests/test_page_oracle.py` counts every page's dims and
+ranks off a filtered reduction of the total complex itself, and
+`tests/test_clearing.py` checks the total dims against plain ranks of it.
 """
 
 from __future__ import annotations
@@ -92,14 +142,12 @@ def stable_start(r: int) -> int:
     """The column s_r from which the cells of page r repeat with period 2.
 
     Page 1 reads no other cell.  Page r+1 at column k reads cells of page r:
-    the d_r out of k and into k from k - r (its subquotient), the boundary
-    generators at k and the staircases and d_r at k - r (its boundary
-    generators), the staircases at k and the boundary generators at k + r
-    (its staircases, `_extend_lifts`), and subquotients of pages <= r+1 at
-    k + r + 1 (its d_{r+1}).  Let L_r bound how far left of k page r reads,
-    directly or through the cells it reads.  Then L_1 = 0 and, from the
-    reads at k - r, k, k + r and k + r + 1,
-    L_{r+1} = max(L_r + r, L_r, L_r - r, L_{r+1} - r - 1) = L_r + r,
+    the d_r out of k and into k from k - r (its subquotient) and the lead
+    at k (its lead), and subquotients of pages <= r+1 at k + r + 1 (its
+    d_{r+1}); its band system reads D alone.  Let L_r bound how far left of
+    k page r reads, directly or through the cells it reads.  Then L_1 = 0
+    and, from the reads at k - r, k and k + r + 1,
+    L_{r+1} = max(L_r + r, L_r, L_{r+1} - r - 1) = L_r + r,
     so L_r = r(r-1)/2.  A cell at k >= L_r reads only columns >= 0, and since
     the complex depends on the column only through its parity, the same
     computation moved by two columns builds the cell at k + 2.  The one
@@ -107,11 +155,6 @@ def stable_start(r: int) -> int:
     out of its reach.
     """
     return r * (r - 1) // 2
-
-
-def _last_block(lifts: np.ndarray, height: int) -> np.ndarray:
-    """The last block, of the given height, of staircase columns."""
-    return lifts[lifts.shape[0] - height :]
 
 
 @dataclass
@@ -128,37 +171,35 @@ class PageClass:
 
 
 class PageCell:
-    """One cell of a page r at (k, l), its cochains in three int64 matrices.
+    """One cell of a page r at (k, l), its matrices all int64.
 
-    - `lifts`: the staircases of the basis classes, as columns.  Each is a
-      cochain of Tot^(k+l) over columns k..k+r-1: block o, of height
-      base.dim(l - o), holds x_o, with x_0 on top.
-    - `gens`: the boundary generators, the d-images of earlier pages, as
-      columns of degree-l cochains.
-    - `certs`: their certificates, in the same column order.  The d_q image
-      of a staircase from column k - q has that staircase as certificate,
-      padded with zero blocks on top to cover offsets -(r-1)..-1: block c,
-      of height base.dim(l - 1 - c), lies in column k + c.
+    - `sub`: the `Subquotient` of page r-1's cell that is this one (None on
+      page 1);
+    - `lead`: the E_1 coordinates of the basis classes, as columns: the
+      product of the representatives of `sub` and of every subquotient
+      before it;
+    - `d_matrix`: d_r, to the cell r columns right and r-1 rows down;
+    - `cocycles`: reps_l·lead, the cocycles of the basis classes, once a
+      product or pairing has read them (`PageTower._leading_cocycles`).
 
-    Laid out by offset, the cell knows nothing of its column, so the same
-    cell serves every column of its parity from s_r on.
+    None of it names the cell's column, so the same cell serves every
+    column of its parity from s_r on.
     """
 
-    __slots__ = ("dim", "sub", "lifts", "gens", "certs", "d_matrix")
+    __slots__ = ("dim", "sub", "lead", "d_matrix", "cocycles")
 
-    def __init__(self, dim, sub, lifts, gens, certs):
+    def __init__(self, dim, sub, lead):
         self.dim = dim
-        self.sub = sub              # Subquotient in previous-page coords (None on page 1)
-        self.lifts = lifts
-        self.gens = gens
-        self.certs = certs
-        self.d_matrix = None        # int64 matrix to the cell r columns right, r-1 rows down
+        self.sub = sub
+        self.lead = lead
+        self.d_matrix = None
+        self.cocycles = None
 
     def repeats(self, other: "PageCell") -> bool:
         """Whether this cell, computed at another column, equals `other`."""
         def state(cell):  # all int64: equal shapes and bytes mean equal arrays
             sub = () if cell.sub is None else (cell.sub.b, cell.sub.reps)
-            arrays = (cell.d_matrix, cell.lifts, cell.gens, cell.certs) + sub
+            arrays = (cell.d_matrix, cell.lead) + sub
             return [(a.shape, a.tobytes()) for a in arrays]
 
         return state(self) == state(other)
@@ -208,7 +249,7 @@ class Page:
             return 0
         key = (self.reduce(k), l)
         if key not in self._ranks:
-            self._ranks[key] = rank_mod(cell.d_matrix, self.p)
+            self._ranks[key] = rank_mod(cell.d_matrix, self.p) if cell.d_matrix.any() else 0
         return self._ranks[key]
 
     def d_is_zero(self, k: int, l: int) -> bool:
@@ -252,7 +293,7 @@ class ConvergedPage(Page):
 
 
 class PageTower:
-    """Pages 1..r_max with shared representative data."""
+    """Pages 1..r_max of the spectral sequence of (V, D) (module docstring)."""
 
     def __init__(self, dc: SwanDoubleComplex, r_max: int | None = None):
         self.dc = dc
@@ -268,7 +309,10 @@ class PageTower:
         self.r_max = r_max
         self.H = dc.base.cohomology()
         self.pages: dict[int, Page] = {}
+        self._bands: dict[tuple[int, int, int], tuple[FactoredSolve, np.ndarray, np.ndarray]] = {}
         self._pairings: dict[tuple[int, int, int, int], dict[int, np.ndarray]] = {}
+        empty = np.zeros((0, 0), dtype=np.int64)
+        self._nothing = Subquotient(empty, empty, self.p)
         self._build_page_one()
         self._check_period(self.pages[1])
         for r in range(1, r_max):
@@ -282,62 +326,77 @@ class PageTower:
 
     # -- construction ----------------------------------------------------
     def _build_page_one(self):
-        dc = self.dc
+        """E_1 is V, each cell in the basis of H^l, and d_1 is D_0."""
         page = Page(self.p, 1, self.n, self.k_max, self.r_max)
-        d1 = {}
-        for l in range(self.n + 1):
-            sub = self.H[l]
-            for parity in (0, 1):
-                d1[(parity, l)] = sub.coordinates_many(dc.apply_h(parity, l, sub.reps))
+        eyes = [np.eye(h.dim, dtype=np.int64) for h in self.H]
         for k in range(page.stable + 4):
             for l in range(self.n + 1):
-                sub = self.H[l]
-                no_gens = np.zeros((dc.base.dim(l), 0), dtype=np.int64)
-                cell = PageCell(sub.dim, None, sub.reps, no_gens, np.zeros((0, 0), dtype=np.int64))
-                cell.d_matrix = d1[(k % 2, l)]
+                cell = PageCell(self.H[l].dim, None, eyes[l])
+                cell.d_matrix = self.dc._transfer_blocks(k, l)[0]
                 page.cells[(k, l)] = cell
         self.pages[1] = page
 
     def _turn_page(self, r: int):
         page = self.pages[r]
         nxt = self.pages[r + 1] = Page(self.p, r + 1, self.n, self.k_max, self.r_max)
-        dim = self.dc.base.dim
         for k in range(nxt.stable + 4):
             for l in range(self.n + 1):
                 cell = page.source(k, l)
+                if not cell.dim:  # the subquotient of a zero space is empty
+                    nxt.cells[(k, l)] = PageCell(0, self._nothing, cell.lead)
+                    continue
                 src = page.source(k - r, l + r - 1)  # the source of the d_r into (k, l)
                 incoming = src.d_matrix if src else np.zeros((cell.dim, 0), dtype=np.int64)
                 # ker d_r in its canonical basis, against the d_r images as they are
                 sub = Subquotient(kernel_mod(cell.d_matrix, self.p), incoming, self.p)
-                # boundary generators: page r's, their certificates padded to
-                # offset -r, plus the d_r images into (k, l), whose
-                # certificates are the staircases r columns left of it
-                gens = cell.gens
-                certs = np.vstack([np.zeros((dim(l + r - 1), gens.shape[1]), dtype=np.int64),
-                                   cell.certs])
-                if src is not None and src.d_matrix.any():
-                    vecs = self.dc.apply_h(k - 1, l, _last_block(src.lifts, dim(l)))
-                    new = vecs.any(axis=0)
-                    gens = np.hstack([gens, vecs[:, new]])
-                    certs = np.hstack([certs, src.lifts[:, new]])
-                # representative staircases; with nothing killed and nothing
-                # incoming, ker d_r is everything and sub.reps is I
-                lifts = cell.lifts
+                # with nothing killed and nothing incoming, sub.reps is I
+                lead = cell.lead
                 if sub.dim != cell.dim:
-                    lifts = matmul_mod(lifts, sub.reps, self.p).astype(np.int64)
-                lifts = self._extend_lifts(page, k, l, r, lifts)
-                nxt.cells[(k, l)] = PageCell(sub.dim, sub, lifts, gens, certs)
+                    lead = matmul_mod(lead, sub.reps, self.p).astype(np.int64)
+                nxt.cells[(k, l)] = PageCell(sub.dim, sub, lead)
 
-        # differentials d_{r+1}, once every subquotient of page r+1 exists:
-        # h of block r, in column k + r
+        # d_{r+1}, once every subquotient of page r+1 exists
         for (k, l), new_cell in nxt.cells.items():
-            row = l - r
-            tgt = nxt.source(k + r + 1, row)
+            tgt = nxt.source(k + r + 1, l - r)
             mat = np.zeros((tgt.dim if tgt else 0, new_cell.dim), dtype=np.int64)
             if mat.size:
-                vecs = self.dc.apply_h(k + r, row, _last_block(new_cell.lifts, dim(row)))
-                mat = self.project_many(r + 1, k + r + 1, row, vecs)
+                tail = self._band(k, l, r)[2]
+                image = matmul_mod(tail, self._staircases(k, l, r, new_cell.lead), self.p)
+                if image.any():
+                    mat = self._project_e1(r + 1, k + r + 1, l - r, image.astype(np.int64))
             new_cell.d_matrix = mat
+
+    def _band(self, k: int, l: int, r: int) -> tuple[FactoredSolve, np.ndarray, np.ndarray]:
+        """The band system of the V-staircases at (k, l) on page r + 1
+        (module docstring), cached per (k mod 2, l, r): the factored
+        coefficients of v_1..v_(r-1) in the equations of columns
+        k+1..k+r, minus the coefficients of v_0 there, and the map of
+        (v_0, ..., v_(r-1)) to the component of Dv in column k + r + 1."""
+        key = (k % 2, l, r)
+        if key not in self._bands:
+            dims = self.dc.base.cohomology_dims()
+            # block a of the columns is cell (k + a, l - a), block i of the
+            # rows cell (k + i + 1, l - i): D_j out of column block a lands
+            # in row block a + j
+            col_at = np.cumsum([0] + [dims[l - a] if a <= l else 0 for a in range(r)])
+            row_at = np.cumsum([0] + [dims[l - i] if i <= l else 0 for i in range(r + 1)])
+            band = np.zeros((row_at[-1], col_at[-1]), dtype=np.int64)
+            for a in range(min(r, l + 1)):
+                for j, block in enumerate(self.dc._transfer_blocks(k + a, l - a)[: r + 1 - a]):
+                    band[row_at[a + j] : row_at[a + j + 1], col_at[a] : col_at[a + 1]] = block
+            rows, lead = row_at[r], col_at[1]
+            self._bands[key] = (FactoredSolve(band[:rows, lead:], self.p),
+                                np.mod(-band[:rows, :lead], self.p), band[rows:])
+        return self._bands[key]
+
+    def _staircases(self, k: int, l: int, r: int, lead: np.ndarray) -> np.ndarray:
+        """The V-staircases at (k, l) on page r + 1 whose leading blocks are
+        the columns of `lead`, as columns: v_0 on top, then v_1..v_(r-1)."""
+        solver, minus_head, _ = self._band(k, l, r)
+        rest = solver.solve_many(matmul_mod(minus_head, lead, self.p))
+        if rest is None:
+            raise InvariantError("pages", f"a class of E_{r + 1}^({k},{l}) has no V-staircase")
+        return np.vstack([lead, rest])
 
     def _converged(self, page: Page) -> bool:
         """Whether every antidiagonal of `page` adds up to the total
@@ -353,44 +412,6 @@ class PageTower:
         for r in range(page.r + 1, self.r_max + 1):
             self.pages[r] = ConvergedPage(page, r, self.r_max)
 
-    def _extend_lifts(self, page: Page, k: int, l: int, r: int, lifts: np.ndarray) -> np.ndarray:
-        """The staircases `lifts` of a cell at (k, l), blocks 0..r-1, made to
-        have total differential zero in column k+r too: corrected by
-        certificates and given block r."""
-        dim, p = self.dc.base.dim, self.p
-        col = k + r
-        row = l - r + 1
-        if row < 0 or not lifts.shape[1]:  # block r has height dim(l - r) = 0, or no columns
-            return np.vstack([lifts, np.zeros((dim(l - r), lifts.shape[1]), dtype=np.int64)])
-        sub = self.H[row]
-        cell = page.source(col, row)
-        z = self.dc.apply_h(col - 1, row, _last_block(lifts, dim(row)))
-        # the classes of z must die against the recorded boundaries
-        coords = sub.coordinates_many(z)
-        if cell.gens.shape[1]:
-            beta = FactoredSolve(sub.coordinates_many(cell.gens), p).solve_many(coords)
-        else:
-            beta = None if coords.any() else np.zeros((0, lifts.shape[1]), dtype=np.int64)
-        if beta is None:
-            raise InvariantError("pages", f"a class at ({col},{row}) survives its boundaries")
-        if beta.any():
-            z = np.mod(z - matmul_mod(cell.gens, beta, p), p).astype(np.int64)
-            # certificate offsets -(r-1)..-1 from col are staircase blocks 1..r-1
-            top = dim(l)
-            rest = np.mod(lifts[top:] - matmul_mod(cell.certs, beta, p), p).astype(np.int64)
-            lifts = np.vstack([lifts[:top], rest])
-        if row == 0:
-            if z.any():
-                raise InvariantError("pages", f"nonzero residue in row 0 at column {col}")
-            return lifts  # block r has height dim(-1) = 0
-        # some w with delta_(row-1)·w = sign·z, from the reduced columns of
-        # delta_(row-1) that H^row keeps (`CohomologyBasis.preimage`)
-        sign = (-1) ** (col + 1) % p
-        ws = [sub.preimage(np.mod(sign * v, p)) for v in z.T]
-        if any(w is None for w in ws):
-            raise InvariantError("pages", f"residue at ({col},{row}) is not a coboundary")
-        return np.vstack([lifts, np.stack(ws, axis=1)])
-
     # -- projections --------------------------------------------------------
     def project(self, r: int, k: int, l: int, cochain: np.ndarray) -> np.ndarray:
         """Coordinates on page r of the class of a cocycle at (k, l)."""
@@ -402,7 +423,10 @@ class PageTower:
 
     def project_many(self, r: int, k: int, l: int, cochains: np.ndarray) -> np.ndarray:
         """Page-r coordinates of the classes of the cocycle columns at (k, l)."""
-        coords = self.H[l].coordinates_many(cochains)
+        return self._project_e1(r, k, l, self.H[l].coordinates_many(cochains))
+
+    def _project_e1(self, r: int, k: int, l: int, coords: np.ndarray) -> np.ndarray:
+        """Page-r coordinates of the classes of E_1 coordinate columns at (k, l)."""
         # past the page the tower converged at, the coordinates stay as they are
         for q in range(2, self.pages[r].served.r + 1):
             cell = self.pages[q].source(k, l)
@@ -411,13 +435,20 @@ class PageTower:
             coords = cell.sub.coordinates_many(coords)
         return coords
 
+    def _leading_cocycles(self, cell: PageCell, l: int) -> np.ndarray:
+        """x_0 = reps_l·lead: the cocycles of the basis classes of a cell in
+        row l, as columns, computed once per cell."""
+        if cell.cocycles is None:
+            cell.cocycles = matmul_mod(self.H[l].reps, cell.lead, self.p).astype(np.int64)
+        return cell.cocycles
+
     def leading_vector(self, cls: PageClass) -> np.ndarray:
-        """Cochain representative (leading staircase component) of a class."""
+        """The cocycle reps_l·lead·coords that represents a class in its own column."""
         cell = self.pages[cls.r].source(cls.k, cls.l)
         if cell is None:
             raise WindowError(f"cell ({cls.k},{cls.l}) is outside page {cls.r}")
         coords = np.mod(np.asarray(cls.coords, dtype=np.int64), self.p)
-        return matmul_mod(cell.lifts[: self.dc.base.dim(cls.l)], coords, self.p).astype(np.int64)
+        return matmul_mod(self._leading_cocycles(cell, cls.l), coords, self.p).astype(np.int64)
 
     # -- products -------------------------------------------------------------
     def product(self, r: int, a: PageClass, b: PageClass) -> PageClass:
@@ -464,10 +495,11 @@ class PageTower:
             (l, page.source(k, l), page.source(k2, row - l))
             for l in range(max(0, row - self.n), min(row, self.n) + 1)
         ]
-        # the leading staircase blocks of the basis classes, multiplied
-        dim = self.dc.base.dim
+        # the leading cocycles of the basis classes, multiplied
+        leading = {l: (self._leading_cocycles(a, l), self._leading_cocycles(b, row - l))
+                   for l, a, b in splits}
         cups = [
-            self.dc.product(k, l, a.lifts[: dim(l), i], k2, row - l, b.lifts[: dim(row - l), j])
+            self.dc.product(k, l, leading[l][0][:, i], k2, row - l, leading[l][1][:, j])
             for l, a, b in splits for i in range(a.dim) for j in range(b.dim)
         ]
         coords = self.project_many(r, k + k2, row, np.stack(cups, axis=1))[0]
@@ -494,7 +526,8 @@ class PageTower:
             page, prev = self.pages[r], self.pages.get(r - 1)
             for (k, l), cell in page.cells.items():
                 nxt = page.source(k + r, l - r + 1)
-                if nxt is not None and matmul_mod(nxt.d_matrix, cell.d_matrix, self.p).any():
+                if (nxt is not None and nxt.d_matrix.any() and cell.d_matrix.any()
+                        and matmul_mod(nxt.d_matrix, cell.d_matrix, self.p).any()):
                     raise InvariantError("pages", f"d_{r} o d_{r} != 0 at ({k},{l})")
                 if prev is not None and cell.dim != (
                     prev.dim(k, l) - prev.d_rank(k, l) - prev.d_rank(k - r + 1, l + r - 2)

@@ -40,13 +40,14 @@ and deformations", arXiv math/0403266).
 - Every block depends on k only through the parity of k, so D repeats
   with period 2 in k.  For s >= n every cell (s - l, l), l = 0..n, of V^s
   and of V^(s+1) lies in a column >= 0, so V^(s+2) has the cells of V^s
-  two columns on, and D at s + 2 is the same matrix as D at s.  The total
-  cohomology ranks D only for s = 0..n+3, checks that degrees n, n+1 give
-  the ranks of n+2, n+3, and takes every later rank from the degree of
-  the same parity, so `total_cohomology_dim` serves every degree s.  D is
-  at most a few cohomology groups wide, so its ranks are dense; so is the
-  check that D o D = 0 on those degrees, `InvariantError` at
-  `swan.tot_dims` otherwise.
+  two columns on, and D at s + 2 is the same matrix as D at s, built from
+  the same cached blocks.  The total cohomology ranks D only for
+  s = 0..n+1 and takes every later rank from the degree of the same
+  parity, so `total_cohomology_dim` serves every degree s.  D is at most a
+  few cohomology groups wide, so its ranks are dense; so is the check
+  that D o D = 0 out of every degree 0..n+1, with D at n + 2 read as D at
+  n, `InvariantError` at `swan.tot_dims` otherwise.  Out of any later
+  degree D o D is one of these products.
 
 K_max only bounds what is reported: H^s for s <= K_max - 2
 (`total_cohomology_dims`), and products into columns <= K_max.
@@ -94,7 +95,7 @@ class SwanDoubleComplex:
             )
         self.k_max = k_max
         self._transfer: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._ranks: list[int] | None = None  # of D at s = 0..n+3
+        self._ranks: list[int] | None = None  # of D at s = 0..n+1
         self._tot_dims_cache: list[int] | None = None
 
     @property
@@ -166,17 +167,14 @@ class SwanDoubleComplex:
 
     def _d_rank(self, s: int) -> int:
         """The rank of D: V^s -> V^(s+1), for any s, from the ranks at
-        s = 0..n+3 (module docstring)."""
+        s = 0..n+1 (module docstring)."""
         if self._ranks is None:
             n, p = self.n, self.p
-            ds = [self._transferred(degree) for degree in range(n + 4)]
-            for degree, (d, d_next) in enumerate(zip(ds, ds[1:])):
-                if matmul_mod(d_next, d, p).any():
+            ds = [self._transferred(degree) for degree in range(n + 2)]
+            for degree, d in enumerate(ds):  # D at n + 2 is D at n
+                if matmul_mod(ds[degree + 1] if degree <= n else ds[n], d, p).any():
                     raise InvariantError("swan.tot_dims", f"D o D != 0 out of degree {degree}")
-            ranks = [rank_mod(d, p) for d in ds]
-            if ranks[n : n + 2] != ranks[n + 2 :]:
-                raise InvariantError("swan.tot_dims", f"ranks {ranks} of D: no period 2 from {n}")
-            self._ranks = ranks
+            self._ranks = [rank_mod(d, p) for d in ds]
         n, ranks = self.n, self._ranks
         return 0 if s < 0 else ranks[n + (s - n) % 2] if s >= n else ranks[s]
 

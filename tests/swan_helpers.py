@@ -39,8 +39,9 @@ from swanss.swan import SwanDoubleComplex
 def certificate_complex() -> SimplicialGComplex:
     """A free Z/3-action on 9 vertices, g(v) = 3*(v // 3) + (v + 1) % 3,
     on the orbits of three tetrahedra: f-vector [9, 33, 33, 9], with
-    H^1 = V_3 and H^2 = V_2.  Its page tower extends staircases by
-    certificate corrections, which the corpus inputs never need."""
+    H^1 = V_3 and H^2 = V_2.  Its d_3 out of (k, 2) reads V-staircases
+    with a nonzero block past the lead, which the corpus inputs never
+    need."""
     g = [3 * (v // 3) + (v + 1) % 3 for v in range(9)]
     tetrahedra = set()
     for t in [(0, 1, 6, 7), (0, 3, 5, 7), (0, 5, 7, 8)]:
@@ -83,6 +84,15 @@ def dense_h(dc: SwanDoubleComplex, k: int, l: int) -> np.ndarray:
         power = dc.base.apply_action(l, power)
         total = total + power
     return np.mod(total, dc.p)
+
+
+def d1_images(dc: SwanDoubleComplex, k: int, l: int) -> np.ndarray:
+    """The cocycles reps_l·D_0 of the d_1 images into (k, l), as columns:
+    D_0 out of (k - 1, l) is d_1, so every page from E_2 on kills them."""
+    reps = dc.base.cohomology()[l].reps
+    if k == 0:
+        return np.zeros((reps.shape[0], 0), dtype=np.int64)
+    return matmul_mod(reps, dc._transfer_blocks(k - 1, l)[0], dc.p).astype(np.int64)
 
 
 def _add(out: dict, pos, vec, p: int):

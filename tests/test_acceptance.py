@@ -47,7 +47,7 @@ from swanss.linalg import FactoredSolve, matmul_mod, rank_mod
 from swanss.pages import check_odd_page_vanishing, check_zero_row
 from swanss.report import analyze_complex
 from swanss.swan import SwanDoubleComplex
-from swan_helpers import dense_delta, tot_differential, tot_product
+from swan_helpers import d1_images, dense_delta, tot_differential, tot_product
 
 SIMPLICIAL = [
     "circle-2", "circle-3", "circle-5", "circle-trivial-3",
@@ -311,8 +311,8 @@ def test_criterion_9_product_laws(pipelines):
             if l > 0:
                 w = rng.integers(0, p, dc.base.dims[l - 1])
                 va = np.mod(va + dense_delta(dc.base, l - 1) @ w, p)
-            for gen_vec in page.source(k, l).gens.T:
-                va = np.mod(va + int(rng.integers(0, p)) * gen_vec, p)
+            for image in d1_images(dc, k, l).T:
+                va = np.mod(va + int(rng.integers(0, p)) * image, p)
             w2 = dc.product(k, l, va, k2, l2, tower.leading_vector(b))
             assert np.array_equal(
                 tower.project(2, k + k2, l + l2, w2), canonical.coords

@@ -202,17 +202,17 @@ def test_cli_analyze_rejects_rmax_below_two(tmp_path, capsys, rmax):
 
 
 def test_cli_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
-    import itertools
-
     from swanss import swan
-    from test_swan import _drifting
+    from swan_helpers import certificate_complex
 
-    # ranks of the transferred differential that never repeat break the period check
-    monkeypatch.setattr(swan, "rank_mod", _drifting(itertools.count()))
-    path = tmp_path / "circle.json"
-    path.write_text(json.dumps(build_circle(3).to_json()))
+    # d_h = T - 1 in every column: (T - 1)^2 != 0 on H^1 = V_3, so D o D != 0
+    apply_h = swan.SwanDoubleComplex.apply_h
+    monkeypatch.setattr(swan.SwanDoubleComplex, "apply_h",
+                        lambda dc, k, l, vectors: apply_h(dc, 0, l, vectors))
+    path = tmp_path / "certificates.json"
+    path.write_text(json.dumps(certificate_complex().to_json()))
     assert main(["analyze", str(path)]) == 3
-    assert capsys.readouterr().err.startswith("internal error: swan.tot_dims: ")
+    assert capsys.readouterr().err == "internal error: swan.tot_dims: D o D != 0 out of degree 1\n"
 
 
 def test_cli_verify_torus():

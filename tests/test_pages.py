@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from swanss import linalg, pages
-from swanss.complexes import SimplicialGComplex, cochain_complex
+from swanss.complexes import CohomologyBasis, SimplicialGComplex, cochain_complex
 from swanss.errors import InvariantError
 from swanss.gmodule import group_cohomology
 from swanss.pages import PageTower, check_odd_page_vanishing, check_zero_row
 from swanss.swan import SwanDoubleComplex, WindowError
 from swanss.synthetic import load_synthetic_page
-from swan_helpers import dense_delta, tot_dim, total_differential
+from swan_helpers import d1_images, dense_delta, tot_dim, total_differential
 
 
 def test_point_single_row_degenerates():
@@ -146,15 +146,14 @@ def test_product_representative_independence(pipelines):
         canonical = tower.product(2, a, b)
 
         def perturbed_vector(cls):
-            cell = tower.pages[2].source(cls.k, cls.l)
             vec = tower.leading_vector(cls)
             # add a coboundary
             if cls.l > 0:
                 w = rng.integers(0, p, tower.dc.base.dims[cls.l - 1])
                 vec = np.mod(vec + dense_delta(tower.dc.base, cls.l - 1) @ w, p)
-            # add recorded page boundaries
-            for gen_vec in cell.gens.T:
-                vec = np.mod(vec + int(rng.integers(0, p)) * gen_vec, p)
+            # add d_1 images, the boundaries of page 2
+            for image in d1_images(tower.dc, cls.k, cls.l).T:
+                vec = np.mod(vec + int(rng.integers(0, p)) * image, p)
             return vec
 
         va, vb = perturbed_vector(a), perturbed_vector(b)
@@ -221,7 +220,7 @@ def test_served_columns_equal_computed_ones(pipelines, monkeypatch, name):
                 if (k, l) not in direct.cells:
                     continue
                 served, computed = page.source(k, l), direct.cells[(k, l)]
-                assert np.array_equal(served.lifts, computed.lifts)
+                assert np.array_equal(served.lead, computed.lead)
 
 
 def _apply(matrix, x: np.ndarray, nrows: int) -> np.ndarray:
@@ -232,26 +231,70 @@ def _apply(matrix, x: np.ndarray, nrows: int) -> np.ndarray:
     return out
 
 
+def _iota_inf(dc: SwanDoubleComplex, k: int, l: int, coords: np.ndarray, tot: np.ndarray):
+    """Add iota_inf = sum_j (-H d_h)^j iota (`swan`) of the columns of
+    `coords`, E_1 coordinates at (k, l), to `tot`, columns of Tot^(k+l):
+    (-H d_h)^j iota is (-1)^j X_j, with X_0 = reps_l and
+    X_(j+1) = (-1)^(k+j+1) h(d_h X_j) in column k + j + 1."""
+    x = dc.base.cohomology()[l].reps @ coords % dc.p
+    for j in range(l + 1):
+        at = _tot_start(dc, k + l, k + j)
+        tot[at : at + len(x)] += (-1) ** j * x
+        if j < l:
+            x = (-1) ** (k + j + 1) * dc._contract(l - j, dc.apply_h(k + j, l - j, x))[1] % dc.p
+
+
+def _tot_start(dc: SwanDoubleComplex, s: int, k: int) -> int:
+    """The first row of column k in Tot^s."""
+    return sum(dc.base.dim(s - c) for c in range(max(0, s - dc.n), k))
+
+
 @pytest.mark.parametrize("name", ["certificates-3", "join-3-1-0", "suspension-5"])
-def test_staircases_are_cocycles_through_their_columns(pipelines, name):
-    # each staircase of a computed cell at (k, l) of page r, placed in
-    # Tot^(k+l), has total differential zero in columns k..k+r-1
+def test_v_staircases_lift_to_staircases_of_tot(pipelines, name):
+    # the V-staircase of each computed cell of page r + 1 at (k, l), from the
+    # band the tower solves, goes by iota_inf to an element of Tot^(k+l)
+    # whose total differential vanishes in columns k..k+r, and whose
+    # component in column k + r + 1 projects to the cell's d_(r+1)
     tower = pipelines(name).tower
-    dc, dim = tower.dc, tower.dc.base.dim
-
-    def start(s, k):  # the first row of column k in Tot^s
-        return sum(dim(s - c) for c in range(max(0, s - tower.n), k))
-
+    dc, p, dims = tower.dc, tower.p, tower.dc.base.cohomology_dims()
     checked = 0
-    for r, page in tower.pages.items():
+    for page in tower.pages.values():
+        r = page.r - 1
         for (k, l), cell in page.cells.items():
+            if not cell.dim:
+                continue
+            v = tower._staircases(k, l, r, cell.lead) if r else cell.lead
+            heights = [dims[l - a] for a in range(max(r, 1)) if a <= l]
+            blocks = np.split(v, np.cumsum(heights)[:-1])
             s = k + l
             x = np.zeros((tot_dim(dc, s), cell.dim), dtype=np.int64)
-            x[start(s, k) : start(s, k) + len(cell.lifts)] = cell.lifts
-            dx = _apply(total_differential(dc, s), x, tot_dim(dc, s + 1)) % tower.p
-            assert not dx[start(s + 1, k) : start(s + 1, k + r)].any(), (r, k, l)
-            checked += cell.dim > 0
+            for a, block in enumerate(blocks):
+                _iota_inf(dc, k + a, l - a, block, x)
+            dx = _apply(total_differential(dc, s), x % p, tot_dim(dc, s + 1)) % p
+            assert not dx[_tot_start(dc, s + 1, k) : _tot_start(dc, s + 1, k + r + 1)].any(), (r, k, l)
+            if l - r >= 0:
+                at = _tot_start(dc, s + 1, k + r + 1)
+                leading = dx[at : at + dc.base.dim(l - r)]
+                assert np.array_equal(tower.project_many(r + 1, k + r + 1, l - r, leading),
+                                      cell.d_matrix), (r, k, l)
+            checked += r > 0
     assert checked
+
+
+@pytest.mark.parametrize("name", ["certificates-3", "page-three-3"])
+def test_page_turns_do_no_cochain_work(pipelines, monkeypatch, name):
+    # once D's blocks exist, the tower reads them and touches no cochain
+    dc = SwanDoubleComplex(pipelines(name).C)
+    dc.total_cohomology_dims()
+
+    def refused(*args):
+        raise AssertionError("cochain work in the page tower")
+
+    monkeypatch.setattr(SwanDoubleComplex, "apply_h", refused)
+    for method in ("coboundary", "coordinates_many", "split", "preimage"):
+        monkeypatch.setattr(CohomologyBasis, method, refused)
+    tower = PageTower(dc)
+    assert tower.pages[3].served is tower.pages[3]  # d_3 solved bands with unknowns
 
 
 def test_period_checked_from_too_early_a_column_raises(pipelines, monkeypatch):
@@ -302,6 +345,48 @@ def test_broken_page_raises_at_pages(mode, flags):
     proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_PAGES, mode],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout == BROKEN_PAGES[mode] + "\n", proc.stderr
+
+
+_BREAK_BAND = """
+import sys
+import numpy as np
+from swanss import pages
+from swanss.complexes import cochain_complex, validate_and_regularize
+from swanss.errors import InvariantError
+from swanss.linalg import FactoredSolve
+from swanss.swan import SwanDoubleComplex
+from swan_helpers import certificate_complex
+
+dc = SwanDoubleComplex(cochain_complex(validate_and_regularize(certificate_complex())))
+if sys.argv[1] == "band":
+    # the coefficients of v_1..v_(r-1) lost: only classes whose staircase
+    # is the lead alone solve, and d_3 out of (0, 2) needs one more block
+    band = pages.PageTower._band
+
+    def broken(tower, k, l, r):
+        solver, minus_head, tail = band(tower, k, l, r)
+        return FactoredSolve(np.zeros(solver.shape, dtype=np.int64), tower.p), minus_head, tail
+    pages.PageTower._band = broken
+else:
+    # every class kept on page 2, d_1-cocycle or not: D_0 of a lead is not zero
+    pages.kernel_mod = lambda a, p: np.eye(a.shape[1], dtype=np.int64)
+try:
+    pages.PageTower(dc)
+except InvariantError as exc:
+    print(exc.stage, exc.invariant)
+"""
+BROKEN_BANDS = {"band": "pages a class of E_3^(0,2) has no V-staircase",
+                "kernel": "pages a class of E_2^(0,1) has no V-staircase"}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("mode", sorted(BROKEN_BANDS))
+def test_band_without_solution_raises_at_pages(mode, flags):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    proc = subprocess.run([sys.executable, *flags, "-c", _BREAK_BAND, mode], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])))
+    assert proc.stdout == BROKEN_BANDS[mode] + "\n", proc.stderr
 
 
 def test_synthetic_page_loading():

@@ -47,7 +47,7 @@ REPORTS = {
                    "936a2bf41ff7a840c6e448d4eee34128284a154c137ce58be0b26cdca4fde6a4"),
     "join-5-1-0": (lambda: build_sphere_join(5, 1, 0), None, None,
                    "9af0302803ffc88a198689b6257672fcc125a6261d755c7ff314372865e8109a"),
-    # the one pinned input whose staircases need certificate corrections
+    # the one pinned input whose V-staircases need blocks past their leads
     "certificates-3": (certificate_complex, None, None,
                        "83472927b5c1cff581b80ef49d43c705b49b97275a84d1618fe363f8130fdbcf"),
     # the tower converges at page 3, below r_max = 4
@@ -102,8 +102,10 @@ def test_random_small_seed_1_reports_digest():
 
 
 def test_certificate_corrections(monkeypatch):
-    # count the staircases that take a nonzero correction (beta != 0);
-    # skipping the correction makes this input raise InvariantError
+    # count the V-staircases with a nonzero block past their lead: the
+    # classes whose band solution (`pages.PageTower._band`) is not zero, so
+    # that D's longer blocks, and not only the lead's, make their d_r.  No
+    # corpus input has one
     corrected = []
     solve_many = FactoredSolve.solve_many
 

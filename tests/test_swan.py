@@ -282,43 +282,12 @@ def test_total_dims_when_ranks_alternate(p, top):
     assert dc.total_cohomology_dims() == _direct_total_dims(dc)
 
 
-def _drifting(ranks):
-    """A rank function that returns next(ranks) whatever it is given."""
-    return lambda *args: next(ranks)
-
-
-def test_disagreeing_periods_raise(monkeypatch):
-    # a rank that changes with every call cannot repeat with period 2
-    monkeypatch.setattr(swan, "rank_mod", _drifting(itertools.count()))
-    pt = SimplicialGComplex(3, 1, [0], [(0,)])
-    with pytest.raises(InvariantError) as info:
-        SwanDoubleComplex(cochain_complex(pt)).total_cohomology_dims()
-    assert info.value.stage == "swan.tot_dims"
-
-
 def _under_optimization(script):
     """The standard output of `script` run by `python -O` on this checkout's swanss."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(swan.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     return proc.stdout or proc.stderr
-
-
-def test_disagreeing_periods_raise_under_optimization():
-    script = (
-        "import itertools\n"
-        "from swanss import swan\n"
-        "from swanss.complexes import SimplicialGComplex, cochain_complex\n"
-        "from swanss.errors import InvariantError\n"
-        "calls = itertools.count()\n"
-        "swan.rank_mod = lambda *args: next(calls)\n"
-        "dc = swan.SwanDoubleComplex(cochain_complex(SimplicialGComplex(3, 1, [0], [(0,)])))\n"
-        "try:\n"
-        "    dc.total_cohomology_dims()\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
-    )
-    assert _under_optimization(script) == "raised\n"
 
 
 _BREAK_TRANSFER = """
